@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json bench-compare check fuzz-smoke chaos-smoke crash-smoke host-smoke load-smoke cluster-smoke cover experiments examples clean
+.PHONY: all build vet lint test race bench bench-json bench-compare bench-smoke check fuzz-smoke chaos-smoke crash-smoke host-smoke load-smoke cluster-smoke cover experiments examples clean
 
 all: build vet test
 
@@ -12,10 +12,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: staticcheck when it is on PATH (CI installs it in
-# the lint job), falling back to go vet so the target works on a box
-# with nothing but the Go toolchain.
+# Formatting and static analysis. Any file gofmt would rewrite fails the
+# target (gofmt -l prints it). Then staticcheck when it is on PATH (CI
+# installs it in the lint job), falling back to go vet so the target
+# works on a box with nothing but the Go toolchain.
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -48,6 +52,17 @@ bench-json:
 # as the bench-compare job).
 bench-compare:
 	$(GO) run ./cmd/cmhbench -compare BENCH_baseline.json
+
+# The repo benchmark's harness (BENCHMARK.json, benchmark/) end to end
+# at smoke length: vet it, then assemble the fsync=always cluster, run
+# its output checks (oracle audit, every admitted transaction commits,
+# no WAL or write errors) and a few hundred transactions per phase. The
+# numbers mean nothing at this length; a broken harness or a journal
+# that loses the write-ahead orderings exits nonzero (CI runs this as
+# the bench-smoke job).
+bench-smoke:
+	$(GO) vet ./benchmark
+	$(GO) run ./benchmark -quick -workload cluster-fsync
 
 # Exhaustive DPOR model check over the exploration corpus.
 check:

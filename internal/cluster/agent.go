@@ -50,7 +50,7 @@ type Agent struct {
 	id  transport.NodeID
 
 	mu        sync.Mutex
-	local     map[transport.NodeID]bool            // processes hosted here
+	local     map[transport.NodeID]bool             // processes hosted here
 	migrating map[transport.NodeID]transport.NodeID // outbound moves: node → dest
 
 	stopOnce sync.Once

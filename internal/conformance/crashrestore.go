@@ -36,7 +36,10 @@ import (
 // sees a failure-detector verdict.
 
 // RunTCPCrashRestore replays the spec on the two-host mux topology
-// with host B journaling to a WAL in walDir. After the sweep reaches
+// with host B journaling to a WAL in walDir under the given fsync
+// policy (wal.SyncAlways drives the group barrier of DESIGN.md §11 with
+// a real fsync per group; the other policies take the same staged path
+// with a free commit). After the sweep reaches
 // its fixed point, B checkpoints; the A-side blocked processes then
 // probe, leaving a wire-only record tail beyond the checkpoint. With
 // crash set, host B is then killed without a final checkpoint and
@@ -44,7 +47,7 @@ import (
 // reconnect); either way every still-blocked process probes and the
 // canonical verdict is returned. The crash=true and crash=false legs
 // must be byte-identical — and identical to RunSim's verdict.
-func RunTCPCrashRestore(spec Spec, shards int, walDir string, crash bool) (string, error) {
+func RunTCPCrashRestore(spec Spec, shards int, walDir string, policy wal.SyncPolicy, crash bool) (string, error) {
 	if spec.N < 2 || spec.MaxBatch < 1 {
 		return "", fmt.Errorf("spec needs N >= 2 and MaxBatch >= 1, got N=%d MaxBatch=%d", spec.N, spec.MaxBatch)
 	}
@@ -146,7 +149,7 @@ func RunTCPCrashRestore(spec Spec, shards int, walDir string, crash bool) (strin
 	}
 	defer func() { closeB(false) }()
 	buildB := func() error {
-		w, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncAlways})
+		w, err := wal.Open(wal.Options{Dir: walDir, Sync: policy})
 		if err != nil {
 			return err
 		}

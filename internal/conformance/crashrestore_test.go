@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 // crashRestoreSpecs is the ≥8-seed sweep both crash/restore legs
@@ -49,11 +50,13 @@ func TestSimCrashRestoreConformance(t *testing.T) {
 	}
 }
 
-// TestTCPCrashRestoreConformance runs the two-host WAL topology twice
-// per seed — once fault-free, once killing host B after the checkpoint
-// and the A-side probe burst and rebuilding it from the log — and
-// demands byte-identical verdicts from both legs, and from the
-// simulator.
+// TestTCPCrashRestoreConformance runs the two-host WAL topology per
+// seed once fault-free and then, under each fsync policy, killing host
+// B after the checkpoint and the A-side probe burst and rebuilding it
+// from the log — and demands byte-identical verdicts from every leg,
+// and from the simulator. The fsync=always leg is the lossless
+// configuration: every frame B delivered or acknowledged went through a
+// group commit with a real fsync first.
 func TestTCPCrashRestoreConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP crash/restore sweep is not short")
@@ -67,16 +70,18 @@ func TestTCPCrashRestoreConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim: %v", err)
 			}
-			baseV, err := RunTCPCrashRestore(spec, shards, t.TempDir(), false)
+			baseV, err := RunTCPCrashRestore(spec, shards, t.TempDir(), wal.SyncAlways, false)
 			if err != nil {
 				t.Fatalf("fault-free leg: %v", err)
 			}
-			crashV, err := RunTCPCrashRestore(spec, shards, t.TempDir(), true)
-			if err != nil {
-				t.Fatalf("crash leg: %v", err)
-			}
-			if baseV != crashV {
-				t.Errorf("verdict diverged after durable crash/restore:\n--- fault-free ---\n%s--- crash-restore ---\n%s", baseV, crashV)
+			for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval} {
+				crashV, err := RunTCPCrashRestore(spec, shards, t.TempDir(), policy, true)
+				if err != nil {
+					t.Fatalf("crash leg (fsync=%v): %v", policy, err)
+				}
+				if baseV != crashV {
+					t.Errorf("verdict diverged after durable crash/restore (fsync=%v):\n--- fault-free ---\n%s--- crash-restore ---\n%s", policy, baseV, crashV)
+				}
 			}
 			if baseV != simV {
 				t.Errorf("WAL topology diverged from the simulator:\n--- sim ---\n%s--- wal topology ---\n%s", simV, baseV)

@@ -12,8 +12,9 @@ import (
 )
 
 // Durable crash recovery (DESIGN.md §11). A Host with an attached WAL
-// journals every sequenced wire delivery (as transport.DeliveryLog,
-// invoked by the resequencer before the frame is delivered or acked),
+// journals every sequenced wire delivery (as transport.GroupDeliveryLog:
+// the resequencer appends each frame's record, then commits the group
+// before any of its frames is delivered or acked),
 // checkpoints the marshaled state of every Snapshotter process at a
 // consistent cut, and on restart reconstitutes the newest checkpoint
 // and replays the log tail deterministically.
@@ -93,39 +94,96 @@ func (h *Host) AttachWAL(w *wal.Log, hooks DurabilityHooks) {
 // WAL returns the attached log, if any.
 func (h *Host) WAL() *wal.Log { return h.walLog.Load() }
 
-// LogDelivery implements transport.DeliveryLog: journal one sequenced
-// wire delivery before the transport hands it to the shards (and
-// before it is acknowledged — the write-ahead property). Frames for
-// destinations not hosted here are not journaled: they will not be
-// stepped by these shards, and the log is this Host's delivery
-// journal, not the wire's.
+// LogDelivery implements transport.DeliveryLog, the per-frame contract:
+// journal one sequenced wire delivery and run the log's durability
+// barrier before returning — under wal.SyncAlways the record is on disk
+// when the transport hands the frame to the shards and acknowledges it.
+// It blocks while a checkpoint cut holds the gate. The transport itself
+// drives a Host through the batched face below; this entry point is what
+// a decorator around the Host calls, and the transport's fallback when
+// AppendDelivery declines.
 func (h *Host) LogDelivery(stream transport.NodeID, streamIsHost bool, epoch, seq uint64, from, to transport.NodeID, m msg.Message) {
+	h.journal(true, stream, streamIsHost, epoch, seq, from, to, m)
+	h.CommitDeliveries()
+}
+
+// AppendDelivery implements transport.GroupDeliveryLog: journal one
+// frame with no barrier; CommitDeliveries pays it for the whole group.
+// It never waits for a checkpoint cut — the cut waits for every
+// journaled frame to be stepped, and this frame's predecessors may be
+// sitting in the caller's stage — so with the gate closing it journals
+// nothing and returns false: the caller delivers its stage and comes
+// back through LogDelivery, which does wait.
+func (h *Host) AppendDelivery(stream transport.NodeID, streamIsHost bool, epoch, seq uint64, from, to transport.NodeID, m msg.Message) bool {
+	return h.journal(false, stream, streamIsHost, epoch, seq, from, to, m)
+}
+
+// journal appends one delivery record, unsynced, under the checkpoint
+// gate held shared: wait blocks for the gate, otherwise a closing gate
+// makes journal return false having done nothing. Frames for
+// destinations not hosted here are not journaled (and report true):
+// they will not be stepped by these shards, and the log is this Host's
+// delivery journal, not the wire's.
+func (h *Host) journal(wait bool, stream transport.NodeID, streamIsHost bool, epoch, seq uint64, from, to transport.NodeID, m msg.Message) bool {
 	w := h.walLog.Load()
 	if w == nil || h.proc(to) == nil {
-		return
+		return true
 	}
-	h.walGate.RLock()
+	if wait {
+		h.walGate.RLock()
+	} else if !h.walGate.TryRLock() {
+		return false
+	}
 	defer h.walGate.RUnlock()
-	h.walMu.Lock()
-	defer h.walMu.Unlock()
 	env := msg.Envelope{From: int32(from), To: int32(to), Seq: seq, Epoch: epoch, Msg: m}
 	if streamIsHost {
 		env.SrcHost = int32(stream)
 	}
+	h.walMu.Lock()
 	buf, err := msg.AppendEnvelopeFrame(h.walScratch[:0], env)
 	if err == nil {
 		h.walScratch = buf
-		_, err = w.Append(wal.KindEnvelope, h.walGen.Load(), buf)
+		_, err = w.AppendDeferred(wal.KindEnvelope, h.walGen.Load(), buf)
 	}
+	if err == nil {
+		h.walOpen++
+	}
+	h.walMu.Unlock()
 	if err != nil {
 		// The frame is still delivered — losing one journal record
 		// degrades replay to the Reannounce fallback, which is better
 		// than dropping live traffic. The count is surfaced in stats.
 		h.walErrs.Add(1)
 	}
-	// Counted even on error so the checkpoint cut's logged == stepped
-	// equality stays exact.
+	// Counted at append, and even on error, so the checkpoint cut's
+	// logged == stepped equality stays exact: a frame waiting in a
+	// transport stage for its group's commit keeps the cut open until it
+	// has been delivered and stepped.
 	h.walLogged.Add(1)
+	return true
+}
+
+// CommitDeliveries implements transport.GroupDeliveryLog: the log's
+// durability barrier (one fsync under wal.SyncAlways, nothing under the
+// other policies) over every record journaled so far. A failed barrier
+// leaves none of those records known durable, so each counts as a WAL
+// error; they are delivered regardless, as in journal.
+func (h *Host) CommitDeliveries() {
+	w := h.walLog.Load()
+	if w == nil {
+		return
+	}
+	h.walMu.Lock()
+	n := h.walOpen
+	h.walOpen = 0
+	var err error
+	if n > 0 {
+		err = w.Commit()
+	}
+	h.walMu.Unlock()
+	if err != nil {
+		h.walErrs.Add(n)
+	}
 }
 
 // Checkpoint writes a durable checkpoint of every Snapshotter process

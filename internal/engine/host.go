@@ -105,8 +105,10 @@ type Host struct {
 
 	// Durability state (checkpoint.go). walLog is nil until AttachWAL;
 	// every field below is idle — and off the hot path — without it.
-	// walGate is the checkpoint cut: LogDelivery holds it shared per
-	// frame, Checkpoint exclusively while marshaling. walLogged and
+	// walGate is the checkpoint cut: journal holds it shared per frame,
+	// Checkpoint exclusively while marshaling. walMu serializes appends
+	// (walScratch is shared) and guards walOpen, the records appended
+	// since the last commit — what a failed commit loses. walLogged and
 	// walStepped count journaled frames and their completed steps; the
 	// cut waits for equality, which is what makes a checkpoint a
 	// consistent prefix of the log. replaying marks the restore window:
@@ -119,6 +121,7 @@ type Host struct {
 	walGate    sync.RWMutex
 	walMu      sync.Mutex
 	walScratch []byte
+	walOpen    uint64
 	walLogged  atomic.Uint64
 	walStepped atomic.Uint64
 	walErrs    atomic.Uint64
@@ -185,8 +188,10 @@ type HostStats struct {
 	// counts corrupt/torn log regions truncated at open;
 	// StaleGenDropped counts replayed records fenced for carrying a
 	// stale durability generation; MutedReplaySends counts remote
-	// sends suppressed during replay; WALErrors counts append/encode
-	// failures (frames delivered but not journaled).
+	// sends suppressed during replay; WALErrors counts frames delivered
+	// without a journal record known to be durable: append/encode
+	// failures one by one, and every frame of a group whose commit
+	// failed.
 	CheckpointsTaken   uint64
 	RecordsAppended    uint64
 	TailReplayed       uint64

@@ -10,6 +10,15 @@ package experiments
 // KFramesPerSec column so cmhbench -compare gates them in CI alongside
 // the other perf experiments; the contrast between the two rows is the
 // quantitative case for DESIGN.md §11's checkpoint-plus-tail model.
+//
+// Three more rows price the other side of that trade — what journaling
+// costs while the host is up: a windowed one-way probe storm ingested by
+// a WAL-attached host under each fsync policy. The rate is what the
+// journal leaves of the wire's; records_per_sync is how many frames one
+// durability barrier covered. Under fsync=always that figure is the
+// group-commit factor (DESIGN.md §11): every frame is on disk before it
+// is delivered or acknowledged, and a loaded reader amortises the fsync
+// over everything that arrived during the previous one.
 
 import (
 	"fmt"
@@ -25,15 +34,19 @@ import (
 	"repro/internal/wal"
 )
 
-// E19Row is one recovery leg.
+// E19Row is one recovery leg or one WAL-on ingest leg.
 type E19Row struct {
 	// Mode is "blank-wire" (re-derive everything from the surviving
-	// peer) or "durable-restore" (checkpoint load + local tail replay).
-	Mode  string
+	// peer), "durable-restore" (checkpoint load + local tail replay) or
+	// "wal-ingest" (live journaling under Fsync).
+	Mode string
+	// Fsync is the WAL policy of an ingest row ("" on recovery rows,
+	// whose ingest side runs fsync=never — they measure replay).
+	Fsync string
 	Procs int
-	// Frames is the number of frames the recovery had to re-process:
-	// the whole history for the blank leg, only the post-checkpoint
-	// tail for the durable leg.
+	// Frames is the number of frames the leg processed: the whole
+	// history for the blank leg, only the post-checkpoint tail for the
+	// durable leg, the storm for an ingest leg.
 	Frames int
 	// CheckpointFrames is the prefix the checkpoint made skippable
 	// (zero on the blank leg — nothing is skippable without one).
@@ -41,25 +54,33 @@ type E19Row struct {
 	// RecoverMs is crash-to-recovered wall time: from the first step of
 	// rebuilding the host to the instant its pre-crash state is back.
 	RecoverMs float64
-	// KFramesPerSec is Frames recovered per second, in thousands — the
-	// gated recovery rate.
+	// IngestMs is an ingest leg's wall time, first send to last delivery.
+	IngestMs float64
+	// KFramesPerSec is Frames recovered (or ingested) per second, in
+	// thousands — the gated rate.
 	KFramesPerSec float64
+	// RecordsPerSync is journal records per fsync on an ingest leg (0
+	// when the policy never synced during the storm).
+	RecordsPerSync float64
 	// SnapshotsRestored and TailReplayed echo the engine's RestoreStats
 	// on the durable leg (zero on the blank leg).
 	SnapshotsRestored int
 	TailReplayed      uint64
 }
 
-// E19Recovery measures both recovery paths once.
+// E19Recovery measures both recovery paths, then the three ingest legs,
+// once each.
 func E19Recovery() ([]E19Row, *metrics.Table, error) {
 	const (
 		shards = 4
 		pre    = 20000 // frames delivered before the checkpoint
 		tail   = 20000 // frames delivered after it, lost with the crash
+		storm  = 40000 // frames per ingest leg
 	)
 	table := metrics.NewTable(
-		"E19 — recovery time: blank wire re-derivation vs checkpoint load + WAL tail replay",
-		"mode", "procs", "frames", "ckpt_frames", "recover_ms", "kframes_per_s", "snapshots", "tail_replayed")
+		"E19 — recovery time: blank wire re-derivation vs checkpoint load + WAL tail replay; WAL-on ingest by fsync policy",
+		"mode", "fsync", "procs", "frames", "ckpt_frames", "recover_ms", "ingest_ms", "kframes_per_s",
+		"snapshots", "tail_replayed", "records_per_sync")
 	blank, err := blankRecoveryLeg(shards, pre, tail)
 	if err != nil {
 		return nil, nil, err
@@ -69,9 +90,17 @@ func E19Recovery() ([]E19Row, *metrics.Table, error) {
 		return nil, nil, err
 	}
 	rows := []E19Row{blank, durable}
+	for _, policy := range []wal.SyncPolicy{wal.SyncNever, wal.SyncInterval, wal.SyncAlways} {
+		row, err := walIngestLeg(shards, storm, policy)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, row)
+	}
 	for _, row := range rows {
-		table.AddRow(row.Mode, row.Procs, row.Frames, row.CheckpointFrames,
-			row.RecoverMs, row.KFramesPerSec, row.SnapshotsRestored, row.TailReplayed)
+		table.AddRow(row.Mode, row.Fsync, row.Procs, row.Frames, row.CheckpointFrames,
+			row.RecoverMs, row.IngestMs, row.KFramesPerSec,
+			row.SnapshotsRestored, row.TailReplayed, row.RecordsPerSync)
 	}
 	return rows, table, nil
 }
@@ -153,6 +182,36 @@ func e19Pump(tcpA *transport.TCP, lo, hi int, arrived func() uint64, want uint64
 	return nil
 }
 
+// e19Window bounds the ingest storm's un-arrived backlog: deep enough
+// that the receiver's socket reads always find frames waiting (so
+// groups form), shallow enough that the run measures steady ingest
+// rather than one giant queue draining.
+const e19Window = 4096
+
+// e19PumpWindowed sends n frames keeping at most e19Window of them
+// un-arrived, and returns once all have been delivered. The delivery
+// counter is a round trip through every shard, so it is consulted only
+// when the window looks full, not per frame.
+func e19PumpWindowed(tcpA *transport.TCP, n int, arrived func() uint64) error {
+	deadline := time.Now().Add(60 * time.Second)
+	got := 0
+	for sent := 0; sent < n || got < n; {
+		if sent < n && sent-got < e19Window {
+			tcpA.Send(1, transport.NodeID(100+sent%e19Procs), msg.Probe{Tag: id.Tag{Initiator: 1, N: uint64(sent)}})
+			sent++
+			continue
+		}
+		if got = int(arrived()); sent < n && sent-got < e19Window {
+			continue
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d/%d frames after 60s", got, n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return nil
+}
+
 // blankRecoveryLeg crashes a log-less host and recovers by having the
 // surviving peer re-send the entire history over the wire.
 func blankRecoveryLeg(shards, pre, tail int) (E19Row, error) {
@@ -224,6 +283,66 @@ func blankRecoveryLeg(shards, pre, tail int) (E19Row, error) {
 	return row, nil
 }
 
+// e19Durable is host 2 with a WAL attached: the log, the endpoint, the
+// engine Host and the delivery counter of its processes.
+type e19Durable struct {
+	w       *wal.Log
+	tcp     *transport.TCP
+	host    *engine.Host
+	arrived func() uint64
+}
+
+func (d *e19Durable) close() {
+	d.host.Close()
+	d.tcp.Close()
+	d.w.Close()
+}
+
+// e19BuildDurable builds (or, over a directory with history, rebuilds)
+// host 2 on dir under the given fsync policy — attach the log, register
+// the processes, restore, prime, finish-restore — and points tcpA at it.
+func e19BuildDurable(dir string, policy wal.SyncPolicy, shards int, tcpA *transport.TCP) (*e19Durable, engine.RestoreStats, error) {
+	var st engine.RestoreStats
+	w, err := wal.Open(wal.Options{Dir: dir, Sync: policy})
+	if err != nil {
+		return nil, st, err
+	}
+	tb := transport.NewTCPWithOptions(transport.TCPOptions{MaxBatch: 64})
+	d := &e19Durable{w: w, tcp: tb, host: engine.NewHost(engine.Options{Shards: shards, Transport: tb})}
+	fail := func(err error) (*e19Durable, engine.RestoreStats, error) {
+		d.close()
+		return nil, st, err
+	}
+	if err := tb.ListenHost(2, "127.0.0.1:0"); err != nil {
+		return fail(err)
+	}
+	sp := e19Placement(tcpA.HostAddr(1), tb.HostAddr(2))
+	tb.SetResolver(sp)
+	d.host.AttachWAL(w, engine.DurabilityHooks{Incarnation: func() uint64 {
+		inc, _ := tb.Incarnation(2)
+		return inc
+	}})
+	if d.arrived, err = e19Procs100(d.host); err != nil {
+		return fail(err)
+	}
+	if err := tb.SetDeliveryLog(2, d.host); err != nil {
+		return fail(err)
+	}
+	if st, err = d.host.Restore(); err != nil {
+		return fail(err)
+	}
+	if st.Found {
+		if err := tb.PrimeInbox(2, st.Inc, st.Cursors); err != nil {
+			return fail(err)
+		}
+	}
+	if err := d.host.FinishRestore(); err != nil {
+		return fail(err)
+	}
+	tcpA.SetResolver(sp)
+	return d, st, nil
+}
+
 // durableRecoveryLeg crashes a WAL-attached host after a checkpoint and
 // a tail of further deliveries, then recovers from disk alone:
 // checkpoint load plus local tail replay, no wire traffic.
@@ -243,94 +362,33 @@ func durableRecoveryLeg(shards, pre, tail int) (E19Row, error) {
 	}
 	defer tcpA.Close()
 
-	// The experiment measures replay, not append durability, so the
-	// ingest side runs SyncNever; Close and rotation still sync, and
-	// the crash here is a process death, not a power cut.
-	buildB := func() (*wal.Log, *transport.TCP, *engine.Host, func() uint64, engine.RestoreStats, error) {
-		var st engine.RestoreStats
-		w, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
-		if err != nil {
-			return nil, nil, nil, nil, st, err
-		}
-		tb := transport.NewTCPWithOptions(transport.TCPOptions{MaxBatch: 64})
-		failB := func(err error) (*wal.Log, *transport.TCP, *engine.Host, func() uint64, engine.RestoreStats, error) {
-			tb.Close()
-			w.Close()
-			return nil, nil, nil, nil, st, err
-		}
-		if err := tb.ListenHost(2, "127.0.0.1:0"); err != nil {
-			return failB(err)
-		}
-		sp := e19Placement(tcpA.HostAddr(1), tb.HostAddr(2))
-		tb.SetResolver(sp)
-		hb := engine.NewHost(engine.Options{Shards: shards, Transport: tb})
-		failHost := func(err error) (*wal.Log, *transport.TCP, *engine.Host, func() uint64, engine.RestoreStats, error) {
-			hb.Close()
-			return failB(err)
-		}
-		hb.AttachWAL(w, engine.DurabilityHooks{Incarnation: func() uint64 {
-			inc, _ := tb.Incarnation(2)
-			return inc
-		}})
-		arrived, err := e19Procs100(hb)
-		if err != nil {
-			return failHost(err)
-		}
-		if err := tb.SetDeliveryLog(2, hb); err != nil {
-			return failHost(err)
-		}
-		st, err = hb.Restore()
-		if err != nil {
-			return failHost(err)
-		}
-		if st.Found {
-			if err := tb.PrimeInbox(2, st.Inc, st.Cursors); err != nil {
-				return failHost(err)
-			}
-		}
-		if err := hb.FinishRestore(); err != nil {
-			return failHost(err)
-		}
-		tcpA.SetResolver(sp)
-		return w, tb, hb, arrived, st, nil
-	}
-
-	wlog, tcpB, hostB, arrived, _, err := buildB()
+	// This leg measures replay, not append durability (the ingest legs
+	// do that), so its ingest side runs SyncNever; Close and rotation
+	// still sync, and the crash here is a process death, not a power cut.
+	b, _, err := e19BuildDurable(dir, wal.SyncNever, shards, tcpA)
 	if err != nil {
 		return fail(err)
 	}
-	if err := e19Pump(tcpA, 0, pre, arrived, uint64(pre)); err != nil {
-		hostB.Close()
-		tcpB.Close()
-		wlog.Close()
-		return fail(err)
+	err = e19Pump(tcpA, 0, pre, b.arrived, uint64(pre))
+	if err == nil {
+		err = b.host.Checkpoint()
 	}
-	if err := hostB.Checkpoint(); err != nil {
-		hostB.Close()
-		tcpB.Close()
-		wlog.Close()
-		return fail(err)
-	}
-	if err := e19Pump(tcpA, pre, pre+tail, arrived, uint64(pre+tail)); err != nil {
-		hostB.Close()
-		tcpB.Close()
-		wlog.Close()
-		return fail(err)
+	if err == nil {
+		err = e19Pump(tcpA, pre, pre+tail, b.arrived, uint64(pre+tail))
 	}
 	// Crash without a final checkpoint: the tail exists only in the log.
-	hostB.Close()
-	tcpB.Close()
-	wlog.Close()
+	b.close()
+	if err != nil {
+		return fail(err)
+	}
 
 	start := time.Now()
-	wlog2, tcpB2, hostB2, _, st, err := buildB()
+	b2, st, err := e19BuildDurable(dir, wal.SyncNever, shards, tcpA)
 	if err != nil {
 		return fail(err)
 	}
 	elapsed := time.Since(start)
-	defer wlog2.Close()
-	defer tcpB2.Close()
-	defer hostB2.Close()
+	defer b2.close()
 
 	if !st.Found {
 		return fail(fmt.Errorf("restore found no checkpoint"))
@@ -345,5 +403,59 @@ func durableRecoveryLeg(shards, pre, tail int) (E19Row, error) {
 	row.KFramesPerSec = float64(row.Frames) / elapsed.Seconds() / 1e3
 	row.SnapshotsRestored = st.SnapshotsRestored
 	row.TailReplayed = st.TailReplayed
+	return row, nil
+}
+
+// walIngestLeg pumps a windowed storm of frames into a WAL-attached
+// host under one fsync policy and reports the ingest rate and how many
+// journal records each fsync covered. It fails the experiment, not just
+// the number, if a frame went unjournaled, the log reported an error,
+// or — under fsync=always with a backlog always waiting — the barrier
+// was still paid per record: that is the group commit not grouping.
+func walIngestLeg(shards, frames int, policy wal.SyncPolicy) (E19Row, error) {
+	row := E19Row{Mode: "wal-ingest", Fsync: policy.String(), Procs: e19Procs, Frames: frames}
+	fail := func(err error) (E19Row, error) {
+		return row, fmt.Errorf("E19 ingest fsync=%v: %w", policy, err)
+	}
+	dir, err := os.MkdirTemp("", "cmh-e19-*")
+	if err != nil {
+		return fail(err)
+	}
+	defer os.RemoveAll(dir)
+	tcpA, err := e19Sender()
+	if err != nil {
+		return fail(err)
+	}
+	defer tcpA.Close()
+	b, _, err := e19BuildDurable(dir, policy, shards, tcpA)
+	if err != nil {
+		return fail(err)
+	}
+	defer b.close()
+
+	before := b.w.Stats()
+	start := time.Now()
+	if err := e19PumpWindowed(tcpA, frames, b.arrived); err != nil {
+		return fail(err)
+	}
+	elapsed := time.Since(start)
+	after := b.w.Stats()
+
+	records := after.RecordsAppended - before.RecordsAppended
+	syncs := after.Syncs - before.Syncs
+	if hs := b.host.Stats(); hs.WALErrors != 0 {
+		return fail(fmt.Errorf("%d WAL errors", hs.WALErrors))
+	}
+	if records != uint64(frames) {
+		return fail(fmt.Errorf("journaled %d records for %d delivered frames", records, frames))
+	}
+	if syncs > 0 {
+		row.RecordsPerSync = float64(records) / float64(syncs)
+	}
+	if policy == wal.SyncAlways && row.RecordsPerSync <= 1 {
+		return fail(fmt.Errorf("%d fsyncs for %d records: the barrier is per frame, not per group", syncs, records))
+	}
+	row.IngestMs = float64(elapsed.Nanoseconds()) / 1e6
+	row.KFramesPerSec = float64(frames) / elapsed.Seconds() / 1e3
 	return row, nil
 }

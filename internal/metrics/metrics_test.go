@@ -129,3 +129,19 @@ func TestTCPStatsTable(t *testing.T) {
 		}
 	}
 }
+
+// TestDurabilityStatsTableRecordsPerSync pins the derived group-commit
+// row: records appended over log syncs, and 0 — not a division by zero —
+// for a log that never synced.
+func TestDurabilityStatsTableRecordsPerSync(t *testing.T) {
+	out := DurabilityStatsTable(DurabilityCounters{RecordsAppended: 900, LogSyncs: 120})
+	if !strings.Contains(out, "records per sync") || !strings.Contains(out, "7.5") {
+		t.Fatalf("table lacks the records-per-sync row at 7.5:\n%s", out)
+	}
+	out = DurabilityStatsTable(DurabilityCounters{RecordsAppended: 900})
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "records per sync") && strings.TrimSpace(strings.TrimPrefix(line, "records per sync")) != "0" {
+			t.Fatalf("never-synced log renders %q, want 0", line)
+		}
+	}
+}

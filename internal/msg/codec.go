@@ -304,6 +304,27 @@ func NewPooledDecoder(r io.Reader) *Decoder {
 // with acknowledgements in the format its sender understands.
 func (d *Decoder) Format() WireFormat { return d.mode }
 
+// FrameBuffered reports whether the next Decode is certain to return
+// without reading from the underlying stream: a complete binary frame
+// (4-byte length plus that many bytes) already sits in the read buffer,
+// or the buffered length prefix is one Decode rejects outright. It
+// consumes nothing. False means "maybe not": before the first Decode has
+// sniffed the format, on a gob stream, on a partial header or body, and
+// for a frame larger than the read buffer. A reader uses it to tell
+// "more frames arrived with this one" from "the next Decode may block".
+func (d *Decoder) FrameBuffered() bool {
+	if !d.sniffed || d.mode != WireBinary {
+		return false
+	}
+	have := d.br.Buffered()
+	if have < 4 {
+		return false
+	}
+	lenb, _ := d.br.Peek(4) // have >= 4: served from the buffer, cannot fail or block
+	n := int(le.Uint32(lenb))
+	return n < binHdrTail || n > maxFrameLen || have-4 >= n
+}
+
 // Decode reads one envelope. It returns io.EOF when the stream ends
 // cleanly between frames. A structurally valid frame that carries no
 // message (possible with a hand-crafted or corrupted frame) is rejected

@@ -42,14 +42,20 @@ func (t *TCP) inboxOf(owner NodeID) *inbox {
 // SetDeliveryLog attaches (or, with nil, detaches) the write-ahead
 // delivery log of owner's inbox. Attach before inbound traffic begins:
 // frames delivered while no log is attached are not journaled, and the
-// checkpoint cut assumes every stepped frame was logged.
+// checkpoint cut assumes every stepped frame was logged. A log that
+// implements GroupDeliveryLog is driven through that face (one barrier
+// per group of frames); any other log — a decorator, say — keeps the
+// one-call-per-frame contract. Frames staged under the previous log are
+// committed to it and delivered before the swap.
 func (t *TCP) SetDeliveryLog(owner NodeID, lg DeliveryLog) error {
 	ib := t.inboxOf(owner)
 	if ib == nil {
 		return fmt.Errorf("tcp: set delivery log: no inbox for %d", owner)
 	}
 	ib.mu.Lock()
+	t.flushLocked(ib)
 	ib.lg = lg
+	ib.glg, _ = lg.(GroupDeliveryLog)
 	ib.mu.Unlock()
 	return nil
 }

@@ -36,9 +36,9 @@ func TestEpochChangePurgesHeldFrames(t *testing.T) {
 	}
 
 	// Epoch 7: seq 1 delivers; seq 3 and 4 park behind the gap at 2.
-	tr.receive(ib, env(7, 1, 101))
-	tr.receive(ib, env(7, 3, 103))
-	tr.receive(ib, env(7, 4, 104))
+	tr.receive(ib, env(7, 1, 101), false)
+	tr.receive(ib, env(7, 3, 103), false)
+	tr.receive(ib, env(7, 4, 104), false)
 	if got := tr.Stats().Resequenced; got != 2 {
 		t.Fatalf("Resequenced = %d, want 2", got)
 	}
@@ -51,7 +51,7 @@ func TestEpochChangePurgesHeldFrames(t *testing.T) {
 
 	// The sender rejoins under epoch 9. Its first frame must purge the
 	// stale parking lot in the same step.
-	tr.receive(ib, env(9, 1, 201))
+	tr.receive(ib, env(9, 1, 201), false)
 	s := tr.Stats()
 	if s.HeldFramesPurged != 2 {
 		t.Fatalf("HeldFramesPurged = %d, want 2", s.HeldFramesPurged)
@@ -70,9 +70,9 @@ func TestEpochChangePurgesHeldFrames(t *testing.T) {
 
 	// Sequence numbers 3 and 4 of the new epoch collide with the purged
 	// frames': they must deliver the new payloads, never the stale ones.
-	tr.receive(ib, env(9, 2, 202))
-	tr.receive(ib, env(9, 3, 203))
-	tr.receive(ib, env(9, 4, 204))
+	tr.receive(ib, env(9, 2, 202), false)
+	tr.receive(ib, env(9, 3, 203), false)
+	tr.receive(ib, env(9, 4, 204), false)
 
 	want := []uint64{101, 201, 202, 203, 204}
 	deadline := time.Now().Add(5 * time.Second)

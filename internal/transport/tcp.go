@@ -97,9 +97,21 @@ type inbox struct {
 	mu    sync.Mutex
 	pairs map[streamKey]*pairState
 	// lg, when non-nil, journals every committed in-order delivery
-	// before it leaves the resequencer (write-ahead of the ack — see
-	// DeliveryLog). Set before traffic via SetDeliveryLog.
-	lg DeliveryLog
+	// before it leaves the resequencer (write-ahead of the delivery and
+	// of the ack — see DeliveryLog). Set before traffic via
+	// SetDeliveryLog. glg is lg's batched face when it has one: frames
+	// are then journaled without a barrier and parked on stage until
+	// flushLocked commits the group and hands them on.
+	lg  DeliveryLog
+	glg GroupDeliveryLog
+	// stage holds journaled, not yet committed deliveries in resequencer
+	// order. It belongs to the inbox, not to a reader: frames of one
+	// stream arriving on overlapping connections join one stage under
+	// ib.mu, so they cannot reorder, and whichever reader owes an ack
+	// flushes everything the ack will cover first. A pooled message in
+	// the stage is owned by the transport until the flush hands it on.
+	// The backing array is reused across groups.
+	stage []stagedDelivery
 	// sinks memoizes the per-stream lock-free delivery sink (nil when
 	// the stream's handler does not provide one, or observers were
 	// attached at bind time). Keyed per stream — NOT per pairState —
@@ -108,6 +120,20 @@ type inbox struct {
 	// two could race each other into the shards.
 	sinks map[streamKey]StreamSink
 }
+
+// stagedDelivery is one journaled frame awaiting its group's commit.
+type stagedDelivery struct {
+	key streamKey
+	d   delivery
+}
+
+// tcpGroupMax bounds how many frames one group commit covers: a stage
+// this full is flushed even though the decoder still has complete frames
+// buffered, which bounds the memory the stage pins and how long the
+// first frame of a read waits behind the journaling of the rest. It is
+// the ack stride, so a steady stream closes a group exactly where its
+// cumulative ack falls due anyway.
+const tcpGroupMax = tcpAckStride
 
 // streamKey identifies one inbound frame stream: a sending host (host
 // true — every co-hosted node shares the stream) or a single legacy
@@ -492,6 +518,14 @@ func (t *TCP) acceptLoop(ln net.Listener, ib *inbox) {
 // next connection, so co-hosted nodes and other links keep running. A
 // failed ack write is ignored: the connection is already dying and the
 // sender re-solicits acknowledgement with its next ping.
+//
+// With a group-capable delivery log attached, receive journals and
+// stages in-order frames, and the group — one commit, then the staged
+// deliveries — stays open only while the decoder holds another complete
+// frame: the loop tells receive whether the next Decode could block, and
+// flushes on its way out, so a staged frame is never stranded behind a
+// blocked or dead reader. The other two group boundaries (an ack falling
+// due, a full stage) also close inside receive, under the inbox lock.
 func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 	defer t.wg.Done()
 	dec := msg.NewPooledDecoder(conn)
@@ -499,6 +533,7 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 	for {
 		env, err := dec.Decode()
 		if err != nil {
+			t.flush(ib)
 			if err != io.EOF && !t.isClosed() {
 				t.stats.readErrors.Add(1)
 				t.event(ConnEvent{Kind: ConnReadError, To: ib.node,
@@ -508,7 +543,7 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 			conn.Close()
 			return
 		}
-		if ack, due := t.receive(ib, env); due {
+		if ack, due := t.receive(ib, env, dec.FrameBuffered()); due {
 			if enc == nil {
 				// Answer in whatever format the sender speaks (sniffed
 				// from its stream), so a legacy gob peer understands the
@@ -523,18 +558,39 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 }
 
 // receive runs the dedup/resequencing protocol for one frame and
-// delivers everything that is now in order. Delivery happens under
-// ib.mu so frames of one pair arriving on overlapping connections
-// (old one draining while the replacement is live) cannot interleave;
-// mailbox.put never blocks, so the lock is never held across slow work.
+// delivers — or, with a group-capable delivery log, journals and stages
+// — everything that is now in order. Both happen under ib.mu so frames
+// of one pair arriving on overlapping connections (old one draining
+// while the replacement is live) cannot interleave; mailbox.put never
+// blocks, so the only slow work the lock is ever held across is the
+// delivery log's own barrier.
+//
+// more reports that the reader's decoder already holds another complete
+// frame. When it does not, the reader may block before it comes back, so
+// the stage is committed and delivered before the lock is released — in
+// the same critical section that staged the frame, which is why a solo
+// frame costs one lock round trip, as it did before there was a stage.
 //
 // The return value is the acknowledgement due back to the sender, if
 // any: every ping is answered (that is the lease heartbeat), the first
 // frame of a new sender epoch is acknowledged immediately (so a sender
 // talking to a restarted receiver learns the new incarnation fast),
 // and after that a cumulative ack is volunteered once per tcpAckStride
-// contiguous deliveries.
-func (t *TCP) receive(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
+// contiguous deliveries. Every acknowledgement is built by ackLocked,
+// which commits and delivers the stage first: an ack never covers a
+// frame whose journal record is not yet behind a barrier.
+func (t *TCP) receive(ib *inbox, env msg.Envelope, more bool) (msg.Envelope, bool) {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	ack, due := t.receiveLocked(ib, env)
+	if !more {
+		t.flushLocked(ib)
+	}
+	return ack, due
+}
+
+// receiveLocked (ib.mu held) is receive's protocol step.
+func (t *TCP) receiveLocked(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 	from := NodeID(env.From)
 	to := NodeID(env.To)
 	// A nonzero SrcHost marks a host stream: every co-hosted sender
@@ -545,18 +601,14 @@ func (t *TCP) receive(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 	}
 	switch env.Ctl {
 	case msg.CtlPing:
-		ib.mu.Lock()
-		defer ib.mu.Unlock()
-		return ib.ackLocked(key, env.Epoch), true
+		return t.ackLocked(ib, key, env.Epoch), true
 	case msg.CtlAck:
 		return msg.Envelope{}, false // acks belong on outbound return paths; ignore
 	}
-	if env.Seq == 0 { // unsequenced sender: deliver as-is, nothing to ack
+	if env.Seq == 0 { // unsequenced sender: deliver as-is, nothing to journal or ack
 		ib.box.put(delivery{from: from, to: to, m: env.Msg})
 		return msg.Envelope{}, false
 	}
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
 	ps := ib.pairs[key]
 	fresh := ps == nil || ps.epoch != env.Epoch
 	if fresh {
@@ -582,7 +634,7 @@ func (t *TCP) receive(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 	case env.Seq < ps.next:
 		t.stats.duplicates.Add(1)
 		msg.Recycle(env.Msg)
-		return ib.ackLocked(key, env.Epoch), true
+		return t.ackLocked(ib, key, env.Epoch), true
 	case env.Seq > ps.next:
 		switch _, dup := ps.held[env.Seq]; {
 		case dup:
@@ -603,7 +655,7 @@ func (t *TCP) receive(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 			t.stats.resequenced.Add(1)
 		}
 		if fresh {
-			return ib.ackLocked(key, env.Epoch), true
+			return t.ackLocked(ib, key, env.Epoch), true
 		}
 		return msg.Envelope{}, false
 	}
@@ -619,7 +671,7 @@ func (t *TCP) receive(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 		ps.next++
 	}
 	if fresh || ps.next-1 >= ps.acked+tcpAckStride {
-		return ib.ackLocked(key, env.Epoch), true
+		return t.ackLocked(ib, key, env.Epoch), true
 	}
 	return msg.Envelope{}, false
 }
@@ -652,26 +704,75 @@ func (t *TCP) sinkLocked(ib *inbox, key streamKey, to NodeID) StreamSink {
 	return sink
 }
 
-// deliverLocked (ib.mu held) hands one in-order frame to the stream's
-// sink when it has one, else to the dispatch mailbox. When a delivery
-// log is attached the frame is journaled first — this is the single
-// choke point both delivery paths share, and it runs before readLoop
-// writes the acknowledgement, which is what makes the log write-ahead.
+// deliverLocked (ib.mu held) is the single choke point every in-order
+// frame passes on its way out of the resequencer, and where the
+// delivery log sees it. Without a log the frame is handed on at once. A
+// plain DeliveryLog journals it durably (one barrier per frame) and then
+// it is handed on. A GroupDeliveryLog journals it without a barrier and
+// the frame waits on the stage for flushLocked; if the log refuses the
+// deferred append, everything already staged is committed and delivered
+// first and this frame falls back to the per-frame contract, so stage
+// order is still resequencer order.
 func (t *TCP) deliverLocked(ib *inbox, key streamKey, d delivery) {
-	if ib.lg != nil {
+	switch {
+	case ib.glg != nil:
+		if ib.glg.AppendDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m) {
+			ib.stage = append(ib.stage, stagedDelivery{key: key, d: d})
+			if len(ib.stage) >= tcpGroupMax {
+				t.flushLocked(ib)
+			}
+			return
+		}
+		t.flushLocked(ib)
+		ib.lg.LogDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m)
+	case ib.lg != nil:
 		ib.lg.LogDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m)
 	}
+	t.handOffLocked(ib, key, d)
+}
+
+// handOffLocked (ib.mu held) gives one frame to the stream's sink when
+// it has one, else to the dispatch mailbox; ownership of a pooled
+// message passes with it.
+func (t *TCP) handOffLocked(ib *inbox, key streamKey, d delivery) {
 	if sink := t.sinkLocked(ib, key, d.to); sink != nil && sink.DeliverStream(d.from, d.to, d.m) {
 		return
 	}
 	ib.box.put(d)
 }
 
+// flushLocked (ib.mu held) closes the current group: one commit over
+// every staged frame's journal record, then the frames, in stage order.
+// The commit comes first and nothing is handed on or acknowledged until
+// it has returned — that is both write-ahead orderings of DESIGN.md §11.
+func (t *TCP) flushLocked(ib *inbox) {
+	if len(ib.stage) == 0 {
+		return
+	}
+	ib.glg.CommitDeliveries()
+	for i := range ib.stage {
+		sd := &ib.stage[i]
+		t.handOffLocked(ib, sd.key, sd.d)
+		*sd = stagedDelivery{} // the reused array must not pin the message
+	}
+	ib.stage = ib.stage[:0]
+}
+
+// flush closes the inbox's current group from outside the lock.
+func (t *TCP) flush(ib *inbox) {
+	ib.mu.Lock()
+	t.flushLocked(ib)
+	ib.mu.Unlock()
+}
+
 // ackLocked (ib.mu held) builds the cumulative acknowledgement for one
 // sender epoch: the highest contiguously delivered sequence number of
 // that epoch (0 if the inbox has no state for it), stamped with the
-// inbox incarnation.
-func (ib *inbox) ackLocked(key streamKey, epoch uint64) msg.Envelope {
+// inbox incarnation. The stage is flushed first, whichever reader
+// staged it: ps.next counts staged frames, and the ack must cover only
+// committed ones.
+func (t *TCP) ackLocked(ib *inbox, key streamKey, epoch uint64) msg.Envelope {
+	t.flushLocked(ib)
 	var ackTo uint64
 	if ps := ib.pairs[key]; ps != nil && ps.epoch == epoch {
 		ackTo = ps.next - 1

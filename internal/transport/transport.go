@@ -86,18 +86,47 @@ type SequencedHandler interface {
 }
 
 // DeliveryLog is the durability hook of an inbox: when attached (see
-// TCP.SetDeliveryLog), LogDelivery is called for every sequenced frame
-// at the moment the resequencer commits it for delivery — under the
-// per-stream lock, before the frame reaches a sink or mailbox and,
-// crucially, before the acknowledgement covering it is written back to
-// the sender. A LogDelivery that fsyncs therefore gives log-before-ack
-// durability: every acknowledged frame is on disk, and every frame not
-// on disk is still in the sender's replay buffer. LogDelivery may
-// block (the checkpoint cut does, briefly); it must not call back into
-// the transport. The message is only borrowed for the duration of the
-// call.
+// TCP.SetDeliveryLog), every sequenced frame is journaled at the moment
+// the resequencer commits it for delivery — under the inbox lock, before
+// the frame reaches a sink or mailbox and, crucially, before the
+// acknowledgement covering it is written back to the sender. The
+// journal's durability barrier therefore gives two write-ahead
+// orderings: no frame is delivered before a barrier covering its record
+// has returned, and no ack covering it leaves before that barrier —
+// every acknowledged frame is on disk, and every frame not on disk is
+// still in the sender's replay buffer.
+//
+// This one-method face is the per-frame contract: LogDelivery journals
+// the frame AND runs the barrier before it returns, and the transport
+// calls it once per frame, immediately before that frame's delivery. It
+// is what a decorator wrapping a log implements (and therefore gets). A
+// log that also implements GroupDeliveryLog gets the group barrier
+// instead. LogDelivery may block (the checkpoint cut does, briefly); it
+// must not call back into the transport. The message is only borrowed
+// for the duration of the call.
 type DeliveryLog interface {
 	LogDelivery(stream NodeID, streamIsHost bool, epoch, seq uint64, from, to NodeID, m msg.Message)
+}
+
+// GroupDeliveryLog is the optional batched face of a DeliveryLog: the
+// barrier is paid per group of frames instead of per frame. A socket
+// reader calls AppendDelivery for every in-order frame it can decode
+// without blocking, parks the deliveries on the inbox's stage, and then
+// calls CommitDeliveries once; only after it returns are the staged
+// frames handed to their sinks or mailbox, in stage order, and only
+// then is an acknowledgement written (DESIGN.md §11).
+//
+// AppendDelivery journals one frame without making it durable. It must
+// not block on anything that waits for staged frames to be delivered:
+// when it cannot journal right now (the engine's checkpoint cut is
+// closing) it journals nothing and returns false, and the transport
+// commits and delivers its stage, then journals the frame through
+// LogDelivery. CommitDeliveries is the durability barrier over every
+// frame appended so far; when nothing is unsynced it costs nothing.
+type GroupDeliveryLog interface {
+	DeliveryLog
+	AppendDelivery(stream NodeID, streamIsHost bool, epoch, seq uint64, from, to NodeID, m msg.Message) bool
+	CommitDeliveries()
 }
 
 // PlacementResolver maps process ids to the hosts that own them and

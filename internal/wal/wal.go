@@ -23,9 +23,12 @@ const (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: a record handed back from
-	// Append is durable. Combined with the transport's log-before-ack
-	// ordering this is the lossless configuration (DESIGN.md §11).
+	// SyncAlways makes Commit a durability barrier: it fsyncs, so every
+	// record appended before a Commit that returned nil is on disk.
+	// Append commits each record by itself; AppendDeferred followed by
+	// one Commit pays one fsync for the whole group. Combined with the
+	// transport's commit-before-deliver, commit-before-ack ordering this
+	// is the lossless configuration (DESIGN.md §11).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a background ticker (Options.SyncEvery):
 	// bounded loss window, near-SyncNever append cost.
@@ -112,6 +115,13 @@ type Log struct {
 	syncs    uint64
 	dirty    bool
 	buf      []byte
+	// err latches the first write or fsync failure. After a failed
+	// fsync the kernel may drop the dirty pages and report the next
+	// fsync clean, so a retry would declare records durable that are
+	// not: every later Append, Commit and Sync returns err instead.
+	err error
+	// syncFile is (*os.File).Sync, a field so tests can fail it.
+	syncFile func(*os.File) error
 	ckpts    uint64
 	ckptSeq  uint64
 	closed   bool
@@ -137,7 +147,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Log{opts: opts}
+	w := &Log{opts: opts, syncFile: (*os.File).Sync}
 	if err := w.recover(); err != nil {
 		return nil, err
 	}
@@ -263,32 +273,77 @@ func (w *Log) startSegment(idx uint64) error {
 }
 
 // Append commits one record and returns its LSN (1-based position in
-// the log). Under SyncAlways the record is durable on return.
+// the log): AppendDeferred plus Commit under one hold of the lock.
+// Under SyncAlways the record is durable on return.
 func (w *Log) Append(kind byte, gen uint64, payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	lsn, err := w.appendLocked(kind, gen, payload)
+	if err == nil {
+		err = w.commitLocked()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// AppendDeferred writes one record and returns its LSN without making
+// it durable under any policy: the record is in the log (Scan sees it,
+// NextLSN counts it) but only a later Commit, Sync, rotation or Close
+// puts it on disk. A group of deferred appends followed by one Commit
+// is the group-commit path.
+func (w *Log) AppendDeferred(kind byte, gen uint64, payload []byte) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(kind, gen, payload)
+}
+
+// Commit is the policy's durability barrier over every record appended
+// so far: one fsync under SyncAlways (none when nothing is unsynced),
+// nothing under SyncInterval and SyncNever, whose loss window the
+// ticker or the OS bounds instead.
+func (w *Log) Commit() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return fmt.Errorf("wal: commit on closed log")
+	}
+	return w.commitLocked()
+}
+
+func (w *Log) appendLocked(kind byte, gen uint64, payload []byte) (uint64, error) {
 	if w.closed {
 		return 0, fmt.Errorf("wal: append on closed log")
 	}
+	if w.err != nil {
+		return 0, w.err
+	}
 	if w.segOff >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
+			w.err = err
 			return 0, err
 		}
 	}
 	w.buf = appendRecord(w.buf[:0], kind, gen, payload)
 	if _, err := w.f.Write(w.buf); err != nil {
-		return 0, err
+		// A short write leaves a torn record that later appends would
+		// land behind; nothing after it could ever be replayed.
+		w.err = fmt.Errorf("wal: write segment %d: %w", w.segIdx, err)
+		return 0, w.err
 	}
 	w.segOff += int64(len(w.buf))
 	w.count++
 	w.appended++
 	w.dirty = true
-	if w.opts.Sync == SyncAlways {
-		if err := w.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
 	return w.count, nil
+}
+
+func (w *Log) commitLocked() error {
+	if w.opts.Sync != SyncAlways {
+		return w.err
+	}
+	return w.syncLocked()
 }
 
 func (w *Log) rotateLocked() error {
@@ -302,11 +357,15 @@ func (w *Log) rotateLocked() error {
 }
 
 func (w *Log) syncLocked() error {
+	if w.err != nil {
+		return w.err
+	}
 	if !w.dirty {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	if err := w.syncFile(w.f); err != nil {
+		w.err = fmt.Errorf("wal: fsync segment %d: %w", w.segIdx, err)
+		return w.err
 	}
 	w.dirty = false
 	w.syncs++
