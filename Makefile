@@ -40,7 +40,8 @@ bench:
 # snapshot of this output. E13 (ingress throughput), E16 (wire-codec
 # cost, with encode AND decode allocs/op columns) and E18 (the
 # assembled writev -> pooled decode -> SPSC ring pipeline) double as
-# the CI perf floor checked by bench-compare.
+# the CI perf floor checked by bench-compare. The same run appends its
+# gated columns, one line, to BENCH_history.jsonl (commit both).
 bench-json:
 	$(GO) run ./cmd/cmhbench -json | tee BENCH_baseline.json
 

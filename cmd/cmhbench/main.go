@@ -7,6 +7,8 @@
 //	cmhbench            # all tables
 //	cmhbench E1 E7      # a subset
 //	cmhbench -json E4   # JSON rows instead of tables
+//	cmhbench -json      # the whole suite; also appends the gated rows,
+//	                    # one line, to ./BENCH_history.jsonl
 //
 // -compare turns cmhbench into the CI perf-regression gate: it checks
 // the perf-path experiments (E13, E16 by default) against a committed
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -62,9 +65,46 @@ func run(args []string) error {
 		return runCompare(*compare, *against, *tolerance, only)
 	}
 	if *jsonOut {
-		return experiments.RunAllJSON(os.Stdout, only)
+		results, err := experiments.Collect(only)
+		if err != nil {
+			return err
+		}
+		if err := experiments.WriteJSON(os.Stdout, results); err != nil {
+			return err
+		}
+		if len(only) == 0 {
+			// A whole-suite export is what replaces BENCH_baseline.json
+			// (make bench-json); leave its gated rows in the history too.
+			return appendHistory("BENCH_history.jsonl", results)
+		}
+		return nil
 	}
 	return experiments.RunAll(os.Stdout, only)
+}
+
+// appendHistory appends one line — when, and the export's gated rows —
+// to the benchmark trajectory file in the working directory.
+func appendHistory(path string, results []experiments.Result) error {
+	gated, err := experiments.GatedSummary(results)
+	if err != nil {
+		return err
+	}
+	line, err := json.Marshal(struct {
+		Time  string                          `json:"time"`
+		Gated map[string][]map[string]float64 `json:"gated"`
+	}{time.Now().UTC().Format(time.RFC3339), gated})
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // loadResults reads one JSON export (the output of cmhbench -json).

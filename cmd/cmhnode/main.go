@@ -305,6 +305,9 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintf(out, "node %v: informed of deadlocked edges %v\n", self, edges)
 				return nil
 			}
+			if *initiate {
+				reinitiate(proc)
+			}
 		case <-waitAborted:
 			// A presumed-dead peer's wait edge was severed. If that was
 			// the last thing this node was waiting for, there is no
@@ -338,6 +341,18 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprint(out, metrics.TCPStatsTable(net.Stats()))
 			return nil
 		}
+	}
+}
+
+// reinitiate starts a fresh probe computation on the verdict loop's tick
+// while p is blocked and has declared nothing. One StartProbe after
+// -settle is not enough: a probe that reaches a peer before that peer
+// has wired its own edge is rightly discarded as not meaningful, and
+// nothing would ever probe again. §4.3 allows an initiator any number of
+// computations; the superseded ones are discarded by tag.
+func reinitiate(p *core.Process) {
+	if _, declared := p.Deadlocked(); !declared {
+		p.StartProbe() // a no-op unless p is blocked
 	}
 }
 
@@ -808,10 +823,11 @@ func runClusterMode(out io.Writer, cfg clusterConfig) error {
 		fmt.Fprintf(out, "host %v: wired %d request-ring edges\n", hostID, len(owned))
 	}
 
+	var initiator *core.Process // nil unless -initiate and process 1 lives here
 	if cfg.initiate {
 		time.Sleep(cfg.settle) // let every host wire its edges first
 		procMu.Lock()
-		initiator := procs[1]
+		initiator = procs[1]
 		procMu.Unlock()
 		if initiator != nil {
 			if tag, ok := initiator.StartProbe(); ok {
@@ -821,6 +837,16 @@ func runClusterMode(out io.Writer, cfg clusterConfig) error {
 	}
 
 	finish := func() { durableFinish(out, hostID, eng, wlog) }
+	// verdict ends the run on a declaration or on learning one. The WFGD
+	// frames that carry the verdict on to the other hosts were sent in
+	// the step that produced it and may still sit in a shard queue or a
+	// link's write batch, and Close drops queued frames: without the two
+	// drains the peers behind this host time out with no verdict.
+	verdict := func() {
+		eng.Drain()
+		net.Drain(2 * time.Second)
+		finish()
+	}
 	localProcs := func() []*core.Process {
 		procMu.Lock()
 		defer procMu.Unlock()
@@ -842,15 +868,18 @@ func runClusterMode(out io.Writer, cfg clusterConfig) error {
 		case tag := <-detected:
 			fmt.Fprintf(out, "host %v: DEADLOCK detected by computation %v (%d processes across %d hosts)\n",
 				hostID, tag, cfg.procs, len(dir.AliveHosts()))
-			finish()
+			verdict()
 			return nil
 		case <-tick.C:
 			for _, p := range localProcs() {
 				if edges := p.BlackPaths(); len(edges) > 0 {
 					fmt.Fprintf(out, "host %v: informed of deadlocked edges %v\n", hostID, edges)
-					finish()
+					verdict()
 					return nil
 				}
+			}
+			if initiator != nil {
+				reinitiate(initiator)
 			}
 		case sig := <-sigC:
 			// Leave-before-checkpoint: gossip the tombstone and flush it

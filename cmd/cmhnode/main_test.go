@@ -326,7 +326,7 @@ func TestClusterModeDetectsAcrossHosts(t *testing.T) {
 			t.Fatalf("host %d never converged on the full member map:\n%s", i, s)
 		}
 		if strings.Contains(s, "no verdict") {
-			t.Fatalf("host %d timed out instead of learning the verdict:\n%s", i, s)
+			t.Fatalf("host %d timed out instead of learning the verdict:\n%s", i, all)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ddb
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/id"
@@ -25,7 +26,11 @@ const (
 	// has been continuously waiting for Delay nanoseconds (§4.3's timer
 	// rule applied per process).
 	InitiateOnWaitDelay InitiationMode = iota + 1
-	// InitiateManual leaves initiation to explicit Check calls.
+	// InitiateManual leaves initiation to explicit Check calls, and
+	// pacing to whoever owns the Timers: every lock point is handed to
+	// Timers.After even at zero delay, so a caller can hold transactions
+	// between lock points (the handler tests and the benchmark's
+	// probe-cost rung build their standing deadlocks that way).
 	InitiateManual
 	// InitiateDisabled turns the CMH detector off entirely (used when a
 	// baseline detector owns the cluster).
@@ -161,6 +166,19 @@ type agentState struct {
 	// the incoming black inter-controller edge (§6.4).
 	pendingAck    id.Resource
 	hasPendingAck bool
+	// wait is the token of the agent's current wait, shared with the
+	// detection timer armed for that wait (waitStartStep); nil while the
+	// agent is not waiting or no timer was armed.
+	wait *atomic.Bool
+}
+
+// endWait retires the current wait's token: its detection timer, still
+// pending, will return without entering the controller.
+func (a *agentState) endWait() {
+	if a.wait != nil {
+		a.wait.Store(true)
+		a.wait = nil
+	}
 }
 
 // txnState is a home transaction.
@@ -195,6 +213,10 @@ type Controller struct {
 	locks  *lockTable
 	agents map[id.Txn]*agentState
 	txns   map[id.Txn]*txnState
+	// ready lists the transactions whose next lock point is due now: a
+	// zero StepDelay is not a timer. drainReadyStep empties it before the
+	// step that filled it returns.
+	ready []*txnState
 
 	// Probe-computation state; see probe.go.
 	nextN    uint64
@@ -253,14 +275,11 @@ func (c *Controller) Site() id.Site { return c.cfg.Site }
 // Submit registers a home transaction with the given script and starts
 // executing it. inc distinguishes incarnations across abort/retry.
 func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
-	var (
-		after []func()
-		err   error
-	)
-	c.run.Exec(func() {
+	var err error
+	c.exec(func() []func() {
 		if old, exists := c.txns[txn]; exists && old.status == TxnRunning {
 			err = fmt.Errorf("controller %v: txn %v already running", c.cfg.Site, txn)
-			return
+			return nil
 		}
 		ts := &txnState{
 			txn:           txn,
@@ -278,30 +297,67 @@ func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
 			inc:  inc,
 			held: make(map[id.Resource]msg.LockMode),
 		}
-		after = c.advanceStep(ts, nil)
+		return c.advanceStep(ts, nil)
 	})
-	runAll(after)
 	return err
 }
 
-// advanceStep executes the transaction's next script step, or
-// schedules the commit if the script is done.
+// exec runs one serialized step of the controller from outside the
+// runtime's delivery path (public API call, timer firing): fn, then
+// every continuation fn made ready, then — the step over — the
+// callbacks fn returned and the continuations added.
+func (c *Controller) exec(fn func() []func()) {
+	var after []func()
+	c.run.Exec(func() { after = c.drainReadyStep(fn()) })
+	runAll(after)
+}
+
+// drainReadyStep runs the ready transactions' next lock points, in the
+// order they became ready, until none is left. Every step entry ends
+// here (exec, Step, StepPeerDown), so a continuation reached from a
+// grant cascade runs after the cascade, never inside it, and
+// consecutive uncontended lock points are one atomic step.
+func (c *Controller) drainReadyStep(after []func()) []func() {
+	for i := 0; i < len(c.ready); i++ {
+		after = c.advanceStep(c.ready[i], after)
+	}
+	c.ready = c.ready[:0]
+	return after
+}
+
+// immediate reports whether a pacing delay of d is no delay at all: the
+// continuation then runs inside the current step instead of going
+// through Timers (see InitiateManual for the one exception).
+func (c *Controller) immediate(d int64) bool {
+	return d <= 0 && c.cfg.Mode != InitiateManual
+}
+
+// afterDelay continues a running transaction with next after d
+// nanoseconds, unless it was aborted (and perhaps resubmitted under a
+// new incarnation) in the meantime.
+func (c *Controller) afterDelay(ts *txnState, d int64, next func(*txnState, []func()) []func()) {
+	txn, inc := ts.txn, ts.inc
+	c.cfg.Timers.After(d, func() {
+		c.exec(func() []func() {
+			if cur, ok := c.txns[txn]; ok && cur.inc == inc && cur.status == TxnRunning {
+				return next(cur, nil)
+			}
+			return nil
+		})
+	})
+}
+
+// advanceStep executes the transaction's next script step, or commits
+// it (after HoldTime, if there is one) when the script is done.
 func (c *Controller) advanceStep(ts *txnState, after []func()) []func() {
 	if ts.status != TxnRunning {
 		return after
 	}
 	if ts.next >= len(ts.steps) {
-		inc := ts.inc
-		txn := ts.txn
-		c.cfg.Timers.After(ts.holdTime, func() {
-			var cbs []func()
-			c.run.Exec(func() {
-				if cur, ok := c.txns[txn]; ok && cur.inc == inc && cur.status == TxnRunning {
-					cbs = c.commitStep(cur, nil)
-				}
-			})
-			runAll(cbs)
-		})
+		if c.immediate(ts.holdTime) {
+			return c.commitStep(ts, after)
+		}
+		c.afterDelay(ts, ts.holdTime, c.commitStep)
 		return after
 	}
 	step := ts.steps[ts.next]
@@ -314,9 +370,7 @@ func (c *Controller) advanceStep(ts *txnState, after []func()) []func() {
 	// DDB axioms) by sending the acquisition to the managing site.
 	ts.pendingRemote[step.Resource] = home
 	c.send(home, msg.CtrlAcquire{Txn: ts.txn, Resource: step.Resource, Mode: step.Mode, Inc: ts.inc})
-	after = c.waitStartStep(c.agents[ts.txn], after)
-	after = c.maybeScheduleDetectionStep(ts.txn, after)
-	return after
+	return c.waitStartStep(c.agents[ts.txn], after)
 }
 
 // acquireLocalStep requests a locally managed resource for the home
@@ -334,22 +388,18 @@ func (c *Controller) acquireLocalStep(ts *txnState, step LockStep, after []func(
 	a.waiting = step.Resource
 	a.waitingMode = step.Mode
 	a.hasWaiting = true
-	after = c.waitStartStep(a, after)
-	return c.maybeScheduleDetectionStep(ts.txn, after)
+	return c.waitStartStep(a, after)
 }
 
-// scheduleNextStepStep arranges the next script step after StepDelay.
+// scheduleNextStepStep arranges the next script step after StepDelay;
+// with none, the transaction goes on the ready list and advances before
+// the current step returns.
 func (c *Controller) scheduleNextStepStep(ts *txnState, after []func()) []func() {
-	txn, inc := ts.txn, ts.inc
-	c.cfg.Timers.After(c.cfg.StepDelay, func() {
-		var cbs []func()
-		c.run.Exec(func() {
-			if cur, ok := c.txns[txn]; ok && cur.inc == inc && cur.status == TxnRunning {
-				cbs = c.advanceStep(cur, nil)
-			}
-		})
-		runAll(cbs)
-	})
+	if c.immediate(c.cfg.StepDelay) {
+		c.ready = append(c.ready, ts)
+	} else {
+		c.afterDelay(ts, c.cfg.StepDelay, c.advanceStep)
+	}
 	return after
 }
 
@@ -369,13 +419,12 @@ func (c *Controller) commitStep(ts *txnState, after []func()) []func() {
 // AbortLocal aborts a home transaction (victim resolution or caller
 // decision). It is a no-op if the transaction is not running.
 func (c *Controller) AbortLocal(txn id.Txn) {
-	var after []func()
-	c.run.Exec(func() {
+	c.exec(func() []func() {
 		if ts, ok := c.txns[txn]; ok && ts.status == TxnRunning {
-			after = c.abortStep(ts, nil)
+			return c.abortStep(ts, nil)
 		}
+		return nil
 	})
-	runAll(after)
 }
 
 // abortStep cancels waits, releases holds and marks the transaction
@@ -408,6 +457,7 @@ func (c *Controller) releaseAllStep(ts *txnState, after []func()) []func() {
 		for _, r := range sortedResources(a.held) {
 			after = c.releaseLocalStep(r, ts.txn, after)
 		}
+		a.endWait() // a pending remote acquisition ends with the agent
 		delete(c.agents, ts.txn)
 	}
 	for _, r := range sortedResourceKeys(ts.pendingRemote) {
@@ -484,18 +534,49 @@ func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry, after 
 	return after
 }
 
-// waitStartStep emits the wait-start event.
+// waitStartStep opens a wait of the agent: it emits the wait-start
+// event and, under InitiateOnWaitDelay, arms the §4.3 timer for this
+// wait and no other — "initiate only if the edge has existed
+// continuously for T". The timer shares a token with the agent, raised
+// by whatever ends the wait (waitEndStep, agent teardown): a timer whose
+// wait ended inside T returns on one atomic load without entering the
+// controller, and one that fires into a younger wait of the same agent
+// does not initiate for it — that wait has its own timer.
 func (c *Controller) waitStartStep(a *agentState, after []func()) []func() {
-	if cb := c.cfg.OnWaitStart; cb != nil && a != nil {
+	if a == nil {
+		return after
+	}
+	if cb := c.cfg.OnWaitStart; cb != nil {
 		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
 		after = append(after, func() { cb(ag) })
 	}
+	if c.cfg.Mode != InitiateOnWaitDelay {
+		return after
+	}
+	txn, ended := a.txn, new(atomic.Bool)
+	a.wait = ended
+	c.cfg.Timers.After(c.cfg.Delay, func() {
+		if ended.Load() {
+			return
+		}
+		c.exec(func() (after []func()) {
+			if cur, ok := c.agents[txn]; ok && cur.wait == ended {
+				_, _, after = c.checkAgentStep(txn, nil)
+			}
+			return after
+		})
+	})
 	return after
 }
 
-// waitEndStep emits the wait-end event.
+// waitEndStep closes the agent's current wait and emits the wait-end
+// event.
 func (c *Controller) waitEndStep(a *agentState, after []func()) []func() {
-	if cb := c.cfg.OnWaitEnd; cb != nil && a != nil {
+	if a == nil {
+		return after
+	}
+	a.endWait()
+	if cb := c.cfg.OnWaitEnd; cb != nil {
 		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
 		after = append(after, func() { cb(ag) })
 	}
@@ -513,15 +594,13 @@ func (c *Controller) send(to id.Site, m msg.Message) {
 // Hosted controllers skip this path — the shard loop calls Step
 // directly, already serialized.
 func (c *Controller) HandleMessage(from transport.NodeID, m msg.Message) {
-	var after []func()
-	c.run.Exec(func() { after = c.step(id.Site(from), m) })
-	runAll(after)
+	c.exec(func() []func() { return c.step(id.Site(from), m) })
 }
 
 // Step implements engine.Logic: one atomic protocol step, invoked by
 // the runtime already serialized (the Host shard's loop goroutine).
 func (c *Controller) Step(from transport.NodeID, m msg.Message) {
-	runAll(c.step(id.Site(from), m))
+	runAll(c.drainReadyStep(c.step(id.Site(from), m)))
 }
 
 // step applies one delivered frame and returns the callbacks to run
@@ -638,8 +717,7 @@ func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire, after []
 	a.waiting = m.Resource
 	a.waitingMode = m.Mode
 	a.hasWaiting = true
-	after = c.waitStartStep(a, after)
-	return c.maybeScheduleDetectionStep(m.Txn, after)
+	return c.waitStartStep(a, after)
 }
 
 // handleGrantedStep completes a remote acquisition at the home site:
@@ -709,17 +787,16 @@ func (c *Controller) HomeOf(txn id.Txn) (id.Site, bool) {
 // Abort requests the abort of a transaction: locally if this is its
 // home site, otherwise by message to its home controller.
 func (c *Controller) Abort(txn id.Txn) {
-	var after []func()
-	c.run.Exec(func() {
+	c.exec(func() []func() {
 		if ts, home := c.txns[txn]; home {
 			if ts.status == TxnRunning {
-				after = c.abortStep(ts, nil)
+				return c.abortStep(ts, nil)
 			}
 		} else if a, ok := c.agents[txn]; ok {
 			c.send(a.home, msg.CtrlAbort{Txn: txn})
 		}
+		return nil
 	})
-	runAll(after)
 }
 
 // TxnStatusOf reports a home transaction's status.

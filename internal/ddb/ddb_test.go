@@ -32,7 +32,10 @@ func TestLocalLockCycleDetected(t *testing.T) {
 	// Two transactions at one site locking r0, r2 in opposite orders:
 	// a purely intra-controller cycle, declared by A0 without any probe
 	// message. Resource homes: r mod sites, so with 1 site all local.
-	cl := newCluster(t, ClusterOptions{Sites: 1, Resources: 4, Seed: 1, HoldTime: int64(sim.Millisecond)})
+	// The explicit StepDelay is what lets T1 take r2 between T0's two
+	// lock points: with none, T0's whole script is one atomic step.
+	cl := newCluster(t, ClusterOptions{Sites: 1, Resources: 4, Seed: 1,
+		StepDelay: int64(100 * sim.Microsecond), HoldTime: int64(sim.Millisecond)})
 	w := msg.LockWrite
 	mustSubmit(t, cl, TxnSpec{Txn: 0, Home: 0, Steps: []LockStep{{0, w}, {2, w}}})
 	mustSubmit(t, cl, TxnSpec{Txn: 1, Home: 0, Steps: []LockStep{{2, w}, {0, w}}})

@@ -33,15 +33,13 @@ import (
 // PeerDown severs every dependency on a crashed site. Safe to call for
 // sites the controller never interacted with; idempotent for repeats.
 func (c *Controller) PeerDown(dead id.Site) {
-	var after []func()
-	c.run.Exec(func() { after = c.peerDownStep(dead) })
-	runAll(after)
+	c.exec(func() []func() { return c.peerDownStep(dead) })
 }
 
 // StepPeerDown implements engine.RecoveryLogic: the Host invokes it on
 // the owning shard, already serialized.
 func (c *Controller) StepPeerDown(peer transport.NodeID) {
-	runAll(c.peerDownStep(id.Site(peer)))
+	runAll(c.drainReadyStep(c.peerDownStep(id.Site(peer))))
 }
 
 func (c *Controller) peerDownStep(dead id.Site) []func() {

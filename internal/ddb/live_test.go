@@ -32,7 +32,12 @@ func TestLiveControllersDetectCrossSiteDeadlock(t *testing.T) {
 			ResourceHome: func(r id.Resource) id.Site { return id.Site(int(r) % 2) },
 			Mode:         InitiateOnWaitDelay,
 			Delay:        int64(5 * time.Millisecond),
-			HoldTime:     int64(10 * time.Second),
+			// Each transaction pauses between its lock points, so both hold
+			// their first lock before either asks for its second; with no
+			// StepDelay T0's whole script is one step and its acquisition
+			// races T1's Submit.
+			StepDelay: int64(50 * time.Millisecond),
+			HoldTime:  int64(10 * time.Second),
 			OnDeadlock: func(target id.Agent, _ id.CtrlTag) {
 				once.Do(func() { detected <- target })
 			},

@@ -51,10 +51,11 @@ func (c *Controller) CheckAgent(txn id.Txn) (id.CtrlTag, bool) {
 	var (
 		tag      id.CtrlTag
 		declared bool
-		after    []func()
 	)
-	c.run.Exec(func() { tag, declared, after = c.checkAgentStep(txn, nil) })
-	runAll(after)
+	c.exec(func() (after []func()) {
+		tag, declared, after = c.checkAgentStep(txn, nil)
+		return after
+	})
 	return tag, declared
 }
 
@@ -97,9 +98,8 @@ func (c *Controller) checkAgentStep(txn id.Txn, after []func()) (id.CtrlTag, boo
 // (pending remote acquisitions). It returns Q, the number of
 // computations initiated.
 func (c *Controller) CheckAll() int {
-	var after []func()
 	q := 0
-	c.run.Exec(func() {
+	c.exec(func() (after []func()) {
 		// Sorted iteration: initiation order assigns computation numbers
 		// and emits probes, so it must be a pure function of state for
 		// replay-based exploration and seeded reproducibility.
@@ -114,8 +114,8 @@ func (c *Controller) CheckAll() int {
 			q++
 			_, _, after = c.checkAgentStep(txn, after)
 		}
+		return after
 	})
-	runAll(after)
 	return q
 }
 
@@ -304,29 +304,6 @@ func victimCoin(tag id.CtrlTag, alt id.Txn) bool {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return (x^(x>>31))&1 == 1
-}
-
-// maybeScheduleDetectionStep arms the §4.3 wait timer for a blocked
-// agent under the InitiateOnWaitDelay policy.
-func (c *Controller) maybeScheduleDetectionStep(txn id.Txn, after []func()) []func() {
-	if c.cfg.Mode != InitiateOnWaitDelay {
-		return after
-	}
-	a, ok := c.agents[txn]
-	if !ok {
-		return after
-	}
-	inc := a.inc
-	c.cfg.Timers.After(c.cfg.Delay, func() {
-		var cbs []func()
-		c.run.Exec(func() {
-			if cur, still := c.agents[txn]; still && cur.inc == inc && c.agentBlockedStep(txn) {
-				_, _, cbs = c.checkAgentStep(txn, nil)
-			}
-		})
-		runAll(cbs)
-	})
-	return after
 }
 
 // agentBlockedStep reports whether the agent is waiting locally or

@@ -568,9 +568,11 @@ type shard struct {
 	rings   []*spscRing
 	parked  atomic.Bool
 	closedA atomic.Bool
-	// gid is the loop goroutine's id; shardRunner uses it to run
-	// nested Exec calls inline instead of self-deadlocking.
-	gid        uint64
+	// gid is the loop goroutine's id and stepping is raised by the loop
+	// around each batch: what shardRunner.Exec needs to run a nested call
+	// inline instead of self-deadlocking.
+	gid        atomic.Uint64
+	stepping   atomic.Bool
 	batches    uint64
 	events     uint64
 	maxBatch   int
@@ -630,9 +632,7 @@ func (s *shard) ringsEmptyLocked() bool {
 // invariant.
 func (s *shard) loop() {
 	defer s.h.wg.Done()
-	s.mu.Lock()
-	s.gid = curGID()
-	s.mu.Unlock()
+	s.gid.Store(curGID())
 	for {
 		s.mu.Lock()
 		s.idle = true
@@ -668,6 +668,7 @@ func (s *shard) loop() {
 			}
 		}
 		s.mu.Unlock()
+		s.stepping.Store(true)
 		for i := range batch {
 			ev := batch[i]
 			batch[i] = event{} // release refs promptly
@@ -689,6 +690,7 @@ func (s *shard) loop() {
 				s.h.deliver(ev)
 			}
 		}
+		s.stepping.Store(false)
 	}
 }
 
@@ -732,13 +734,6 @@ func (s *shard) close() {
 	s.mu.Unlock()
 }
 
-// loopGID returns the loop goroutine's id.
-func (s *shard) loopGID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gid
-}
-
 // shardRunner serializes public API calls of a process through its
 // owning shard. A call made from the shard's own loop goroutine (an
 // engine callback re-entering the API) runs inline; any other caller
@@ -747,8 +742,13 @@ type shardRunner struct {
 	s *shard
 }
 
+// Exec tells the two apart by goroutine id, but parses it (curGID walks
+// the stack) only when the shard is mid-batch. That is sound: a nested
+// caller is on the loop goroutine inside a batch, so it reads the
+// stepping flag that same goroutine raised; a caller that reads it
+// lowered therefore cannot be nested.
 func (r shardRunner) Exec(fn func()) {
-	if curGID() == r.s.loopGID() {
+	if r.s.stepping.Load() && curGID() == r.s.gid.Load() {
 		fn()
 		return
 	}

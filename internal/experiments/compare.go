@@ -97,6 +97,37 @@ func genericRows(rows any) ([]map[string]float64, error) {
 	return out, nil
 }
 
+// GatedSummary reduces an export to what the gate compares: for each of
+// DefaultCompareIDs, its rows cut down to the throughput, latency and
+// allocs-per-op fields. It is the per-PR line of BENCH_history.jsonl —
+// BENCH_baseline.json is overwritten every PR, the history is the
+// trajectory.
+func GatedSummary(results []Result) (map[string][]map[string]float64, error) {
+	gated := make(map[string]bool, len(DefaultCompareIDs))
+	for _, id := range DefaultCompareIDs {
+		gated[id] = true
+	}
+	out := make(map[string][]map[string]float64)
+	for _, r := range results {
+		if !gated[r.ID] {
+			continue
+		}
+		rows, err := genericRows(r.Rows)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.ID, err)
+		}
+		for _, row := range rows {
+			for field := range row {
+				if !throughputFields[field] && !latencyFields[field] && !strings.HasSuffix(field, allocSuffix) {
+					delete(row, field)
+				}
+			}
+		}
+		out[r.ID] = rows
+	}
+	return out, nil
+}
+
 // CompareResults checks current against baseline and returns every
 // regression found: a throughput field more than tolerance below its
 // baseline, a p99 latency field above baseline by more than the

@@ -175,3 +175,24 @@ func TestCompareResultsCatchesTxnThroughputDrop(t *testing.T) {
 		t.Fatalf("regressions = %v, want one KTxnsPerSec failure", regs)
 	}
 }
+
+// TestGatedSummaryKeepsOnlyGatedFields: the history line carries the
+// gated experiments' gated columns and nothing else.
+func TestGatedSummaryKeepsOnlyGatedFields(t *testing.T) {
+	got, err := GatedSummary(fixtureResults(900, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got["E4"]; ok || len(got) != 2 {
+		t.Fatalf("summary covers %v, want exactly E13 and E16", got)
+	}
+	if _, kept := got["E13"][1]["Frames"]; kept || got["E13"][1]["KFramesPerSec"] != 110 {
+		t.Fatalf("E13 row 1 = %v, want KFramesPerSec=110 kept and Frames dropped", got["E13"][1])
+	}
+	if row := got["E16"][1]; row["WireKFramesPerSec"] != 900 || row["EncNsPerOp"] != 0 {
+		t.Fatalf("E16 row 1 = %v, want WireKFramesPerSec kept and EncNsPerOp dropped", row)
+	}
+	if _, ok := got["E16"][1]["EncAllocsPerOp"]; !ok {
+		t.Fatalf("E16 row 1 = %v lost its allocs-per-op column", got["E16"][1])
+	}
+}

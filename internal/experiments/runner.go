@@ -233,6 +233,11 @@ func RunAllJSON(w io.Writer, only map[string]bool) error {
 	if err != nil {
 		return err
 	}
+	return WriteJSON(w, results)
+}
+
+// WriteJSON writes results in the export format of RunAllJSON.
+func WriteJSON(w io.Writer, results []Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
