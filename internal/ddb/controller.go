@@ -2,7 +2,6 @@ package ddb
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -87,7 +86,11 @@ type LockStep struct {
 	Mode     msg.LockMode
 }
 
-// TxnStatus is the lifecycle state of a home transaction.
+// TxnStatus is the lifecycle state of a home transaction. A controller
+// keeps running transactions only: the other two values last for the
+// finishing step (its own release cascade must see the transaction as
+// not running) and appear in checkpoints written before finished
+// transactions were forgotten, which RestoreState drops.
 type TxnStatus int
 
 // Transaction states.
@@ -156,7 +159,7 @@ type agentState struct {
 	txn  id.Txn
 	home id.Site
 	inc  uint32
-	held map[id.Resource]msg.LockMode
+	held assoc[id.Resource, msg.LockMode]
 	// waiting is set while the agent has a queued local lock request.
 	waiting     id.Resource
 	waitingMode msg.LockMode
@@ -192,10 +195,10 @@ type txnState struct {
 	// pendingRemote maps each in-flight remote acquisition to its
 	// target site: the outgoing inter-controller edges of §6.4 (the
 	// home controller knows they exist but not their colour — P3).
-	pendingRemote map[id.Resource]id.Site
+	pendingRemote assoc[id.Resource, id.Site]
 	// heldRemote maps each remotely held resource to the site holding
 	// it, for release at commit/abort.
-	heldRemote map[id.Resource]id.Site
+	heldRemote assoc[id.Resource, id.Site]
 }
 
 // Controller is the local operating system of one site (§6.2): it
@@ -210,9 +213,16 @@ type Controller struct {
 	run     engine.Runner
 	ingress engine.Ingress
 
-	locks  *lockTable
-	agents map[id.Txn]*agentState
-	txns   map[id.Txn]*txnState
+	// agents and txns hold the transactions in flight and nothing else:
+	// a transaction is forgotten in the step that finishes it (DESIGN.md
+	// §10, "What a finished transaction leaves behind") and its states go
+	// to the free lists, to be reset by whoever takes them next. Closures
+	// that outlive a step therefore capture ids, never these pointers.
+	locks      *lockTable
+	agents     map[id.Txn]*agentState
+	txns       map[id.Txn]*txnState
+	freeAgents []*agentState
+	freeTxns   []*txnState
 	// ready lists the transactions whose next lock point is due now: a
 	// zero StepDelay is not a timer. drainReadyStep empties it before the
 	// step that filled it returns.
@@ -281,25 +291,38 @@ func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
 			err = fmt.Errorf("controller %v: txn %v already running", c.cfg.Site, txn)
 			return nil
 		}
-		ts := &txnState{
+		ts := take(&c.freeTxns)
+		*ts = txnState{
 			txn:           txn,
 			inc:           inc,
 			steps:         steps,
 			status:        TxnRunning,
 			holdTime:      c.cfg.HoldTime,
-			pendingRemote: make(map[id.Resource]id.Site),
-			heldRemote:    make(map[id.Resource]id.Site),
+			pendingRemote: ts.pendingRemote[:0],
+			heldRemote:    ts.heldRemote[:0],
 		}
 		c.txns[txn] = ts
-		c.agents[txn] = &agentState{
-			txn:  txn,
-			home: c.cfg.Site,
-			inc:  inc,
-			held: make(map[id.Resource]msg.LockMode),
-		}
+		c.newAgentStep(txn, c.cfg.Site, inc)
 		return c.advanceStep(ts, nil)
 	})
 	return err
+}
+
+// newAgentStep registers an agent of txn at this site, on a recycled
+// state if there is one.
+func (c *Controller) newAgentStep(txn id.Txn, home id.Site, inc uint32) *agentState {
+	a := take(&c.freeAgents)
+	*a = agentState{txn: txn, home: home, inc: inc, held: a.held[:0]}
+	c.agents[txn] = a
+	return a
+}
+
+// dropAgentStep forgets an agent that holds nothing and is queued for
+// nothing; a remote acquisition it still awaits ends with it.
+func (c *Controller) dropAgentStep(a *agentState) {
+	a.endWait()
+	delete(c.agents, a.txn)
+	c.freeAgents = append(c.freeAgents, a)
 }
 
 // exec runs one serialized step of the controller from outside the
@@ -321,6 +344,9 @@ func (c *Controller) drainReadyStep(after []func()) []func() {
 	for i := 0; i < len(c.ready); i++ {
 		after = c.advanceStep(c.ready[i], after)
 	}
+	// Cleared, not just truncated: a finished transaction's state is on
+	// the free list by now and must be neither pinned nor revisited here.
+	clear(c.ready)
 	c.ready = c.ready[:0]
 	return after
 }
@@ -368,7 +394,7 @@ func (c *Controller) advanceStep(ts *txnState, after []func()) []func() {
 	}
 	// Remote resource: create the grey inter-controller edge (G3 of the
 	// DDB axioms) by sending the acquisition to the managing site.
-	ts.pendingRemote[step.Resource] = home
+	ts.pendingRemote.put(step.Resource, home)
 	c.send(home, msg.CtrlAcquire{Txn: ts.txn, Resource: step.Resource, Mode: step.Mode, Inc: ts.inc})
 	return c.waitStartStep(c.agents[ts.txn], after)
 }
@@ -382,7 +408,7 @@ func (c *Controller) acquireLocalStep(ts *txnState, step LockStep, after []func(
 		panic(fmt.Sprintf("controller %v: %v", c.cfg.Site, err))
 	}
 	if granted {
-		a.held[step.Resource] = step.Mode
+		a.held.put(step.Resource, step.Mode)
 		return c.scheduleNextStepStep(ts, after)
 	}
 	a.waiting = step.Resource
@@ -441,54 +467,33 @@ func (c *Controller) abortStep(ts *txnState, after []func()) []func() {
 }
 
 // releaseAllStep tears down every hold and wait of a finished home
-// transaction: local locks via the lock table (cascading grants),
-// remote holds and pending acquisitions via CtrlRelease. Caller holds
-// c.mu.
+// transaction — local locks via the lock table (cascading grants),
+// remote holds and pending acquisitions via CtrlRelease — and forgets
+// it: a frame that names it from here on finds no entry, which every
+// handler already answers as it answers "not running".
 func (c *Controller) releaseAllStep(ts *txnState, after []func()) []func() {
-	// Iteration is sorted throughout: release order determines the
-	// grant-cascade and message order, and replay-based exploration
-	// (and seeded reproducibility) need it to be a pure function of
-	// state, not of map layout.
-	a := c.agents[ts.txn]
-	if a != nil {
+	// Release in resource order (the collections are kept sorted): it
+	// determines the grant-cascade and message order, and replay-based
+	// exploration (and seeded reproducibility) need that to be a pure
+	// function of state.
+	if a := c.agents[ts.txn]; a != nil {
 		if a.hasWaiting {
 			after = c.cancelLocalWaitStep(a, after)
 		}
-		for _, r := range sortedResources(a.held) {
-			after = c.releaseLocalStep(r, ts.txn, after)
+		for _, h := range a.held {
+			after = c.releaseLocalStep(h.key, ts.txn, after)
 		}
-		a.endWait() // a pending remote acquisition ends with the agent
-		delete(c.agents, ts.txn)
+		c.dropAgentStep(a)
 	}
-	for _, r := range sortedResourceKeys(ts.pendingRemote) {
-		c.send(ts.pendingRemote[r], msg.CtrlRelease{Txn: ts.txn, Resource: r, Inc: ts.inc})
-		delete(ts.pendingRemote, r)
+	for _, p := range ts.pendingRemote {
+		c.send(p.val, msg.CtrlRelease{Txn: ts.txn, Resource: p.key, Inc: ts.inc})
 	}
-	for _, r := range sortedResourceKeys(ts.heldRemote) {
-		c.send(ts.heldRemote[r], msg.CtrlRelease{Txn: ts.txn, Resource: r, Inc: ts.inc})
-		delete(ts.heldRemote, r)
+	for _, h := range ts.heldRemote {
+		c.send(h.val, msg.CtrlRelease{Txn: ts.txn, Resource: h.key, Inc: ts.inc})
 	}
+	delete(c.txns, ts.txn)
+	c.freeTxns = append(c.freeTxns, ts)
 	return after
-}
-
-// sortedResources returns the sorted keys of a resource→mode map.
-func sortedResources(m map[id.Resource]msg.LockMode) []id.Resource {
-	out := make([]id.Resource, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedResourceKeys returns the sorted keys of a resource→site map.
-func sortedResourceKeys(m map[id.Resource]id.Site) []id.Resource {
-	out := make([]id.Resource, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // cancelLocalWaitStep removes an agent's queued lock request.
@@ -518,7 +523,7 @@ func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry, after 
 		if !ok {
 			panic(fmt.Sprintf("controller %v: grant of %v to unknown agent %v", c.cfg.Site, r, w.txn))
 		}
-		a.held[r] = w.mode
+		a.held.put(r, w.mode)
 		a.hasWaiting = false
 		after = c.waitEndStep(a, after)
 		if a.hasPendingAck && a.pendingAck == r {
@@ -699,16 +704,12 @@ func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire, after []
 			fmt.Sprintf("acquire of %v for %v: %v", m.Resource, m.Txn, err), after)
 	}
 	if !ok {
-		a = &agentState{
-			txn:  m.Txn,
-			held: make(map[id.Resource]msg.LockMode),
-		}
-		c.agents[m.Txn] = a
+		a = c.newAgentStep(m.Txn, from, m.Inc)
+	} else {
+		a.home, a.inc = from, m.Inc
 	}
-	a.home = from
-	a.inc = m.Inc
 	if granted {
-		a.held[m.Resource] = m.Mode
+		a.held.put(m.Resource, m.Mode)
 		c.send(from, msg.CtrlGranted{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
 		return after
 	}
@@ -731,13 +732,13 @@ func (c *Controller) handleGrantedStep(from id.Site, m msg.CtrlGranted, after []
 		c.send(from, msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
 		return after
 	}
-	site, pending := ts.pendingRemote[m.Resource]
+	site, pending := ts.pendingRemote.get(m.Resource)
 	if !pending || site != from {
 		c.send(from, msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
 		return after
 	}
-	delete(ts.pendingRemote, m.Resource)
-	ts.heldRemote[m.Resource] = from
+	ts.pendingRemote.del(m.Resource)
+	ts.heldRemote.put(m.Resource, from)
 	after = c.waitEndStep(c.agents[m.Txn], after)
 	return c.scheduleNextStepStep(ts, after)
 }
@@ -751,12 +752,11 @@ func (c *Controller) handleReleaseStep(from id.Site, m msg.CtrlRelease, after []
 	}
 	if a.hasWaiting && a.waiting == m.Resource {
 		after = c.cancelLocalWaitStep(a, after)
-	} else if _, held := a.held[m.Resource]; held {
-		delete(a.held, m.Resource)
+	} else if a.held.del(m.Resource) {
 		after = c.releaseLocalStep(m.Resource, m.Txn, after)
 	}
 	if len(a.held) == 0 && !a.hasWaiting {
-		delete(c.agents, m.Txn)
+		c.dropAgentStep(a)
 	}
 	return after
 }
@@ -797,20 +797,6 @@ func (c *Controller) Abort(txn id.Txn) {
 		}
 		return nil
 	})
-}
-
-// TxnStatusOf reports a home transaction's status.
-func (c *Controller) TxnStatusOf(txn id.Txn) (TxnStatus, bool) {
-	var (
-		st TxnStatus
-		ok bool
-	)
-	c.run.Exec(func() {
-		if ts, present := c.txns[txn]; present {
-			st, ok = ts.status, true
-		}
-	})
-	return st, ok
 }
 
 // Stats reports this controller's counters.

@@ -94,6 +94,8 @@ func TestReleaseForUnknownAgentIgnored(t *testing.T) {
 
 func TestAbortRoutesToHome(t *testing.T) {
 	sched, ctrls := harness(t, 2)
+	var aborted []id.Txn
+	ctrls[0].cfg.OnAbort = func(txn id.Txn) { aborted = append(aborted, txn) }
 	// T0 home S0 acquires remote r1 and holds it; then S1 (which hosts
 	// only T0's remote agent) calls Abort — it must route to S0.
 	if err := ctrls[0].Submit(0, 0, []LockStep{{Resource: 1, Mode: msg.LockWrite}}); err != nil {
@@ -102,8 +104,8 @@ func TestAbortRoutesToHome(t *testing.T) {
 	sched.RunUntil(sim.Time(10 * sim.Millisecond))
 	ctrls[1].Abort(0)
 	sched.RunUntil(sim.Time(30 * sim.Millisecond))
-	if st, ok := ctrls[0].TxnStatusOf(0); !ok || st != TxnAborted {
-		t.Fatalf("status = %v %v, want aborted", st, ok)
+	if len(aborted) != 1 || aborted[0] != 0 {
+		t.Fatalf("OnAbort at home reported %v, want [T0]", aborted)
 	}
 	// The remote hold must be released.
 	var holders []id.Txn
@@ -209,7 +211,7 @@ func TestOracleExcludesWhiteAcquisitionEdges(t *testing.T) {
 		t.Fatal("test premise broken: remote grant not yet issued")
 	}
 	var stillPending bool
-	ctrls[0].run.Exec(func() { _, stillPending = ctrls[0].txns[0].pendingRemote[1] })
+	ctrls[0].run.Exec(func() { _, stillPending = ctrls[0].txns[0].pendingRemote.get(1) })
 	if !stillPending {
 		t.Fatal("test premise broken: grant already received at home")
 	}

@@ -42,8 +42,13 @@ func (c *Controller) interEdgesStep(txn id.Txn) []id.AgentEdge {
 	self := id.Agent{Txn: txn, Site: c.cfg.Site}
 	var out []id.AgentEdge
 	if ts, home := c.txns[txn]; home && ts.status == TxnRunning {
-		for _, site := range sortedSites(ts.pendingRemote) {
-			out = append(out, id.AgentEdge{From: self, To: id.Agent{Txn: txn, Site: site}})
+		// One edge per target site, in site order.
+		var sites assoc[id.Site, struct{}]
+		for _, p := range ts.pendingRemote {
+			sites.put(p.val, struct{}{})
+		}
+		for _, s := range sites {
+			out = append(out, id.AgentEdge{From: self, To: id.Agent{Txn: txn, Site: s.key}})
 		}
 	}
 	if a.hasWaiting && !c.cfg.PaperEdgesOnly {
@@ -140,19 +145,6 @@ func (c *Controller) WaitingAgents() []id.Agent {
 		}
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Txn < out[j].Txn })
-	return out
-}
-
-func sortedSites(m map[id.Resource]id.Site) []id.Site {
-	seen := make(map[id.Site]struct{}, len(m))
-	out := make([]id.Site, 0, len(m))
-	for _, s := range m {
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

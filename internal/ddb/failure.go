@@ -1,6 +1,7 @@
 package ddb
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/id"
@@ -60,11 +61,10 @@ func (c *Controller) peerDownStep(dead id.Site) []func() {
 		if a.hasWaiting {
 			after = c.cancelLocalWaitStep(a, after)
 		}
-		for _, r := range sortedResources(a.held) {
-			delete(a.held, r)
-			after = c.releaseLocalStep(r, txn, after)
+		for _, h := range a.held {
+			after = c.releaseLocalStep(h.key, txn, after)
 		}
-		delete(c.agents, txn)
+		c.dropAgentStep(a)
 		c.agentsPurged++
 	}
 
@@ -76,19 +76,8 @@ func (c *Controller) peerDownStep(dead id.Site) []func() {
 		if ts.status != TxnRunning {
 			continue
 		}
-		doomed := false
-		for _, r := range sortedResourceKeys(ts.pendingRemote) {
-			if ts.pendingRemote[r] == dead {
-				delete(ts.pendingRemote, r)
-				doomed = true
-			}
-		}
-		for _, r := range sortedResourceKeys(ts.heldRemote) {
-			if ts.heldRemote[r] == dead {
-				delete(ts.heldRemote, r)
-			}
-		}
-		if doomed {
+		dropSite(&ts.heldRemote, dead)
+		if dropSite(&ts.pendingRemote, dead) {
 			stuck = append(stuck, txn)
 		}
 	}
@@ -111,6 +100,14 @@ func (c *Controller) peerDownStep(dead id.Site) []func() {
 		delete(c.latestBy, dead)
 	}
 	return after
+}
+
+// dropSite removes a transaction's entries at the dead site and reports
+// whether there were any.
+func dropSite(m *assoc[id.Resource, id.Site], dead id.Site) bool {
+	n := len(*m)
+	*m = slices.DeleteFunc(*m, func(e assocEntry[id.Resource, id.Site]) bool { return e.val == dead })
+	return len(*m) < n
 }
 
 // PeerUp clears the per-initiator freshness fencing for a restarted

@@ -54,6 +54,8 @@ func TestPeerDownReleasesDeadSitesAgents(t *testing.T) {
 // aborts rather than waiting forever.
 func TestPeerDownAbortsTransactionsStuckOnDeadSite(t *testing.T) {
 	sched, ctrls := harness(t, 2)
+	var aborted []id.Txn
+	ctrls[0].cfg.OnAbort = func(txn id.Txn) { aborted = append(aborted, txn) }
 	w := msg.LockWrite
 	// T1 home S1 holds r1@S1 locally; T0 home S0 then queues for r1
 	// remotely and blocks.
@@ -70,9 +72,8 @@ func TestPeerDownAbortsTransactionsStuckOnDeadSite(t *testing.T) {
 	}
 
 	ctrls[0].PeerDown(1)
-	status, ok := ctrls[0].TxnStatusOf(0)
-	if !ok || status != TxnAborted {
-		t.Fatalf("stuck transaction status = %v (ok=%v), want aborted", status, ok)
+	if len(aborted) != 1 || aborted[0] != 0 {
+		t.Fatalf("OnAbort reported %v, want the stuck transaction [T0]", aborted)
 	}
 	st := ctrls[0].Stats()
 	if st.PeerAborts != 1 || st.Aborts != 1 {

@@ -21,6 +21,7 @@ import (
 //     table entry at all;
 //   - invalid requests (re-entrant acquire, double queue) fail with an
 //     error, never a panic or a corrupted table;
+//   - recycling: an entry on the free list has no holder and no waiter;
 //   - teardown: releasing everything empties the table.
 func FuzzLockManager(f *testing.F) {
 	f.Add([]byte{})
@@ -55,7 +56,7 @@ func FuzzLockManager(f *testing.F) {
 			case 2:
 				granted := lt.release(r, txn)
 				for _, w := range granted {
-					if _, nowHolds := lt.locks[r].holders[w.txn]; !nowHolds {
+					if _, nowHolds := lt.locks[r].holders.get(w.txn); !nowHolds {
 						t.Fatalf("release reported grant to txn %v on %v but it holds nothing", w.txn, r)
 					}
 				}
@@ -85,7 +86,7 @@ func holdsOrQueued(lt *lockTable, r id.Resource, txn id.Txn) bool {
 	if !ok {
 		return false
 	}
-	if _, held := ls.holders[txn]; held {
+	if _, held := ls.holders.get(txn); held {
 		return true
 	}
 	for _, w := range ls.queue {
@@ -97,9 +98,14 @@ func holdsOrQueued(lt *lockTable, r id.Resource, txn id.Txn) bool {
 }
 
 // checkLockInvariants asserts the structural invariants of every table
-// entry.
+// entry, and that every entry waiting on the free list is empty.
 func checkLockInvariants(t *testing.T, lt *lockTable) {
 	t.Helper()
+	for _, ls := range lt.free {
+		if len(ls.holders) != 0 || len(ls.queue) != 0 {
+			t.Fatalf("recycled entry still carries holders %v, queue %v", ls.holders, ls.queue)
+		}
+	}
 	for r, ls := range lt.locks {
 		if len(ls.holders) == 0 && len(ls.queue) == 0 {
 			t.Fatalf("resource %v: empty entry retained in table", r)
@@ -108,14 +114,14 @@ func checkLockInvariants(t *testing.T, lt *lockTable) {
 			t.Fatalf("resource %v: waiters %v starved on an unheld lock", r, ls.queue)
 		}
 		if len(ls.holders) > 1 {
-			for txn, m := range ls.holders {
-				if m != msg.LockRead {
-					t.Fatalf("resource %v: txn %v holds %v alongside %d other holders", r, txn, m, len(ls.holders)-1)
+			for _, h := range ls.holders {
+				if h.val != msg.LockRead {
+					t.Fatalf("resource %v: txn %v holds %v alongside %d other holders", r, h.key, h.val, len(ls.holders)-1)
 				}
 			}
 		}
 		for _, w := range ls.queue {
-			if _, held := ls.holders[w.txn]; held {
+			if _, held := ls.holders.get(w.txn); held {
 				t.Fatalf("resource %v: txn %v both holds and queues", r, w.txn)
 			}
 		}

@@ -32,7 +32,7 @@ type waitEntry struct {
 
 // lockState is the lock table entry for one resource.
 type lockState struct {
-	holders map[id.Txn]msg.LockMode
+	holders assoc[id.Txn, msg.LockMode]
 	queue   []waitEntry
 }
 
@@ -42,6 +42,9 @@ type lockState struct {
 // which keeps waits live and the wait-for graph honest).
 type lockTable struct {
 	locks map[id.Resource]*lockState
+	// free holds the entries of resources nobody holds or waits for any
+	// more: empty, with their holder and queue capacity kept.
+	free []*lockState
 }
 
 func newLockTable() *lockTable {
@@ -51,7 +54,7 @@ func newLockTable() *lockTable {
 func (t *lockTable) state(r id.Resource) *lockState {
 	ls, ok := t.locks[r]
 	if !ok {
-		ls = &lockState{holders: make(map[id.Txn]msg.LockMode)}
+		ls = take(&t.free)
 		t.locks[r] = ls
 	}
 	return ls
@@ -66,8 +69,8 @@ func (ls *lockState) compatible(mode msg.LockMode) bool {
 	if mode != msg.LockRead {
 		return false
 	}
-	for _, m := range ls.holders {
-		if m != msg.LockRead {
+	for _, h := range ls.holders {
+		if h.val != msg.LockRead {
 			return false
 		}
 	}
@@ -80,7 +83,7 @@ func (ls *lockState) compatible(mode msg.LockMode) bool {
 // must not request a resource they already hold.
 func (t *lockTable) acquire(r id.Resource, txn id.Txn, mode msg.LockMode) (bool, error) {
 	ls := t.state(r)
-	if _, held := ls.holders[txn]; held {
+	if _, held := ls.holders.get(txn); held {
 		return false, fmt.Errorf("txn %v already holds %v", txn, r)
 	}
 	for _, w := range ls.queue {
@@ -89,7 +92,7 @@ func (t *lockTable) acquire(r id.Resource, txn id.Txn, mode msg.LockMode) (bool,
 		}
 	}
 	if len(ls.queue) == 0 && ls.compatible(mode) {
-		ls.holders[txn] = mode
+		ls.holders.put(txn, mode)
 		return true, nil
 	}
 	ls.queue = append(ls.queue, waitEntry{txn: txn, mode: mode})
@@ -103,9 +106,7 @@ func (t *lockTable) release(r id.Resource, txn id.Txn) []waitEntry {
 	if !ok {
 		return nil
 	}
-	if _, held := ls.holders[txn]; held {
-		delete(ls.holders, txn)
-	} else {
+	if !ls.holders.del(txn) {
 		for i, w := range ls.queue {
 			if w.txn == txn {
 				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
@@ -113,30 +114,31 @@ func (t *lockTable) release(r id.Resource, txn id.Txn) []waitEntry {
 			}
 		}
 	}
-	var granted []waitEntry
-	for len(ls.queue) > 0 && ls.compatible(ls.queue[0].mode) {
-		w := ls.queue[0]
-		ls.queue = ls.queue[1:]
-		ls.holders[w.txn] = w.mode
-		granted = append(granted, w)
+	k := 0
+	for ; k < len(ls.queue) && ls.compatible(ls.queue[k].mode); k++ {
+		ls.holders.put(ls.queue[k].txn, ls.queue[k].mode)
 	}
+	granted := append([]waitEntry(nil), ls.queue[:k]...) // nil when nobody was granted
+	// Copy the rest down rather than reslice: queue[k:] gives the capacity
+	// away, and a recycled lockState should keep it.
+	ls.queue = ls.queue[:copy(ls.queue, ls.queue[k:])]
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(t.locks, r)
+		t.free = append(t.free, ls)
 	}
 	return granted
 }
 
-// holders returns the sorted current holders of r.
+// holdersOf returns the current holders of r, sorted.
 func (t *lockTable) holdersOf(r id.Resource) []id.Txn {
 	ls, ok := t.locks[r]
 	if !ok {
 		return nil
 	}
 	out := make([]id.Txn, 0, len(ls.holders))
-	for txn := range ls.holders {
-		out = append(out, txn)
+	for _, h := range ls.holders {
+		out = append(out, h.key)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

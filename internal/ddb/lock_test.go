@@ -154,8 +154,8 @@ func TestLockTableInvariants(t *testing.T) {
 				continue
 			}
 			write := 0
-			for _, m := range ls.holders {
-				if m == msg.LockWrite {
+			for _, h := range ls.holders {
+				if h.val == msg.LockWrite {
 					write++
 				}
 			}
@@ -169,7 +169,7 @@ func TestLockTableInvariants(t *testing.T) {
 				return false // head is compatible yet still queued
 			}
 			for _, w := range ls.queue {
-				if _, holds := ls.holders[w.txn]; holds {
+				if _, holds := ls.holders.get(w.txn); holds {
 					return false // holder also queued
 				}
 			}

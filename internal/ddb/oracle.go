@@ -60,8 +60,8 @@ func (o *Oracle) DarkEdges() []id.AgentEdge {
 			views := make(map[id.Txn]*agentView, len(c.agents))
 			for txn, a := range c.agents {
 				v := &agentView{site: site, txn: txn, home: a.home, held: make(map[id.Resource]bool, len(a.held))}
-				for r := range a.held {
-					v.held[r] = true
+				for _, h := range a.held {
+					v.held[h.key] = true
 				}
 				if ts, home := c.txns[txn]; home {
 					v.isHome = true
@@ -74,8 +74,8 @@ func (o *Oracle) DarkEdges() []id.AgentEdge {
 				if ts.status != TxnRunning {
 					continue
 				}
-				for r, to := range ts.pendingRemote {
-					pendings = append(pendings, pendingView{txn: txn, from: site, to: to, resource: r})
+				for _, p := range ts.pendingRemote {
+					pendings = append(pendings, pendingView{txn: txn, from: site, to: p.val, resource: p.key})
 				}
 			}
 			for _, wp := range c.locks.waitPairs() {

@@ -152,12 +152,13 @@ func TestContinuationRunsAfterGrantCascade(t *testing.T) {
 	}
 }
 
-// BenchmarkControllerLocalTxn is the ddb rung of the cost ladder: one
-// hosted controller, a three-lock all-local script with no pacing
-// delays, submit to commit callback.
-func BenchmarkControllerLocalTxn(b *testing.B) {
+// localTxnRig is the ddb rung of the cost ladder: one hosted controller
+// and a three-lock all-local script with no pacing delays. The returned
+// function runs transaction i from Submit to its commit callback, which
+// is back before Submit returns.
+func localTxnRig(tb testing.TB) (*Controller, func(i int)) {
 	host := engine.NewHost(engine.Options{Shards: 1})
-	defer host.Close()
+	tb.Cleanup(host.Close)
 	commits := 0
 	c, err := NewController(Config{
 		Site:         0,
@@ -167,22 +168,86 @@ func BenchmarkControllerLocalTxn(b *testing.B) {
 		OnCommit:     func(id.Txn) { commits++ },
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	steps := make([][]LockStep, 1000)
 	for i := range steps {
 		k := id.Resource(3 * i)
 		steps[i] = []LockStep{{k, msg.LockRead}, {k + 1, msg.LockWrite}, {k + 2, msg.LockRead}}
 	}
+	return c, func(i int) {
+		before := commits
+		if err := c.Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
+			tb.Fatal(err)
+		}
+		if commits != before+1 {
+			tb.Fatalf("transaction %d had not committed when Submit returned", i)
+		}
+	}
+}
+
+// remoteTxnRig is the cluster-uniform shape without the wire: two
+// controllers on one Host, every transaction homed at site 0 and taking
+// three locks at site 1 — an acquire, a grant and a release frame each.
+// The returned function runs transaction i from Submit to its commit.
+func remoteTxnRig(tb testing.TB) func(i int) {
+	done := make(chan id.Txn, 1)
+	_, ctrls := hostedPair(tb, func(txn id.Txn) { done <- txn })
+	steps := make([][]LockStep, 1000)
+	for i := range steps {
+		k := id.Resource(6*i + 1) // odd: managed by site 1
+		steps[i] = []LockStep{{k, msg.LockRead}, {k + 2, msg.LockWrite}, {k + 4, msg.LockRead}}
+	}
+	return func(i int) {
+		if err := ctrls[0].Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
+			tb.Fatal(err)
+		}
+		if got := <-done; got != id.Txn(i+1) {
+			tb.Fatalf("%v committed while waiting for transaction %d", got, i+1)
+		}
+	}
+}
+
+func BenchmarkControllerLocalTxn(b *testing.B) {
+	_, runTxn := localTxnRig(b)
+	benchTxns(b, runTxn)
+}
+
+func BenchmarkControllerRemoteTxn(b *testing.B) { benchTxns(b, remoteTxnRig(b)) }
+
+func benchTxns(b *testing.B, runTxn func(i int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
-			b.Fatal(err)
-		}
+		runTxn(i)
 	}
-	b.StopTimer()
-	if commits != b.N {
-		b.Fatalf("%d of %d transactions committed inside Submit", commits, b.N)
+}
+
+// TestTxnAllocGates holds the allocations of a whole transaction to what
+// they were measured at once finished transactions were recycled (27 for
+// the local one before that). What is left is the Exec (its closures and
+// done channel), the after-step callback list, and on the remote path
+// the frames boxed into msg.Message and the hop between shards.
+func TestTxnAllocGates(t *testing.T) {
+	_, local := localTxnRig(t)
+	for _, g := range []struct {
+		name   string
+		runTxn func(int)
+		max    float64
+	}{
+		{"local", local, 8},
+		{"remote", remoteTxnRig(t), 22},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			i := 0
+			for ; i < 2000; i++ { // fill the free lists and the shard queues
+				g.runTxn(i)
+			}
+			got := testing.AllocsPerRun(2000, func() { g.runTxn(i); i++ })
+			t.Logf("%v allocs per %s transaction", got, g.name)
+			if got > g.max {
+				t.Fatalf("%v allocs per %s transaction, want at most %v", got, g.name, g.max)
+			}
+		})
 	}
 }

@@ -185,8 +185,8 @@ func (c *Controller) meaningfulStep(e id.AgentEdge) bool {
 	if !ok || ts.status != TxnRunning {
 		return false
 	}
-	for _, site := range ts.heldRemote {
-		if site == e.From.Site {
+	for _, h := range ts.heldRemote {
+		if h.val == e.From.Site {
 			return true
 		}
 	}

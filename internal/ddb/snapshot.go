@@ -32,14 +32,9 @@ func (c *Controller) snapshotStep() string {
 	sort.Slice(atxns, func(i, j int) bool { return atxns[i] < atxns[j] })
 	for _, t := range atxns {
 		a := c.agents[t]
-		held := make([]id.Resource, 0, len(a.held))
-		for r := range a.held {
-			held = append(held, r)
-		}
-		sort.Slice(held, func(i, j int) bool { return held[i] < held[j] })
 		fmt.Fprintf(&b, "%d=(h:%d i:%d held:[", t, a.home, a.inc)
-		for _, r := range held {
-			fmt.Fprintf(&b, "%d/%d;", r, a.held[r])
+		for _, h := range a.held {
+			fmt.Fprintf(&b, "%d/%d;", h.key, h.val)
 		}
 		b.WriteString("]")
 		if a.hasWaiting {
@@ -122,14 +117,9 @@ func (t *lockTable) snapshotInto(b *strings.Builder) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
 	for _, r := range rs {
 		ls := t.locks[r]
-		holders := make([]id.Txn, 0, len(ls.holders))
-		for txn := range ls.holders {
-			holders = append(holders, txn)
-		}
-		sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
 		fmt.Fprintf(b, "%d=(", r)
-		for _, h := range holders {
-			fmt.Fprintf(b, "%d/%d;", h, ls.holders[h])
+		for _, h := range ls.holders {
+			fmt.Fprintf(b, "%d/%d;", h.key, h.val)
 		}
 		b.WriteString("|")
 		for _, w := range ls.queue {
@@ -139,14 +129,10 @@ func (t *lockTable) snapshotInto(b *strings.Builder) {
 	}
 }
 
-// writeResourceSites renders a resource→site map sorted by resource.
-func writeResourceSites(b *strings.Builder, m map[id.Resource]id.Site) {
-	rs := make([]id.Resource, 0, len(m))
-	for r := range m {
-		rs = append(rs, r)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	for _, r := range rs {
-		fmt.Fprintf(b, "%d@%d;", r, m[r])
+// writeResourceSites renders a resource→site association in its own
+// (resource) order.
+func writeResourceSites(b *strings.Builder, m assoc[id.Resource, id.Site]) {
+	for _, e := range m {
+		fmt.Fprintf(b, "%d@%d;", e.key, e.val)
 	}
 }

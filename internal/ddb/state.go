@@ -27,7 +27,9 @@ const ddbStateVersion = 1
 
 // MarshalState implements engine.Snapshotter. Maps are written in
 // sorted key order so equal states marshal to equal bytes; wait queues
-// and step scripts keep their live order.
+// and step scripts keep their live order. Only transactions in flight
+// are in it: a checkpoint or a migration payload does not grow with the
+// number of transactions the controller has finished.
 func (c *Controller) MarshalState() []byte {
 	w := engine.NewSnapWriter(512)
 	w.U8(ddbStateVersion)
@@ -42,15 +44,10 @@ func (c *Controller) MarshalState() []byte {
 	for _, r := range rs {
 		ls := c.locks.locks[r]
 		w.I32(int32(r))
-		holders := make([]id.Txn, 0, len(ls.holders))
-		for t := range ls.holders {
-			holders = append(holders, t)
-		}
-		sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-		w.Len(len(holders))
-		for _, t := range holders {
-			w.I32(int32(t))
-			w.I64(int64(ls.holders[t]))
+		w.Len(len(ls.holders))
+		for _, h := range ls.holders {
+			w.I32(int32(h.key))
+			w.I64(int64(h.val))
 		}
 		w.Len(len(ls.queue))
 		for _, e := range ls.queue {
@@ -71,15 +68,10 @@ func (c *Controller) MarshalState() []byte {
 		w.I32(int32(a.txn))
 		w.I32(int32(a.home))
 		w.U32(a.inc)
-		held := make([]id.Resource, 0, len(a.held))
-		for r := range a.held {
-			held = append(held, r)
-		}
-		sort.Slice(held, func(i, j int) bool { return held[i] < held[j] })
-		w.Len(len(held))
-		for _, r := range held {
-			w.I32(int32(r))
-			w.I64(int64(a.held[r]))
+		w.Len(len(a.held))
+		for _, h := range a.held {
+			w.I32(int32(h.key))
+			w.I64(int64(h.val))
 		}
 		w.Bool(a.hasWaiting)
 		w.I32(int32(a.waiting))
@@ -183,10 +175,10 @@ func (c *Controller) RestoreState(data []byte) error {
 	locks := &lockTable{locks: make(map[id.Resource]*lockState)}
 	for n := r.Len(); n > 0; n-- {
 		res := id.Resource(r.I32())
-		ls := &lockState{holders: make(map[id.Txn]msg.LockMode)}
+		ls := &lockState{}
 		for hn := r.Len(); hn > 0; hn-- {
 			t := id.Txn(r.I32())
-			ls.holders[t] = msg.LockMode(r.I64())
+			ls.holders.put(t, msg.LockMode(r.I64()))
 		}
 		qn := r.Len()
 		ls.queue = make([]waitEntry, 0, qn)
@@ -202,11 +194,10 @@ func (c *Controller) RestoreState(data []byte) error {
 			txn:  id.Txn(r.I32()),
 			home: id.Site(r.I32()),
 			inc:  r.U32(),
-			held: make(map[id.Resource]msg.LockMode),
 		}
 		for hn := r.Len(); hn > 0; hn-- {
 			res := id.Resource(r.I32())
-			a.held[res] = msg.LockMode(r.I64())
+			a.held.put(res, msg.LockMode(r.I64()))
 		}
 		a.hasWaiting = r.Bool()
 		a.waiting = id.Resource(r.I32())
@@ -229,7 +220,11 @@ func (c *Controller) RestoreState(data []byte) error {
 		ts.holdTime = r.I64()
 		ts.pendingRemote = readResourceSiteMap(r)
 		ts.heldRemote = readResourceSiteMap(r)
-		txns[ts.txn] = ts
+		// A checkpoint written before finished transactions were forgotten
+		// at commit still lists them; they hold nothing, so drop them here.
+		if ts.status == TxnRunning {
+			txns[ts.txn] = ts
+		}
 	}
 
 	nextN := r.U64()
@@ -289,24 +284,19 @@ func agentEdgeLess(a, b id.AgentEdge) bool {
 	return a.To.Site < b.To.Site
 }
 
-func writeResourceSiteMap(w *engine.SnapWriter, m map[id.Resource]id.Site) {
-	rs := make([]id.Resource, 0, len(m))
-	for r := range m {
-		rs = append(rs, r)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	w.Len(len(rs))
-	for _, r := range rs {
-		w.I32(int32(r))
-		w.I32(int32(m[r]))
+func writeResourceSiteMap(w *engine.SnapWriter, m assoc[id.Resource, id.Site]) {
+	w.Len(len(m))
+	for _, e := range m {
+		w.I32(int32(e.key))
+		w.I32(int32(e.val))
 	}
 }
 
-func readResourceSiteMap(r *engine.SnapReader) map[id.Resource]id.Site {
-	m := make(map[id.Resource]id.Site)
+func readResourceSiteMap(r *engine.SnapReader) assoc[id.Resource, id.Site] {
+	var m assoc[id.Resource, id.Site]
 	for n := r.Len(); n > 0; n-- {
 		res := id.Resource(r.I32())
-		m[res] = id.Site(r.I32())
+		m.put(res, id.Site(r.I32()))
 	}
 	return m
 }

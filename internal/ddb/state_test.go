@@ -2,6 +2,10 @@ package ddb
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/msg"
@@ -65,5 +69,92 @@ func TestRestoreStateRejectsBadInput(t *testing.T) {
 	}
 	if got := c.Snapshot(); got != before {
 		t.Errorf("failed restore mutated state:\n got %s\nwant %s", got, before)
+	}
+}
+
+// wedgedCluster drives three sites into a standing cross-site deadlock
+// that populates every per-transaction collection with more than one
+// entry: shared holders, a two-deep wait queue, several local and remote
+// holds, pending acquisitions, probe computations. withFinished adds a
+// transaction that commits and one that is aborted before the snapshot.
+func wedgedCluster(t *testing.T, withFinished bool) *Cluster {
+	t.Helper()
+	cl := newCluster(t, ClusterOptions{Sites: 3, Resources: 6, Seed: 33, HoldTime: int64(sim.Second)})
+	r, w := msg.LockRead, msg.LockWrite
+	mustSubmit(t, cl, TxnSpec{Txn: 0, Home: 0, Steps: []LockStep{{3, w}, {1, r}, {4, r}, {0, w}, {2, w}}})
+	mustSubmit(t, cl, TxnSpec{Txn: 2, Home: 2, Steps: []LockStep{{2, w}, {5, r}, {3, w}}})
+	mustSubmit(t, cl, TxnSpec{Txn: 7, Home: 1, Steps: []LockStep{{1, r}, {4, r}, {2, w}}})
+	if withFinished {
+		mustSubmit(t, cl, TxnSpec{Txn: 9, Home: 1, Steps: []LockStep{{4, r}}})
+		mustSubmit(t, cl, TxnSpec{Txn: 8, Home: 0, Steps: []LockStep{{5, w}}})
+		cl.Sched.RunUntil(sim.Time(20 * sim.Millisecond))
+		cl.Controllers[0].AbortLocal(8)
+	}
+	run(t, cl)
+	wantCommits := 0
+	if withFinished {
+		wantCommits = 1
+	}
+	if len(cl.Detections) == 0 || cl.CommittedCount() != wantCommits {
+		t.Fatalf("scenario premise broken: %d detections, %d commits", len(cl.Detections), cl.CommittedCount())
+	}
+	return cl
+}
+
+// goldenStates reads one hex-encoded MarshalState blob per controller,
+// as written by the commit before finished transactions were forgotten.
+func goldenStates(t *testing.T, name string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, line := range strings.Fields(string(raw)) {
+		blob, err := hex.DecodeString(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blob)
+	}
+	return out
+}
+
+// TestMarshalStateLayoutUnchanged: the sorted associations write the
+// bytes the maps wrote. A state with no finished transaction marshals
+// byte-identically to the golden blobs of the commit before the change.
+func TestMarshalStateLayoutUnchanged(t *testing.T) {
+	cl := wedgedCluster(t, false)
+	golden := goldenStates(t, "state_v1_live.hex")
+	for i, c := range cl.Controllers {
+		if got := c.MarshalState(); !bytes.Equal(got, golden[i]) {
+			t.Errorf("controller %d: MarshalState differs from the version-1 golden\n got %x\nwant %x", i, got, golden[i])
+		}
+	}
+}
+
+// TestRestoreStateDropsFinishedTransactions: a checkpoint written when
+// controllers still kept finished transactions restores, minus those
+// transactions, to exactly the state this code reaches by itself.
+func TestRestoreStateDropsFinishedTransactions(t *testing.T) {
+	cl := wedgedCluster(t, true)
+	golden := goldenStates(t, "state_v1_finished.hex")
+	fresh := newCluster(t, ClusterOptions{Sites: 3, Resources: 6, Seed: 33, HoldTime: int64(sim.Second)})
+	for i, c := range cl.Controllers {
+		if err := fresh.Controllers[i].RestoreState(golden[i]); err != nil {
+			t.Fatalf("controller %d: RestoreState: %v", i, err)
+		}
+		if got, want := fresh.Controllers[i].Snapshot(), c.Snapshot(); got != want {
+			t.Errorf("controller %d: restored old checkpoint\n got %s\nwant %s", i, got, want)
+		}
+		if got, want := fresh.Controllers[i].MarshalState(), c.MarshalState(); !bytes.Equal(got, want) {
+			t.Errorf("controller %d: restored old checkpoint re-marshals differently", i)
+		}
+	}
+	// Sites 0 and 1 homed the aborted and the committed transaction.
+	for _, i := range []int{0, 1} {
+		if now, then := len(cl.Controllers[i].MarshalState()), len(golden[i]); now >= then {
+			t.Errorf("controller %d: %d bytes now, %d with the finished transaction kept", i, now, then)
+		}
 	}
 }
