@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json bench-compare bench-smoke check fuzz-smoke chaos-smoke crash-smoke host-smoke load-smoke cluster-smoke cover experiments examples clean
+.PHONY: all build vet lint test race bench bench-smoke check fuzz-smoke chaos-smoke crash-smoke host-smoke load-smoke cluster-smoke cover experiments examples clean
 
 all: build vet test
 
@@ -35,24 +35,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark tables; BENCH_baseline.json is a committed
-# snapshot of this output. E13 (ingress throughput), E16 (wire-codec
-# cost, with encode AND decode allocs/op columns) and E18 (the
-# assembled writev -> pooled decode -> SPSC ring pipeline) double as
-# the CI perf floor checked by bench-compare. The same run appends its
-# gated columns, one line, to BENCH_history.jsonl (commit both).
-bench-json:
-	$(GO) run ./cmd/cmhbench -json | tee BENCH_baseline.json
-
-# The perf-regression gate: re-measure the gated experiments (E13, E16,
-# E17, E18, E19, E20) on the current tree and fail on a >10% throughput
-# drop, ANY allocs/op increase (encode and decode rows both count), or
-# a latency blowup (> 3x baseline: E17's detection p99, E20's migration
-# unavailability window) against the committed baseline (CI runs this
-# as the bench-compare job).
-bench-compare:
-	$(GO) run ./cmd/cmhbench -compare BENCH_baseline.json
 
 # The repo benchmark's harness (BENCHMARK.json, benchmark/) end to end
 # at smoke length: vet it, then assemble the fsync=always cluster, run
@@ -130,12 +112,13 @@ cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./internal/engine/...,./internal/core/...,./internal/ddb/...,./internal/conformance/...,./internal/faultinject/...,./internal/msg/...,./internal/workload/...,./internal/metrics/...,./internal/wal/... ./internal/... ./cmd/...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Regenerate every evaluation table (EXPERIMENTS.md source).
+# Print every evaluation table (EXPERIMENTS.md source). The simulator
+# tables are also golden tests: `make test` compares them byte for byte
+# with internal/experiments/testdata, and
+# `go test ./internal/experiments -run TestGoldenTables -update`
+# rewrites those files after an intended change.
 experiments:
 	$(GO) run ./cmd/cmhbench
-
-experiments.json:
-	$(GO) run ./cmd/cmhbench -json > experiments.json
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -145,4 +128,4 @@ examples:
 	$(GO) run ./examples/messagehub
 
 clean:
-	rm -f experiments.json test_output.txt bench_output.txt cover.out
+	rm -f test_output.txt bench_output.txt cover.out

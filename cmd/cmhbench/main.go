@@ -2,31 +2,20 @@
 // one table per experiment, each reproducing a quantitative claim of
 // Chandy–Misra (PODC 1982) or an ablation of a design choice. With no
 // arguments it runs the whole suite; pass experiment IDs to run a
-// subset, and -json for the machine-readable export.
+// subset.
 //
 //	cmhbench            # all tables
 //	cmhbench E1 E7      # a subset
-//	cmhbench -json E4   # JSON rows instead of tables
-//	cmhbench -json      # the whole suite; also appends the gated rows,
-//	                    # one line, to ./BENCH_history.jsonl
 //
-// -compare turns cmhbench into the CI perf-regression gate: it checks
-// the perf-path experiments (E13, E16 by default) against a committed
-// baseline export and exits nonzero on a >10% throughput drop or any
-// allocs/op increase.
-//
-//	cmhbench -compare BENCH_baseline.json                 # measure live, then compare
-//	cmhbench -compare base.json -against current.json     # compare two saved exports
-//	cmhbench -compare base.json -tolerance 0.05 E13       # tighter gate, one experiment
+// The simulator tables are deterministic and held byte for byte by the
+// golden tests of internal/experiments; the wall-clock tables are
+// printed for reading, not compared.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -40,11 +29,6 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("cmhbench", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit JSON rows instead of text tables")
-	compare := fs.String("compare", "", "baseline JSON export to compare against (the perf-regression gate)")
-	against := fs.String("against", "", "with -compare: a saved JSON export to use as the current run instead of measuring live")
-	tolerance := fs.Float64("tolerance", experiments.DefaultTolerance,
-		"with -compare: relative throughput drop tolerated before failing (allocs/op always has zero tolerance)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,178 +45,5 @@ func run(args []string) error {
 		}
 		only[a] = true
 	}
-	if *compare != "" {
-		return runCompare(*compare, *against, *tolerance, only)
-	}
-	if *jsonOut {
-		results, err := experiments.Collect(only)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteJSON(os.Stdout, results); err != nil {
-			return err
-		}
-		if len(only) == 0 {
-			// A whole-suite export is what replaces BENCH_baseline.json
-			// (make bench-json); leave its gated rows in the history too.
-			return appendHistory("BENCH_history.jsonl", results)
-		}
-		return nil
-	}
 	return experiments.RunAll(os.Stdout, only)
 }
-
-// appendHistory appends one line — when, and the export's gated rows —
-// to the benchmark trajectory file in the working directory.
-func appendHistory(path string, results []experiments.Result) error {
-	gated, err := experiments.GatedSummary(results)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(struct {
-		Time  string                          `json:"time"`
-		Gated map[string][]map[string]float64 `json:"gated"`
-	}{time.Now().UTC().Format(time.RFC3339), gated})
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// loadResults reads one JSON export (the output of cmhbench -json).
-func loadResults(path string) ([]experiments.Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var results []experiments.Result
-	if err := json.Unmarshal(data, &results); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return results, nil
-}
-
-// runCompare is the perf-regression gate: measure (or load) the current
-// perf rows, diff them against the baseline, report every delta and
-// fail on regression.
-func runCompare(basePath, againstPath string, tolerance float64, only map[string]bool) error {
-	baseline, err := loadResults(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	ids := experiments.DefaultCompareIDs
-	if len(only) > 0 {
-		ids = ids[:0]
-		for id := range only {
-			ids = append(ids, id)
-		}
-	}
-	idSet := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		idSet[id] = true
-	}
-	// Loopback throughput is noisy run to run; a genuine regression is
-	// not. The noise is one-sided — contention can only make a
-	// measurement slower than the code's capability, never faster — so
-	// any attempt that reaches baseline on a field proves that field is
-	// fine, while a slow attempt proves nothing. Live measurements
-	// therefore get up to compareAttempts runs and a field counts as
-	// regressed only if EVERY attempt flags it (intersection), rather
-	// than demanding one attempt where all rows are simultaneously
-	// lucky. A saved -against export is a fixed claim and gets exactly
-	// one attempt, where the two semantics coincide.
-	attempts := compareAttempts
-	if againstPath != "" {
-		attempts = 1
-	}
-	// surviving maps ID/row/field -> the best-case (closest to
-	// baseline) measurement seen so far among attempts that flagged it.
-	type regKey struct {
-		id    string
-		row   int
-		field string
-	}
-	var surviving map[regKey]experiments.Regression
-	for attempt := 1; attempt <= attempts; attempt++ {
-		var current []experiments.Result
-		if againstPath != "" {
-			if current, err = loadResults(againstPath); err != nil {
-				return fmt.Errorf("against: %w", err)
-			}
-		} else {
-			fmt.Printf("measuring %v against %s (tolerance %.0f%%, attempt %d/%d)...\n",
-				ids, basePath, tolerance*100, attempt, attempts)
-			if current, err = experiments.Collect(idSet); err != nil {
-				return err
-			}
-		}
-		regs, err := experiments.CompareResults(current, baseline, ids, tolerance)
-		if err != nil {
-			return err
-		}
-		found := make(map[regKey]experiments.Regression, len(regs))
-		for _, r := range regs {
-			found[regKey{r.ID, r.Row, r.Field}] = r
-		}
-		if attempt == 1 {
-			surviving = found
-		} else {
-			for k, prev := range surviving {
-				cur, still := found[k]
-				if !still {
-					delete(surviving, k)
-					continue
-				}
-				// Keep the measurement nearest the baseline: for
-				// throughput (higher is better) the larger current,
-				// for latency/allocs (lower is better) the smaller.
-				better := cur.Current > prev.Current
-				if prev.Baseline > 0 && prev.Current > prev.Baseline {
-					better = cur.Current < prev.Current
-				}
-				if better {
-					surviving[k] = cur
-				}
-			}
-		}
-		if len(surviving) == 0 {
-			fmt.Printf("bench-compare: ok (%v within %.0f%% of %s, no allocs/op increase)\n",
-				ids, tolerance*100, basePath)
-			return nil
-		}
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-		}
-	}
-	final := make([]experiments.Regression, 0, len(surviving))
-	for _, r := range surviving {
-		final = append(final, r)
-	}
-	sort.Slice(final, func(i, j int) bool {
-		a, b := final[i], final[j]
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Field < b.Field
-	})
-	for _, r := range final {
-		fmt.Fprintln(os.Stderr, "PERSISTENT:", r)
-	}
-	return fmt.Errorf("%d perf regression(s) persisted across %d attempt(s) against %s",
-		len(final), attempts, basePath)
-}
-
-// compareAttempts bounds the retries a live -compare run gets before
-// its regressions are declared real.
-const compareAttempts = 3

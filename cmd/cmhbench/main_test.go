@@ -1,14 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"repro/internal/experiments"
-)
+import "testing"
 
 func TestRunSubset(t *testing.T) {
 	if err := run([]string{"E1"}); err != nil {
@@ -19,63 +11,5 @@ func TestRunSubset(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"E99"}); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-}
-
-// --- the -compare perf-regression gate, driven with saved exports
-// (-against) so no experiment actually runs ---
-
-func writeExport(t *testing.T, dir, name string, results []experiments.Result) string {
-	t.Helper()
-	raw, err := json.Marshal(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func export(wireKfps, encAllocs float64) []experiments.Result {
-	return []experiments.Result{
-		{ID: "E13", Claim: "ingress", Rows: []experiments.E13Row{
-			{MaxBatch: 64, Frames: 20000, KFramesPerSec: 110},
-		}},
-		{ID: "E16", Claim: "codec", Rows: []experiments.E16Row{
-			{Codec: "gob", EncNsPerOp: 650, EncAllocsPerOp: 1, WireKFramesPerSec: 100},
-			{Codec: "binary", EncNsPerOp: 40, EncAllocsPerOp: encAllocs, WireKFramesPerSec: wireKfps},
-		}},
-	}
-}
-
-func TestCompareGateCLI(t *testing.T) {
-	dir := t.TempDir()
-	base := writeExport(t, dir, "base.json", export(150, 0))
-	same := writeExport(t, dir, "same.json", export(149, 0))
-	slow := writeExport(t, dir, "slow.json", export(150*0.88, 0))
-	alloc := writeExport(t, dir, "alloc.json", export(150, 1))
-
-	if err := run([]string{"-compare", base, "-against", same}); err != nil {
-		t.Fatalf("clean compare failed: %v", err)
-	}
-	err := run([]string{"-compare", base, "-against", slow})
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("12%% throughput drop not caught: err = %v", err)
-	}
-	err = run([]string{"-compare", base, "-against", alloc})
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("allocs/op increase not caught: err = %v", err)
-	}
-	// A tighter tolerance catches what the default lets through.
-	if err := run([]string{"-compare", base, "-against", same, "-tolerance", "0.002"}); err == nil {
-		t.Fatal("0.2% tolerance did not catch a 0.7% drop")
-	}
-}
-
-func TestCompareGateMissingBaseline(t *testing.T) {
-	if err := run([]string{"-compare", filepath.Join(t.TempDir(), "nope.json")}); err == nil {
-		t.Fatal("missing baseline file did not error")
 	}
 }

@@ -264,7 +264,7 @@ func (p *Process) GrantAll() (int, error) {
 			err = fmt.Errorf("process %v: blocked process may not reply (G3)", p.cfg.ID)
 			return
 		}
-		for from := range p.pendingIn {
+		for _, from := range sortedProcs(p.pendingIn) {
 			delete(p.pendingIn, from)
 			p.send(from, msg.Reply{})
 			n++
@@ -295,7 +295,7 @@ func (p *Process) startProbeStep() (id.Tag, bool) {
 	p.nextN++
 	p.computations++
 	tag := id.Tag{Initiator: p.cfg.ID, N: p.nextN}
-	for t := range p.waitingFor {
+	for _, t := range sortedProcs(p.waitingFor) {
 		p.send(t, msg.Probe{Tag: tag})
 		p.probesSent++
 	}
@@ -450,7 +450,7 @@ func (p *Process) handleProbeStep(sender id.Proc, tag id.Tag, after []func()) []
 		return after
 	}
 	p.latest[tag.Initiator] = tag.N
-	for t := range p.waitingFor {
+	for _, t := range sortedProcs(p.waitingFor) {
 		p.send(t, msg.Probe{Tag: tag})
 		p.probesSent++
 	}
@@ -482,7 +482,7 @@ func (p *Process) handleWFGDStep(_ id.Proc, m msg.WFGD, after []func()) []func()
 // propagateWFGDStep sends M' = {(vk, vj)} ∪ S_j to every vk with a
 // black incoming edge (vk, vj), suppressing duplicates.
 func (p *Process) propagateWFGDStep(after []func()) []func() {
-	for k := range p.pendingIn {
+	for _, k := range sortedProcs(p.pendingIn) {
 		out := msg.WFGD{Edges: append(p.blackPathEdgesStep(), id.Edge{From: k, To: p.cfg.ID})}
 		canon, key := out.Canonical()
 		sent, ok := p.sentWFGD[k]
@@ -599,6 +599,10 @@ type Stats struct {
 	WaitsAborted uint64
 }
 
+// sortedProcs returns the members of s in ascending order. Every
+// fan-out loop sends in this order, not map order: under a seeded
+// simulator each send draws its latency from the scheduler's RNG, so
+// the destination order is part of the run.
 func sortedProcs(s map[id.Proc]struct{}) []id.Proc {
 	out := make([]id.Proc, 0, len(s))
 	for v := range s {

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/wal"
 )
 
 // The experiment functions are exercised at small scale so the full
@@ -219,45 +219,38 @@ func TestE14CrashRecovery(t *testing.T) {
 
 func TestExperimentsAreDeterministic(t *testing.T) {
 	// Everything runs on the seeded simulator, so two runs of the same
-	// experiment must render byte-identical tables.
-	_, t1, err := E1ProbesPerComputation([]int{5, 9})
-	if err != nil {
-		t.Fatal(err)
+	// experiment in one process must render byte-identical tables. E4
+	// fans probes out to several processes at once, so it also catches a
+	// send loop that follows map order.
+	runs := []struct {
+		id  string
+		run func() (fmt.Stringer, error)
+	}{
+		{"E1", func() (fmt.Stringer, error) {
+			_, table, err := E1ProbesPerComputation([]int{5, 9})
+			return table, err
+		}},
+		{"E4", func() (fmt.Stringer, error) {
+			_, table, err := E4Correctness([]int64{1, 2, 3})
+			return table, err
+		}},
+		{"E6", func() (fmt.Stringer, error) {
+			_, table, err := E6DDBInitiation([]float64{0.5})
+			return table, err
+		}},
 	}
-	_, t2, err := E1ProbesPerComputation([]int{5, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1.String() != t2.String() {
-		t.Fatalf("E1 not deterministic:\n%s\nvs\n%s", t1, t2)
-	}
-	_, t3, err := E6DDBInitiation([]float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, t4, err := E6DDBInitiation([]float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t3.String() != t4.String() {
-		t.Fatalf("E6 not deterministic:\n%s\nvs\n%s", t3, t4)
-	}
-}
-
-func TestRunAllJSONSubset(t *testing.T) {
-	var sb strings.Builder
-	if err := RunAllJSON(&sb, map[string]bool{"E5": true}); err != nil {
-		t.Fatal(err)
-	}
-	var results []Result
-	if err := json.Unmarshal([]byte(sb.String()), &results); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
-	}
-	if len(results) != 1 || results[0].ID != "E5" {
-		t.Fatalf("results = %+v", results)
-	}
-	if results[0].Rows == nil {
-		t.Fatal("rows missing from JSON export")
+	for _, r := range runs {
+		first, err := r.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := r.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("%s not deterministic:\n%s\nvs\n%s", r.id, first, second)
+		}
 	}
 }
 
@@ -339,29 +332,106 @@ func TestE17OpenLoop(t *testing.T) {
 }
 
 func TestE17SimRowsDeterministic(t *testing.T) {
-	// The gated sim rows must replay identically: bench-compare holds
-	// their throughput and p99 columns against the committed baseline.
-	for _, victim := range []string{"none", "youngest"} {
-		a, err := workloadRun(victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := workloadRun(victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("%s: sim row not deterministic:\n%+v\nvs\n%+v", victim, a, b)
+	// The sim rows run in virtual time, so a replay in the same process
+	// must give the same rows field for field, throughput and latency
+	// percentiles included.
+	a, err := e17SimRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e17SimRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("sim rows: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: sim row not deterministic:\n%+v\nvs\n%+v", a[i].Victim, a[i], b[i])
 		}
 	}
 }
 
-// workloadRun executes one E17 sim leg and returns its row (E17Row is
-// comparable, so == is the whole-row check).
-func workloadRun(victim string) (E17Row, error) {
-	rep, err := workload.RunOpenLoop(e17SimConfig(victim))
-	if err != nil {
-		return E17Row{}, err
+// TestWallClockSelfChecks runs each wall-clock experiment once at its
+// default size and asserts what its table must show however fast the
+// machine is. It never asserts a rate. Several of these checks also
+// fail the experiment itself; repeating them here names the claim.
+func TestWallClockSelfChecks(t *testing.T) {
+	cases := []struct {
+		id    string
+		check func(t *testing.T)
+	}{
+		{"E13", func(t *testing.T) {
+			rows, _, err := E13IngressThroughput(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				// One frame in hostileEvery is a stray reply.
+				if want := uint64(r.Frames / hostileEvery); r.Rejected != want {
+					t.Errorf("batch=%d: %d hostile frames rejected, want %d", r.MaxBatch, r.Rejected, want)
+				}
+			}
+		}},
+		{"E16", func(t *testing.T) {
+			rows, _, err := E16WireCodec(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if r.Codec == "binary" && (r.EncAllocsPerOp != 0 || r.DecAllocsPerOp != 0) {
+					t.Errorf("binary codec allocates: encode %.1f/op, decode %.1f/op, want 0/0",
+						r.EncAllocsPerOp, r.DecAllocsPerOp)
+				}
+			}
+		}},
+		{"E18", func(t *testing.T) {
+			rows, _, err := E18Pipeline(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if r.VectorFlushShare != 1 {
+					t.Errorf("shards=%d: %.2f of flushes vectored, want all", r.Shards, r.VectorFlushShare)
+				}
+				if r.RingShare <= 0 {
+					t.Errorf("shards=%d: no delivery used the rings", r.Shards)
+				}
+			}
+		}},
+		{"E19", func(t *testing.T) {
+			rows, _, err := E19Recovery()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				switch {
+				case r.Mode == "durable-restore":
+					if r.SnapshotsRestored != e19Procs || r.TailReplayed != uint64(r.Frames) {
+						t.Errorf("durable restore: %d snapshots, %d tail frames replayed, want %d and %d",
+							r.SnapshotsRestored, r.TailReplayed, e19Procs, r.Frames)
+					}
+				case r.Fsync == wal.SyncAlways.String():
+					if r.RecordsPerSync <= 1 {
+						t.Errorf("fsync=always: %.2f records per sync, want > 1", r.RecordsPerSync)
+					}
+				}
+			}
+		}},
+		{"E20", func(t *testing.T) {
+			// The run itself fails on a lost or duplicated frame and on
+			// migration counters other than one out, one in.
+			rows, _, err := E20Migration()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 3 || rows[1].Phase != "migration" || rows[1].MigrateMs <= 0 {
+				t.Fatalf("rows = %+v, want intra-host, migration, cross-host with a measured move", rows)
+			}
+		}},
 	}
-	return rowFromReport(rep), nil
+	for _, c := range cases {
+		t.Run(c.id, c.check)
+	}
 }

@@ -41,10 +41,6 @@ type E13Row struct {
 	Rejected uint64
 	// MailboxPeak is the deepest the receiver's mailbox got.
 	MailboxPeak int64
-	// DetectP99Us is the p99 probe-initiation-to-declaration latency
-	// over this batching configuration (see detectlat.go) — batching
-	// must not hold detection probes hostage to throughput.
-	DetectP99Us float64
 }
 
 // hostileEvery makes one frame in this many a stray reply.
@@ -61,7 +57,7 @@ func E13IngressThroughput(batches []int) ([]E13Row, *metrics.Table, error) {
 	const frames = 20000
 	table := metrics.NewTable(
 		"E13 — ingress throughput vs write batching (TCP loopback, hostile frames dropped)",
-		"max_batch", "frames", "wall_ms", "kframes_per_s", "flushes", "coalesce", "rejected", "mbox_peak", "detect_p99_us")
+		"max_batch", "frames", "wall_ms", "kframes_per_s", "flushes", "coalesce", "rejected", "mbox_peak")
 	rows := make([]E13Row, 0, len(batches))
 	for _, b := range batches {
 		row, err := ingressLeg(b, frames)
@@ -70,7 +66,7 @@ func E13IngressThroughput(batches []int) ([]E13Row, *metrics.Table, error) {
 		}
 		rows = append(rows, row)
 		table.AddRow(row.MaxBatch, row.Frames, row.WallMs, row.KFramesPerSec,
-			row.Flushes, row.Coalesce, row.Rejected, row.MailboxPeak, row.DetectP99Us)
+			row.Flushes, row.Coalesce, row.Rejected, row.MailboxPeak)
 	}
 	return rows, table, nil
 }
@@ -135,15 +131,6 @@ func ingressLeg(maxBatch, frames int) (E13Row, error) {
 	}
 	if ts.Flushes > 0 {
 		row.Coalesce = float64(ts.FramesWritten) / float64(ts.Flushes)
-	}
-	// Detection latency under the same batching configuration, on a
-	// fresh pipeline: the throughput pump above leaves its net saturated.
-	row.DetectP99Us, err = tcpDetectP99Us(transport.TCPOptions{
-		MaxBatch:         maxBatch,
-		MailboxHighWater: 1024,
-	})
-	if err != nil {
-		return E13Row{}, err
 	}
 	return row, nil
 }

@@ -8,11 +8,9 @@ package experiments
 // sustained across a mid-storm migration (with the unavailability
 // window and the frames the protocol forwarded and replayed to keep
 // per-pair FIFO intact), and the cross-host rate once the process
-// lives on its new home. The gated figure is MigrateMs — the
-// unavailability window is what this subsystem promises and it is
-// stable run to run; the pump rates are informational (open-loop
-// wall-clock rates through a full gossip cluster swing ~25% on a
-// shared box, too wide for the 10% throughput gate).
+// lives on its new home. All figures are wall clock and printed, not
+// gated; what the run checks is that no frame is lost or duplicated
+// across the move and that exactly one migration left and arrived.
 
 import (
 	"fmt"
@@ -34,13 +32,10 @@ type E20Row struct {
 	Phase string
 	// Frames is the number of probe envelopes pumped in this phase.
 	Frames int
-	// WallMs is first send to last delivery; PumpKFramesPerSec the
-	// achieved end-to-end rate in thousands of frames per second. The
-	// field is deliberately NOT named KFramesPerSec: that name is in the
-	// comparator's gated throughput set, and these open-loop rates are
-	// too noisy to gate — MigrateMs is E20's gated column.
-	WallMs            float64
-	PumpKFramesPerSec float64
+	// WallMs is first send to last delivery; KFramesPerSec the achieved
+	// end-to-end rate in thousands of frames per second.
+	WallMs        float64
+	KFramesPerSec float64
 	// MigrateMs is the unavailability window: from the Migrate call to
 	// the instant the process is installed and stepping on the target
 	// host (migration phase only).
@@ -94,47 +89,25 @@ func (h *e20Host) close() {
 	h.tcp.Close()
 }
 
-// E20Migration runs the three-phase migration experiment. Each attempt
-// assembles a fresh cluster and performs one live move; the reported
-// row per phase is the best of three attempts, because the phases are
-// open-loop wall-clock measurements on a shared box — a scheduler
-// stall in one attempt would otherwise fail a 10% regression gate that
-// the protocol had nothing to do with. The correctness figures
-// (replayed + forwarded, counters) come from the same attempt as the
-// reported rate.
+// E20Migration assembles a fresh two-host cluster and runs the three
+// phases around one live move. The unthrottled phases pump enough
+// frames for a multi-tens-of-ms window; the migration storm is
+// throttled to outlive the move, so its wall time is long regardless.
 func E20Migration() ([]E20Row, *metrics.Table, error) {
-	// The unthrottled phases pump enough frames for a multi-tens-of-ms
-	// measurement window — at intra-host rates 20k frames finish in
-	// ~4ms, far too short for a stable figure under a 10% gate. The
-	// migration storm stays smaller: it is throttled to outlive the
-	// move, so its wall time is long regardless.
 	const (
 		intraFrames = 100_000
 		stormFrames = 50_000
 		crossFrames = 50_000
-		attempts    = 2
 	)
+	rows, err := migrationLegs(intraFrames, stormFrames, crossFrames)
+	if err != nil {
+		return nil, nil, err
+	}
 	table := metrics.NewTable(
 		"E20 — live migration: pump rate before, across, and after moving a process between hosts",
 		"phase", "frames", "wall_ms", "kframes_per_s", "migrate_ms", "replayed", "forwarded")
-	var rows []E20Row
-	for a := 0; a < attempts; a++ {
-		got, err := migrationLegs(intraFrames, stormFrames, crossFrames)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rows == nil {
-			rows = got
-			continue
-		}
-		for i := range rows {
-			if got[i].PumpKFramesPerSec > rows[i].PumpKFramesPerSec {
-				rows[i] = got[i]
-			}
-		}
-	}
 	for _, row := range rows {
-		table.AddRow(row.Phase, row.Frames, row.WallMs, row.PumpKFramesPerSec,
+		table.AddRow(row.Phase, row.Frames, row.WallMs, row.KFramesPerSec,
 			row.MigrateMs, row.FramesReplayed, row.FramesForwarded)
 	}
 	return rows, table, nil
@@ -222,50 +195,28 @@ func migrationLegs(intraFrames, stormFrames, crossFrames int) ([]E20Row, error) 
 	pump := func(phase string, lo, hi int, throttle bool) (E20Row, error) {
 		row := E20Row{Phase: phase, Frames: hi - lo}
 		start := time.Now()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := lo; i < hi; i++ {
-				h1.eng.Send(sender, target, msg.Probe{Tag: id.Tag{Initiator: id.Proc(sender), N: uint64(i)}})
-				if throttle && i%64 == 0 {
-					time.Sleep(200 * time.Microsecond) // keep the storm alive across the move
-				}
+		for i := lo; i < hi; i++ {
+			h1.eng.Send(sender, target, msg.Probe{Tag: id.Tag{Initiator: id.Proc(sender), N: uint64(i)}})
+			if throttle && i%64 == 0 {
+				time.Sleep(200 * time.Microsecond) // keep the storm alive across the move
 			}
-		}()
-		<-done
-		if err := e20Wait(60*time.Second, func() bool { return delivered() == uint64(hi) }); err != nil {
+		}
+		if err := e20Wait(60*time.Second, func() bool { return delivered() >= uint64(hi) }); err != nil {
 			return row, fmt.Errorf("%s: %d/%d frames: %w", phase, delivered(), hi, err)
 		}
 		elapsed := time.Since(start)
+		// The count rides the snapshot across the move, so a frame lost
+		// or delivered twice shows up here as a mismatch.
+		if got := delivered(); got != uint64(hi) {
+			return row, fmt.Errorf("%s: %d frames delivered, want %d", phase, got, hi)
+		}
 		row.WallMs = float64(elapsed.Nanoseconds()) / 1e6
-		row.PumpKFramesPerSec = float64(row.Frames) / elapsed.Seconds() / 1e3
+		row.KFramesPerSec = float64(row.Frames) / elapsed.Seconds() / 1e3
 		return row, nil
 	}
 
-	// The unthrottled phases are repeatable, so each runs pumpWindows
-	// back-to-back windows and reports the best one: an open-loop
-	// wall-clock rate on a shared box is a max-throughput claim, and
-	// the windows a scheduler stall lands in are not evidence against
-	// it. (The migration storm cannot repeat — one move per cluster.)
-	const pumpWindows = 4
-	cursor := 0
-	bestOf := func(phase string, frames int) (E20Row, error) {
-		var best E20Row
-		for w := 0; w < pumpWindows; w++ {
-			row, err := pump(phase, cursor, cursor+frames, false)
-			cursor += frames
-			if err != nil {
-				return row, err
-			}
-			if row.PumpKFramesPerSec > best.PumpKFramesPerSec {
-				best = row
-			}
-		}
-		return best, nil
-	}
-
 	// Phase 1: intra-host steady state.
-	intra, err := bestOf("intra-host", intraFrames)
+	intra, err := pump("intra-host", 0, intraFrames, false)
 	if err != nil {
 		return fail(err)
 	}
@@ -273,9 +224,8 @@ func migrationLegs(intraFrames, stormFrames, crossFrames int) ([]E20Row, error) 
 	// Phase 2: the same storm with a live migration landing mid-flight.
 	// The sender throttles lightly so the storm outlives the move; the
 	// migration starts once a fifth of the phase's frames are through.
-	stormStart := cursor
+	stormStart := intraFrames
 	stormEnd := stormStart + stormFrames
-	cursor = stormEnd
 	storm := make(chan E20Row, 1)
 	stormErr := make(chan error, 1)
 	go func() {
@@ -318,7 +268,7 @@ func migrationLegs(intraFrames, stormFrames, crossFrames int) ([]E20Row, error) 
 	}
 
 	// Phase 3: the same sender, now cross-host.
-	cross, err := bestOf("cross-host", crossFrames)
+	cross, err := pump("cross-host", stormEnd, stormEnd+crossFrames, false)
 	if err != nil {
 		return fail(err)
 	}

@@ -6,10 +6,9 @@ package experiments
 // it matters: probes sent per COMMITTED transaction, deadlocks per 1k
 // commits, and the block-to-declaration latency distribution. The sim
 // rows compare victim policies on an identical seeded workload — they
-// are fully deterministic, so the bench-compare gate holds their
-// throughput and p99 columns exactly; the host row runs the same
-// generator over the sharded engine runtime at a capped arrival rate
-// for a wall-clock figure.
+// are fully deterministic, so TestGoldenTables holds them byte for
+// byte; the host row runs the same generator over the sharded engine
+// runtime at a capped arrival rate for a wall-clock figure.
 
 import (
 	"fmt"
@@ -115,24 +114,9 @@ func E17OpenLoop(hostMaxTxns int64) ([]E17Row, *metrics.Table, error) {
 	if hostMaxTxns <= 0 {
 		hostMaxTxns = 30000
 	}
-	table := metrics.NewTable(
-		"E17 — open-loop Zipfian workload: detection cost per committed txn, by victim policy",
-		"runtime", "victim", "started", "committed", "aborted", "deadlocks",
-		"dl_per_1k", "probes_per_commit", "ktxns_s", "p50_us", "p99_us", "false", "uncovered")
-	var rows []E17Row
-	for _, victim := range []string{workload.VictimNone, workload.VictimYoungest, workload.VictimRandom} {
-		rep, err := workload.RunOpenLoop(e17SimConfig(victim))
-		if err != nil {
-			return nil, nil, fmt.Errorf("E17 sim %s: %w", victim, err)
-		}
-		if rep.ProtocolErrors != 0 {
-			return nil, nil, fmt.Errorf("E17 sim %s: %d protocol errors", victim, rep.ProtocolErrors)
-		}
-		if victim == workload.VictimNone && (rep.FalseDeadlocks != 0 || rep.UncoveredCycles != 0) {
-			return nil, nil, fmt.Errorf("E17 sim none: false=%d uncovered=%d, want 0/0",
-				rep.FalseDeadlocks, rep.UncoveredCycles)
-		}
-		rows = append(rows, rowFromReport(rep))
+	rows, err := e17SimRows()
+	if err != nil {
+		return nil, nil, err
 	}
 	hostRep, err := workload.RunOpenLoop(e17HostConfig(hostMaxTxns))
 	if err != nil {
@@ -142,12 +126,42 @@ func E17OpenLoop(hostMaxTxns int64) ([]E17Row, *metrics.Table, error) {
 		return nil, nil, fmt.Errorf("E17 host: %d protocol errors", hostRep.ProtocolErrors)
 	}
 	rows = append(rows, rowFromReport(hostRep))
+	return rows, e17Table(rows), nil
+}
+
+// e17SimRows runs the victim-policy comparison on the seeded simulator,
+// one row per policy.
+func e17SimRows() ([]E17Row, error) {
+	var rows []E17Row
+	for _, victim := range []string{workload.VictimNone, workload.VictimYoungest, workload.VictimRandom} {
+		rep, err := workload.RunOpenLoop(e17SimConfig(victim))
+		if err != nil {
+			return nil, fmt.Errorf("E17 sim %s: %w", victim, err)
+		}
+		if rep.ProtocolErrors != 0 {
+			return nil, fmt.Errorf("E17 sim %s: %d protocol errors", victim, rep.ProtocolErrors)
+		}
+		if victim == workload.VictimNone && (rep.FalseDeadlocks != 0 || rep.UncoveredCycles != 0) {
+			return nil, fmt.Errorf("E17 sim none: false=%d uncovered=%d, want 0/0",
+				rep.FalseDeadlocks, rep.UncoveredCycles)
+		}
+		rows = append(rows, rowFromReport(rep))
+	}
+	return rows, nil
+}
+
+// e17Table renders E17 rows.
+func e17Table(rows []E17Row) *metrics.Table {
+	table := metrics.NewTable(
+		"E17 — open-loop Zipfian workload: detection cost per committed txn, by victim policy",
+		"runtime", "victim", "started", "committed", "aborted", "deadlocks",
+		"dl_per_1k", "probes_per_commit", "ktxns_s", "p50_us", "p99_us", "false", "uncovered")
 	for _, r := range rows {
 		table.AddRow(r.Runtime, r.Victim, r.Started, r.Committed, r.Aborted, r.Deadlocks,
 			r.DeadlocksPer1kCommits, r.ProbesPerCommit, r.KTxnsPerSec,
 			r.DetectP50Us, r.DetectP99Us, r.FalseDeadlocks, r.UncoveredCycles)
 	}
-	return rows, table, nil
+	return table
 }
 
 // rowFromReport projects a workload report onto the table row.

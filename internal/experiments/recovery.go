@@ -7,8 +7,7 @@ package experiments
 // durable leg loads the newest checkpoint and replays only the
 // post-checkpoint WAL tail locally, at memory speed, with no wire
 // traffic at all. Both legs report their recovery rate in the
-// KFramesPerSec column so cmhbench -compare gates them in CI alongside
-// the other perf experiments; the contrast between the two rows is the
+// KFramesPerSec column; the contrast between the two rows is the
 // quantitative case for DESIGN.md §11's checkpoint-plus-tail model.
 //
 // Three more rows price the other side of that trade — what journaling
@@ -57,7 +56,7 @@ type E19Row struct {
 	// IngestMs is an ingest leg's wall time, first send to last delivery.
 	IngestMs float64
 	// KFramesPerSec is Frames recovered (or ingested) per second, in
-	// thousands — the gated rate.
+	// thousands.
 	KFramesPerSec float64
 	// RecordsPerSync is journal records per fsync on an ingest leg (0
 	// when the policy never synced during the storm).

@@ -7,8 +7,9 @@ package experiments
 // path": encode/decode ns and allocs per frame, bytes per frame on the
 // wire, and the end-to-end TCP loopback frame rate under each codec.
 // The binary rows must show 0 allocs/op on the steady-state encode
-// path — that is the tentpole claim, asserted by BenchmarkE16WireCodec
-// and gated in CI by cmhbench -compare.
+// and decode paths; TestWallClockSelfChecks asserts it on every test
+// run, and the msg package's AllocsPerRun tests pin each codec's
+// figures beside the code.
 
 import (
 	"bytes"
@@ -44,9 +45,6 @@ type E16Row struct {
 	// per second.
 	Frames            int
 	WireKFramesPerSec float64
-	// DetectP99Us is the p99 probe-initiation-to-declaration latency on
-	// a loopback pipeline under this codec (see detectlat.go).
-	DetectP99Us float64
 }
 
 // codecProbeEnv is the steady-state frame both codecs are measured on:
@@ -72,7 +70,7 @@ func E16WireCodec(wireFrames int) ([]E16Row, *metrics.Table, error) {
 	table := metrics.NewTable(
 		"E16 — wire codec cost per probe frame (gob vs binary)",
 		"codec", "enc_ns_op", "enc_allocs_op", "bytes_frame", "dec_ns_op", "dec_allocs_op",
-		"frames", "wire_kframes_s", "detect_p99_us")
+		"frames", "wire_kframes_s")
 	rows := make([]E16Row, 0, 2)
 	for _, f := range []msg.WireFormat{msg.WireGob, msg.WireBinary} {
 		row, err := codecLeg(f, wireFrames)
@@ -81,7 +79,7 @@ func E16WireCodec(wireFrames int) ([]E16Row, *metrics.Table, error) {
 		}
 		rows = append(rows, row)
 		table.AddRow(row.Codec, row.EncNsPerOp, row.EncAllocsPerOp, row.BytesPerFrame,
-			row.DecNsPerOp, row.DecAllocsPerOp, row.Frames, row.WireKFramesPerSec, row.DetectP99Us)
+			row.DecNsPerOp, row.DecAllocsPerOp, row.Frames, row.WireKFramesPerSec)
 	}
 	return rows, table, nil
 }
@@ -172,10 +170,6 @@ func codecLeg(f msg.WireFormat, wireFrames int) (E16Row, error) {
 		return row, err
 	}
 	row.WireKFramesPerSec = kfps
-	row.DetectP99Us, err = tcpDetectP99Us(transport.TCPOptions{Codec: f, MaxBatch: 64})
-	if err != nil {
-		return row, err
-	}
 	return row, nil
 }
 

@@ -31,9 +31,19 @@ func pooledRoundTripEnvs() []Envelope {
 
 // TestPooledDecodeRoundTrip checks a pooled decoder yields pointer
 // forms for the hot types whose dereferenced payloads match what was
-// sent, value/singleton forms for everything else, on both codecs.
+// sent, value/singleton forms for everything else, on both codecs. Each
+// codec's steady-state probe allocations are held to a ceiling: zero
+// for binary, and gob's long-standing one per encode and four per
+// decode, so a gob regression shows up here rather than on a wire.
 func TestPooledDecodeRoundTrip(t *testing.T) {
-	for _, wire := range []WireFormat{WireBinary, WireGob} {
+	for _, tc := range []struct {
+		wire                 WireFormat
+		encAllocs, decAllocs float64
+	}{
+		{WireBinary, 0, 0},
+		{WireGob, 1, 4},
+	} {
+		wire := tc.wire
 		var buf bytes.Buffer
 		enc := NewEncoderFormat(&buf, wire)
 		envs := pooledRoundTripEnvs()
@@ -63,7 +73,55 @@ func TestPooledDecodeRoundTrip(t *testing.T) {
 			}
 			Recycle(got.Msg)
 		}
+		if enc, dec := steadyProbeAllocs(t, wire); enc > tc.encAllocs || dec > tc.decAllocs {
+			t.Errorf("%v: %.1f allocs per probe encode, %.1f per decode; ceilings %.0f and %.0f",
+				wire, enc, dec, tc.encAllocs, tc.decAllocs)
+		}
 	}
+}
+
+// steadyProbeAllocs measures allocations per probe frame on an
+// established stream: one EncodeBuffered plus Flush, and one pooled
+// Decode whose message is recycled, as the transport's dispatch does.
+func steadyProbeAllocs(t *testing.T, wire WireFormat) (enc, dec float64) {
+	t.Helper()
+	env := Envelope{From: 1, To: 2, Seq: 1, Epoch: 7, Msg: Probe{Tag: id.Tag{Initiator: 1, N: 1}}}
+	e := NewEncoderFormat(io.Discard, wire)
+	if err := e.Encode(env); err != nil { // stream preamble, gob type descriptors
+		t.Fatal(err)
+	}
+	enc = testing.AllocsPerRun(500, func() {
+		env.Seq++
+		if err := e.EncodeBuffered(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var stream bytes.Buffer
+	w := NewEncoderFormat(&stream, wire)
+	for i := 0; i < 600; i++ {
+		env.Seq++
+		if err := w.EncodeBuffered(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d := NewPooledDecoder(&stream)
+	if _, err := d.Decode(); err != nil { // stream preamble
+		t.Fatal(err)
+	}
+	dec = testing.AllocsPerRun(500, func() {
+		got, err := d.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Recycle(got.Msg)
+	})
+	return enc, dec
 }
 
 // TestRecycleZeroes checks a recycled message comes back from the pool

@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/id"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func TestRingTopologyShape(t *testing.T) {
@@ -174,5 +176,41 @@ func TestChurnRequiresAutoGrant(t *testing.T) {
 	}
 	if err := RunChurn(sys, ChurnOptions{Horizon: 1}); err == nil {
 		t.Fatal("churn without AutoGrant accepted")
+	}
+}
+
+// TestBasicSystemSeedDeterminism runs one seed ten times and requires
+// the same declarations and message counts every time. Under uniform
+// latency each send draws its delay from the scheduler's RNG, so a
+// process that fanned out in map order (probes, WFGD, GrantAll replies)
+// would change the run from one execution to the next.
+func TestBasicSystemSeedDeterminism(t *testing.T) {
+	latency := transport.UniformLatency{Min: 100 * sim.Microsecond, Max: 2 * sim.Millisecond}
+	run := func() string {
+		// Two outgoing edges per process: probe and WFGD fan-out.
+		dl, err := NewBasicSystem(16, BasicOptions{Seed: 4, Latency: latency})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dl.Apply(RandomKOut(16, 2, rand.New(rand.NewSource(4)))); err != nil {
+			t.Fatal(err)
+		}
+		dl.Run(1 << 22)
+		// Deadlock-free churn with two requests per batch: GrantAll.
+		churn, err := NewBasicSystem(16, BasicOptions{Seed: 4, Latency: latency, AutoGrant: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RunChurn(churn, ChurnOptions{Horizon: sim.Time(100 * sim.Millisecond), MeanThink: 2 * sim.Millisecond, Fanout: 2}); err != nil {
+			t.Fatal(err)
+		}
+		churn.Run(1 << 22)
+		return fmt.Sprint(dl.Detections, dl.Counters.Snapshot(), churn.Sched.Now(), churn.Counters.Snapshot())
+	}
+	want := run()
+	for i := 1; i < 10; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, got, want)
+		}
 	}
 }
