@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenLoopConfig -fuzztime=10s ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALSegment -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzWALGroupCut -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzClusterWire -fuzztime=10s ./internal/cluster
 
 # Seeded fault-injection conformance under the race detector: the six

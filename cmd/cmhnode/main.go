@@ -599,6 +599,7 @@ func durableFinish(out io.Writer, hostID transport.NodeID, host *engine.Host, wl
 		LogRecords:         ws.Records,
 		LogSegments:        ws.Segments,
 		LogSyncs:           ws.Syncs,
+		LogWrites:          ws.Writes,
 		LastCheckpointSeq:  ws.LastCheckpointSeq,
 	}))
 }

@@ -13,11 +13,12 @@ package experiments
 // Three more rows price the other side of that trade — what journaling
 // costs while the host is up: a windowed one-way probe storm ingested by
 // a WAL-attached host under each fsync policy. The rate is what the
-// journal leaves of the wire's; records_per_sync is how many frames one
-// durability barrier covered. Under fsync=always that figure is the
-// group-commit factor (DESIGN.md §11): every frame is on disk before it
-// is delivered or acknowledged, and a loaded reader amortises the fsync
-// over everything that arrived during the previous one.
+// journal leaves of the wire's; records_per_sync and records_per_write
+// are how many frames one fsync and one write(2) covered. Under
+// fsync=always records_per_sync is the group-commit factor (DESIGN.md
+// §11): every frame is on disk before it is delivered or acknowledged,
+// and a loaded reader amortises the fsync over everything that arrived
+// during the previous one.
 
 import (
 	"fmt"
@@ -58,9 +59,9 @@ type E19Row struct {
 	// KFramesPerSec is Frames recovered (or ingested) per second, in
 	// thousands.
 	KFramesPerSec float64
-	// RecordsPerSync is journal records per fsync on an ingest leg (0
-	// when the policy never synced during the storm).
-	RecordsPerSync float64
+	// RecordsPerSync and RecordsPerWrite are journal records per fsync
+	// and per write(2) on an ingest leg (0 when the policy never synced).
+	RecordsPerSync, RecordsPerWrite float64
 	// SnapshotsRestored and TailReplayed echo the engine's RestoreStats
 	// on the durable leg (zero on the blank leg).
 	SnapshotsRestored int
@@ -79,7 +80,7 @@ func E19Recovery() ([]E19Row, *metrics.Table, error) {
 	table := metrics.NewTable(
 		"E19 — recovery time: blank wire re-derivation vs checkpoint load + WAL tail replay; WAL-on ingest by fsync policy",
 		"mode", "fsync", "procs", "frames", "ckpt_frames", "recover_ms", "ingest_ms", "kframes_per_s",
-		"snapshots", "tail_replayed", "records_per_sync")
+		"snapshots", "tail_replayed", "records_per_sync", "records_per_write")
 	blank, err := blankRecoveryLeg(shards, pre, tail)
 	if err != nil {
 		return nil, nil, err
@@ -99,7 +100,7 @@ func E19Recovery() ([]E19Row, *metrics.Table, error) {
 	for _, row := range rows {
 		table.AddRow(row.Mode, row.Fsync, row.Procs, row.Frames, row.CheckpointFrames,
 			row.RecoverMs, row.IngestMs, row.KFramesPerSec,
-			row.SnapshotsRestored, row.TailReplayed, row.RecordsPerSync)
+			row.SnapshotsRestored, row.TailReplayed, row.RecordsPerSync, row.RecordsPerWrite)
 	}
 	return rows, table, nil
 }
@@ -448,6 +449,7 @@ func walIngestLeg(shards, frames int, policy wal.SyncPolicy) (E19Row, error) {
 	if records != uint64(frames) {
 		return fail(fmt.Errorf("journaled %d records for %d delivered frames", records, frames))
 	}
+	row.RecordsPerWrite = float64(records) / float64(after.Writes-before.Writes)
 	if syncs > 0 {
 		row.RecordsPerSync = float64(records) / float64(syncs)
 	}

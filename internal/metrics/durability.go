@@ -18,6 +18,7 @@ type DurabilityCounters struct {
 	LogRecords        uint64
 	LogSegments       int
 	LogSyncs          uint64
+	LogWrites         uint64
 	LastCheckpointSeq uint64
 }
 
@@ -37,15 +38,20 @@ func DurabilityStatsTable(c DurabilityCounters) string {
 	t.AddRow("log records", c.LogRecords)
 	t.AddRow("log segments", c.LogSegments)
 	t.AddRow("log syncs", c.LogSyncs)
-	// The achieved group-commit factor: journal records this process
-	// appended per fsync of the log (0 when it never synced). Derived
-	// from the two counters above, so observing it costs the hot path
+	// The achieved group sizes: journal records this process appended
+	// per fsync and per write(2) of the log (0 when it never did one).
+	// Derived from the counters, so observing them costs the hot path
 	// nothing.
-	perSync := 0.0
-	if c.LogSyncs > 0 {
-		perSync = float64(c.RecordsAppended) / float64(c.LogSyncs)
-	}
-	t.AddRow("records per sync", perSync)
+	t.AddRow("records per sync", perCall(c.RecordsAppended, c.LogSyncs))
+	t.AddRow("log writes", c.LogWrites)
+	t.AddRow("records per write", perCall(c.RecordsAppended, c.LogWrites))
 	t.AddRow("last checkpoint seq", c.LastCheckpointSeq)
 	return t.String()
+}
+
+func perCall(records, calls uint64) float64 {
+	if calls == 0 {
+		return 0
+	}
+	return float64(records) / float64(calls)
 }

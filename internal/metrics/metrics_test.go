@@ -131,17 +131,21 @@ func TestTCPStatsTable(t *testing.T) {
 }
 
 // TestDurabilityStatsTableRecordsPerSync pins the derived group-commit
-// row: records appended over log syncs, and 0 — not a division by zero —
-// for a log that never synced.
+// rows: records appended over log syncs and over log writes, and 0 —
+// not a division by zero — for a log that never synced or wrote.
 func TestDurabilityStatsTableRecordsPerSync(t *testing.T) {
-	out := DurabilityStatsTable(DurabilityCounters{RecordsAppended: 900, LogSyncs: 120})
-	if !strings.Contains(out, "records per sync") || !strings.Contains(out, "7.5") {
-		t.Fatalf("table lacks the records-per-sync row at 7.5:\n%s", out)
+	out := DurabilityStatsTable(DurabilityCounters{RecordsAppended: 900, LogSyncs: 120, LogWrites: 225})
+	for _, want := range []string{"records per sync", "7.5", "log writes", "225", "records per write", "4"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("table lacks %q (records per sync 7.5, per write 4):\n%s", want, out)
+		}
 	}
 	out = DurabilityStatsTable(DurabilityCounters{RecordsAppended: 900})
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "records per sync") && strings.TrimSpace(strings.TrimPrefix(line, "records per sync")) != "0" {
-			t.Fatalf("never-synced log renders %q, want 0", line)
+		for _, row := range []string{"records per sync", "records per write"} {
+			if strings.HasPrefix(line, row) && strings.TrimSpace(strings.TrimPrefix(line, row)) != "0" {
+				t.Fatalf("never-synced, never-written log renders %q, want 0", line)
+			}
 		}
 	}
 }

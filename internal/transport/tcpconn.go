@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,12 +195,24 @@ func (l *outLink) run() {
 			}
 			continue
 		}
-		ping := l.pingDue
-		l.pingDue = false
-		if len(l.queue) == 0 && !ping {
+		if len(l.queue) == 0 && !l.pingDue {
 			l.mu.Unlock()
 			continue
 		}
+		// Unless a full batch is already queued, yield once before
+		// gathering: producers already runnable (the other shards, the
+		// inbound readers) append first, so one writev carries more.
+		if len(l.queue) < l.t.opts.MaxBatch {
+			l.mu.Unlock()
+			runtime.Gosched()
+			l.mu.Lock()
+			if l.closed || l.broken || l.conn == nil {
+				l.mu.Unlock()
+				continue
+			}
+		}
+		ping := l.pingDue
+		l.pingDue = false
 		// Coalesce up to MaxBatch queued envelopes into one buffered
 		// encode + single flush. The pooled copy lets Send keep appending
 		// while the batch is on the wire, without allocating a fresh

@@ -46,11 +46,15 @@ func checkpointSeqs(dir string) ([]uint64, error) {
 
 // WriteCheckpoint durably writes a new checkpoint with the next
 // sequence number and prunes all but the newest keepCheckpoints files.
+// The group buffer goes first: a NextLSN frontier never passes the file.
 func (w *Log) WriteCheckpoint(payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, fmt.Errorf("wal: checkpoint on closed log")
+	}
+	if err := w.writeLocked(); err != nil {
+		return 0, err
 	}
 	seq := w.ckptSeq + 1
 	buf := make([]byte, 0, ckptHdrLen+len(payload))

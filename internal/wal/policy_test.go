@@ -139,6 +139,28 @@ func TestGroupCommitSyncsPerGroup(t *testing.T) {
 	if got := w.Stats().Syncs; got != groups+3 {
 		t.Fatalf("Syncs = %d after 3 solo appends, want %d", got, groups+3)
 	}
+
+	// Whatever the policy, a group reaches the segment in one write(2).
+	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+		w := mustOpen(t, Options{Dir: t.TempDir(), Sync: pol, SyncEvery: time.Hour})
+		for g := 1; g <= groups; g++ {
+			for i := 0; i < perGroup; i++ {
+				if _, err := w.AppendDeferred(KindEnvelope, 1, []byte("grouped")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := w.Stats().Writes; got != uint64(g-1) {
+				t.Fatalf("%v group %d: %d writes before its commit, want %d", pol, g, got, g-1)
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.Stats().Writes; got != uint64(g) {
+				t.Fatalf("%v: %d writes after %d groups of %d, want one per group", pol, got, g, perGroup)
+			}
+		}
+		w.Close()
+	}
 }
 
 // TestCommitIsFreeOffAlways: under SyncInterval and SyncNever the

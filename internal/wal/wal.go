@@ -17,6 +17,7 @@ const (
 	segMagicLen    = 8
 	defaultSegSize = 8 << 20 // rotate segments at 8 MiB
 	defaultSyncGap = 50 * time.Millisecond
+	groupBufMax    = 64 << 10 // AppendDeferred writes the group buffer past this
 )
 
 // SyncPolicy selects when appended records are fsynced to disk.
@@ -80,7 +81,7 @@ type Options struct {
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
 	// Records is the number of committed records in the log, the
-	// recovered prefix included.
+	// recovered prefix and the group buffer included.
 	Records uint64
 	// RecordsAppended counts appends by this process.
 	RecordsAppended uint64
@@ -90,6 +91,8 @@ type Stats struct {
 	TornRecordsDropped uint64
 	// Syncs counts explicit fsyncs of the active segment.
 	Syncs uint64
+	// Writes counts the write(2) calls that carried records: one per group.
+	Writes uint64
 	// Segments is the live segment-file count.
 	Segments int
 	// CheckpointsTaken counts checkpoints written by this process.
@@ -108,13 +111,15 @@ type Log struct {
 	f        *os.File
 	segIdx   uint64
 	segIdxs  []uint64 // live segment indices, ascending
-	segOff   int64
-	count    uint64 // committed records (LSN of the last record)
+	segOff   int64    // bytes of the active segment in the kernel
+	count    uint64   // committed records (LSN of the last record)
 	appended uint64
 	torn     uint64
 	syncs    uint64
+	writes   uint64
 	dirty    bool
-	buf      []byte
+	buf      []byte // the group buffer: records not yet written
+	pending  uint64 // records in buf
 	// err latches the first write or fsync failure. After a failed
 	// fsync the kernel may drop the dirty pages and report the next
 	// fsync clean, so a retry would declare records durable that are
@@ -288,11 +293,11 @@ func (w *Log) Append(kind byte, gen uint64, payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// AppendDeferred writes one record and returns its LSN without making
-// it durable under any policy: the record is in the log (Scan sees it,
-// NextLSN counts it) but only a later Commit, Sync, rotation or Close
-// puts it on disk. A group of deferred appends followed by one Commit
-// is the group-commit path.
+// AppendDeferred adds one record to the group buffer and returns its
+// LSN without making it durable under any policy: the record is in the
+// log (Scan sees it, NextLSN counts it) until the buffer is written. A
+// group of deferred appends followed by one Commit is the group-commit
+// path: one write(2), and under SyncAlways one fsync, for the group.
 func (w *Log) AppendDeferred(kind byte, gen uint64, payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -300,9 +305,9 @@ func (w *Log) AppendDeferred(kind byte, gen uint64, payload []byte) (uint64, err
 }
 
 // Commit is the policy's durability barrier over every record appended
-// so far: one fsync under SyncAlways (none when nothing is unsynced),
-// nothing under SyncInterval and SyncNever, whose loss window the
-// ticker or the OS bounds instead.
+// so far: it writes the group buffer, then fsyncs under SyncAlways (not
+// when nothing is unsynced); under SyncInterval and SyncNever the
+// ticker or the OS bounds the loss window instead.
 func (w *Log) Commit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -319,31 +324,52 @@ func (w *Log) appendLocked(kind byte, gen uint64, payload []byte) (uint64, error
 	if w.err != nil {
 		return 0, w.err
 	}
-	if w.segOff >= w.opts.SegmentBytes {
+	if w.segOff+int64(len(w.buf)) >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err
 			return 0, err
 		}
 	}
-	w.buf = appendRecord(w.buf[:0], kind, gen, payload)
-	if _, err := w.f.Write(w.buf); err != nil {
-		// A short write leaves a torn record that later appends would
-		// land behind; nothing after it could ever be replayed.
-		w.err = fmt.Errorf("wal: write segment %d: %w", w.segIdx, err)
-		return 0, w.err
-	}
-	w.segOff += int64(len(w.buf))
+	w.buf = appendRecord(w.buf, kind, gen, payload)
+	w.pending++
 	w.count++
 	w.appended++
-	w.dirty = true
+	if len(w.buf) >= groupBufMax {
+		if err := w.writeLocked(); err != nil {
+			return 0, err
+		}
+	}
 	return w.count, nil
 }
 
-func (w *Log) commitLocked() error {
-	if w.opts.Sync != SyncAlways {
+// writeLocked hands the group buffer to the kernel in one write(2). A
+// failed or short write may leave a torn record nothing may follow: it
+// latches the error and takes the group back out of the log.
+func (w *Log) writeLocked() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	if _, err := w.f.Write(w.buf); err != nil {
+		w.count, w.appended = w.count-w.pending, w.appended-w.pending
+		w.buf, w.pending = w.buf[:0], 0
+		w.err = fmt.Errorf("wal: write segment %d: %w", w.segIdx, err)
 		return w.err
 	}
-	return w.syncLocked()
+	w.segOff += int64(len(w.buf))
+	w.buf, w.pending = w.buf[:0], 0
+	w.writes++
+	w.dirty = true
+	return nil
+}
+
+func (w *Log) commitLocked() error {
+	if w.opts.Sync == SyncAlways {
+		return w.syncLocked()
+	}
+	if err := w.writeLocked(); err != nil {
+		return err
+	}
+	return w.err
 }
 
 func (w *Log) rotateLocked() error {
@@ -360,6 +386,9 @@ func (w *Log) syncLocked() error {
 	if w.err != nil {
 		return w.err
 	}
+	if err := w.writeLocked(); err != nil {
+		return err
+	}
 	if !w.dirty {
 		return nil
 	}
@@ -372,7 +401,7 @@ func (w *Log) syncLocked() error {
 	return nil
 }
 
-// Sync fsyncs any unsynced appends.
+// Sync writes the group buffer and fsyncs any unsynced appends.
 func (w *Log) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -406,13 +435,17 @@ func (w *Log) NextLSN() uint64 {
 }
 
 // Scan replays every committed record in log order. The payload slice
-// is only valid during the callback. Scanning reads the segments back
-// from the filesystem, so it observes appends made by this process
-// whether or not they have been fsynced.
+// is only valid during the callback. Scanning writes the group buffer
+// and reads the segments back from the filesystem, so it observes
+// appends made by this process whether or not they have been fsynced.
 func (w *Log) Scan(fn func(lsn uint64, kind byte, gen uint64, payload []byte) error) error {
 	w.mu.Lock()
+	err := w.writeLocked()
 	idxs := append([]uint64(nil), w.segIdxs...)
 	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	var lsn uint64
 	for _, idx := range idxs {
 		data, err := os.ReadFile(filepath.Join(w.opts.Dir, segName(idx)))
@@ -444,6 +477,7 @@ func (w *Log) Stats() Stats {
 		RecordsAppended:    w.appended,
 		TornRecordsDropped: w.torn,
 		Syncs:              w.syncs,
+		Writes:             w.writes,
 		Segments:           len(w.segIdxs),
 		CheckpointsTaken:   w.ckpts,
 		LastCheckpointSeq:  w.ckptSeq,

@@ -270,3 +270,100 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatalf("interval-synced record lost: %v", got)
 	}
 }
+
+// TestGroupCutAtEveryByte is the crash semantics of the group buffer: a
+// committed group reaches the segment in one write, and a crash can cut
+// that write at any byte. Reopening must keep exactly the records that
+// ended before the cut, count the cut as one torn region, and continue
+// the LSNs from the kept prefix.
+func TestGroupCutAtEveryByte(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir, Sync: SyncNever})
+	if _, err := w.Append(KindEnvelope, 2, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	ends := []int64{w.segOff} // segment offset after each whole record
+	for i := 0; i < 6; i++ {
+		if _, err := w.AppendDeferred(KindEnvelope, 2, bytes.Repeat([]byte{byte('a' + i)}, i*3)); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, ends[len(ends)-1]+int64(len(appendRecord(nil, KindEnvelope, 2, make([]byte, i*3)))))
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Writes != 2 || w.segOff != ends[len(ends)-1] {
+		t.Fatalf("Writes = %d, segOff = %d; want 2 and %d", st.Writes, w.segOff, ends[len(ends)-1])
+	}
+	w.Close()
+	full, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for cut := ends[0] + 1; cut < ends[len(ends)-1]; cut++ {
+		whole := uint64(0)
+		for _, end := range ends {
+			if end <= cut {
+				whole++
+			}
+		}
+		cdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cdir, segName(1)), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w2 := mustOpen(t, Options{Dir: cdir, Sync: SyncNever})
+		st := w2.Stats()
+		torn := uint64(1)
+		if ends[whole-1] == cut {
+			torn = 0 // the cut fell on a record boundary: nothing torn
+		}
+		if st.Records != whole || st.TornRecordsDropped != torn {
+			t.Fatalf("cut at %d: Records = %d, torn = %d; want %d and %d", cut, st.Records, st.TornRecordsDropped, whole, torn)
+		}
+		if lsn := w2.NextLSN(); lsn != whole+1 {
+			t.Fatalf("cut at %d: NextLSN = %d, want %d", cut, lsn, whole+1)
+		}
+		if lsn, err := w2.Append(KindEnvelope, 3, []byte("after")); err != nil || lsn != whole+1 {
+			t.Fatalf("cut at %d: append after reopen: lsn=%d err=%v", cut, lsn, err)
+		}
+		if got := collect(t, w2); uint64(len(got)) != whole+1 || got[0] != "1/1/2/before" {
+			t.Fatalf("cut at %d: scan = %v", cut, got)
+		}
+		w2.Close()
+	}
+}
+
+// TestCheckpointFrontierInFile: a checkpoint's frontier (NextLSN()-1)
+// must never be ahead of the segment file, so WriteCheckpoint writes
+// the group buffer even with no Commit. A log abandoned without Close
+// afterwards keeps every record at or below the frontier; the deferred
+// records appended after the checkpoint were never written and are gone.
+func TestCheckpointFrontierInFile(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir, Sync: SyncNever})
+	defer w.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := w.AppendDeferred(KindEnvelope, 1, []byte(fmt.Sprintf("pre-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frontier := w.NextLSN() - 1
+	if _, err := w.WriteCheckpoint([]byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := w.AppendDeferred(KindEnvelope, 1, []byte("post")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w2 := mustOpen(t, Options{Dir: dir, Sync: SyncNever})
+	defer w2.Close()
+	if got := w2.Stats().Records; got != frontier {
+		t.Fatalf("reopened with %d records, want the frontier %d", got, frontier)
+	}
+	if got := collect(t, w2); got[frontier-1] != fmt.Sprintf("%d/1/1/pre-4", frontier) {
+		t.Fatalf("scan = %v", got)
+	}
+}
