@@ -13,9 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # Formatting and static analysis. Any file gofmt would rewrite fails the
-# target (gofmt -l prints it). Then staticcheck when it is on PATH (CI
-# installs it in the lint job), falling back to go vet so the target
-# works on a box with nothing but the Go toolchain.
+# target (gofmt -l prints it). Then staticcheck when it is on PATH (the
+# CI lint job installs it and runs this target), falling back to go vet
+# so the target works on a box with nothing but the Go toolchain.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists files that need formatting:"; echo "$$unformatted"; exit 1; \
@@ -51,7 +51,8 @@ bench-smoke:
 check:
 	$(GO) run ./cmd/cmhcheck -brute
 
-# Short fuzz runs of the native fuzz targets (CI smoke parity).
+# Short fuzz runs of the native fuzz targets (CI runs this as the
+# fuzz-smoke job; a new fuzz target is added here and nowhere else).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWFGTransitions -fuzztime=10s ./internal/wfg
 	$(GO) test -run='^$$' -fuzz=FuzzLockManager -fuzztime=10s ./internal/ddb
@@ -107,17 +108,25 @@ cluster-smoke:
 	$(GO) test -race -run 'TestClusterConformance' ./internal/conformance/
 	$(GO) test -race -run 'TestClusterMode' ./cmd/cmhnode/
 
-# Combined statement coverage of the engine and harness packages (CI
-# enforces a floor on this number).
+# Combined statement coverage of the runtime, engine and harness
+# packages, held to a floor (CI runs this as the coverage job). The
+# floor is the coverage at merge time minus a small noise margin for
+# concurrency-dependent paths; the write-ahead log's and the
+# crash/restore machinery's error branches (torn segments, fsync
+# failures, rebuild paths) are inherently hard to reach. Raise it when
+# coverage rises.
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./internal/engine/...,./internal/core/...,./internal/ddb/...,./internal/conformance/...,./internal/faultinject/...,./internal/msg/...,./internal/workload/...,./internal/metrics/...,./internal/wal/... ./internal/... ./cmd/...
-	$(GO) tool cover -func=cover.out | tail -1
+	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+	echo "combined engine+harness coverage: $${total}%"; \
+	awk -v t="$$total" 'BEGIN { if (t+0 < 91.0) { print "coverage " t "% is below the 91.0% floor"; exit 1 } }'
 
-# Print every evaluation table (EXPERIMENTS.md source). The simulator
-# tables are also golden tests: `make test` compares them byte for byte
-# with internal/experiments/testdata, and
+# Print every evaluation table (EXPERIMENTS.md source). Every table is
+# also a golden test: `make test` compares each byte for byte with
+# internal/experiments/testdata, and
 # `go test ./internal/experiments -run TestGoldenTables -update`
-# rewrites those files after an intended change.
+# rewrites those files after an intended change. Wall-clock figures
+# come from the repo benchmark (BENCHMARK.json, benchmark/).
 experiments:
 	$(GO) run ./cmd/cmhbench
 

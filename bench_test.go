@@ -1,6 +1,6 @@
 package deadlock
 
-// One benchmark per experiment in DESIGN.md §4 (E1–E9), regenerating
+// One benchmark per experiment in DESIGN.md §4, regenerating
 // the table that EXPERIMENTS.md records, plus micro-benchmarks of the
 // hot paths (probe handling, lock-table operations, the simulator).
 // Run everything with:
@@ -12,7 +12,10 @@ package deadlock
 // producing a different table.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -193,24 +196,6 @@ func BenchmarkE12VictimPolicyAblation(b *testing.B) {
 	}
 }
 
-func BenchmarkE13IngressThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.E13IngressThroughput(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Batched encoding must at least match the per-frame baseline
-		// (rows[0] is MaxBatch=1).
-		base := rows[0]
-		for _, r := range rows[1:] {
-			if r.KFramesPerSec < base.KFramesPerSec {
-				b.Fatalf("batch=%d slower than per-frame baseline: %.1f < %.1f kframes/s",
-					r.MaxBatch, r.KFramesPerSec, base.KFramesPerSec)
-			}
-		}
-	}
-}
-
 // --- micro-benchmarks ---
 
 // BenchmarkProbeLapRing measures the raw cost of one full probe lap on
@@ -259,9 +244,46 @@ func BenchmarkSimulatedRingDetection(b *testing.B) {
 // goroutine transport (the repro=5 mapping: one goroutine per process).
 func BenchmarkLiveRingDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.LiveRingDetect(32); err != nil {
+		if err := liveRingDetect(32); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// liveRingDetect builds an n-process request cycle over the live
+// goroutine transport, initiates one probe computation and waits for
+// the declaration. FIFO links make the probes trail the requests, so no
+// settling wait is needed (axiom P1 at work).
+func liveRingDetect(n int) error {
+	net := NewLiveNetwork()
+	defer net.Close()
+	detected := make(chan struct{})
+	procs := make([]*Process, n)
+	for i := range procs {
+		cfg := ProcessConfig{ID: ProcID(i), Transport: net, Policy: InitiateManually}
+		if i == 0 {
+			var once sync.Once
+			cfg.OnDeadlock = func(Tag) { once.Do(func() { close(detected) }) }
+		}
+		p, err := NewProcess(cfg)
+		if err != nil {
+			return err
+		}
+		procs[i] = p
+	}
+	for i, p := range procs {
+		if err := p.Request(ProcID((i + 1) % n)); err != nil {
+			return err
+		}
+	}
+	if _, ok := procs[0].StartProbe(); !ok {
+		return fmt.Errorf("live ring %d: initiator not blocked", n)
+	}
+	select {
+	case <-detected:
+		return nil
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("live ring %d: detection timed out", n)
 	}
 }
 
@@ -274,133 +296,6 @@ func BenchmarkDDBMixResolution(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = rows
-	}
-}
-
-func BenchmarkE15HostScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.E15HostScaling(nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The intra-host fast path must beat the per-process loopback-TCP
-		// baseline by at least an order of magnitude at the same proc
-		// count, and every multi-process ring must detect.
-		var tcpRate, hostRate float64
-		for _, r := range rows {
-			if r.Procs >= 2 && r.DetectUs <= 0 {
-				b.Fatalf("E15: ring not detected: %+v", r)
-			}
-			if r.Path == "tcp" {
-				tcpRate = r.KMsgsPerSec
-			}
-			if r.Path == "host" && r.Procs == 64 && r.KMsgsPerSec > hostRate {
-				hostRate = r.KMsgsPerSec
-			}
-		}
-		if tcpRate <= 0 || hostRate < 10*tcpRate {
-			b.Fatalf("E15: intra-host rate %.1f kmsgs/s not >= 10x tcp baseline %.1f kmsgs/s",
-				hostRate, tcpRate)
-		}
-	}
-}
-
-func BenchmarkE16WireCodec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.E16WireCodec(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var gob, bin *experiments.E16Row
-		for j := range rows {
-			switch rows[j].Codec {
-			case "gob":
-				gob = &rows[j]
-			case "binary":
-				bin = &rows[j]
-			}
-		}
-		if gob == nil || bin == nil {
-			b.Fatalf("E16 missing a codec row: %+v", rows)
-		}
-		// The tentpole claim: the steady-state probe encode AND decode
-		// paths perform zero heap allocations per frame (decode returns
-		// pooled structs; the consumer recycles them).
-		if bin.EncAllocsPerOp != 0 {
-			b.Fatalf("E16: binary encode path allocates %.1f/op, want 0", bin.EncAllocsPerOp)
-		}
-		if bin.DecAllocsPerOp != 0 {
-			b.Fatalf("E16: binary decode path allocates %.1f/op, want 0", bin.DecAllocsPerOp)
-		}
-		// The binary codec must sustain at least 2x the best intra-host
-		// message rate E15 has recorded (~5.0M msgs/s): per-frame encode
-		// cost bounds the rate one sender core can feed the wire.
-		const e15BestKMsgsPerSec = 5029 // strongest E15 row on record
-		if encKps := 1e6 / bin.EncNsPerOp; encKps < 2*e15BestKMsgsPerSec {
-			b.Fatalf("E16: binary encode sustains %.0f kmsgs/s, want >= 2x E15 best (%.0f)",
-				encKps, 2.0*e15BestKMsgsPerSec)
-		}
-		// And end-to-end, the binary wire leg must not lose to gob.
-		if bin.WireKFramesPerSec < gob.WireKFramesPerSec {
-			b.Fatalf("E16: binary wire leg slower than gob: %.1f < %.1f kframes/s",
-				bin.WireKFramesPerSec, gob.WireKFramesPerSec)
-		}
-	}
-}
-
-func BenchmarkE18Pipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.E18Pipeline(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.KFramesPerSec <= 0 {
-				b.Fatalf("E18: dead row: %+v", r)
-			}
-			// Every flush on a binary link must be a gathered writev. The
-			// ring share is load-dependent by design — the open-throttle
-			// pump keeps the shards a full ring behind, so most frames
-			// legitimately detour through the batched spill queue — but
-			// the lock-free path must have engaged (pipelineLeg already
-			// fails if any delivery bypassed the stream sink entirely).
-			if r.VectorFlushShare != 1 {
-				b.Fatalf("E18: %.2f of flushes vectored at %d shards, want all", r.VectorFlushShare, r.Shards)
-			}
-			if r.RingShare <= 0 {
-				b.Fatalf("E18: no deliveries used the rings at %d shards", r.Shards)
-			}
-		}
-	}
-}
-
-// BenchmarkE19Recovery re-measures both recovery legs and asserts the
-// design's ordering claim outright: the durable restore (checkpoint
-// load + local tail replay) must beat blank wire re-derivation on
-// recovery rate — not by a margin (that is the perf gate's job) but
-// in direction, every run.
-func BenchmarkE19Recovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.E19Recovery()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var blank, durable float64
-		for _, r := range rows {
-			switch r.Mode {
-			case "blank-wire":
-				blank = r.KFramesPerSec
-			case "durable-restore":
-				durable = r.KFramesPerSec
-			}
-		}
-		if blank <= 0 || durable <= 0 {
-			b.Fatalf("E19: dead rows: %+v", rows)
-		}
-		if durable <= blank {
-			b.Fatalf("E19: durable restore (%.1f kframes/s) did not beat wire re-derivation (%.1f kframes/s)",
-				durable, blank)
-		}
 	}
 }
 
@@ -420,40 +315,25 @@ func BenchmarkE14CrashRecovery(b *testing.B) {
 
 func BenchmarkE17OpenLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.E17OpenLoop(0)
+		rows, _, err := experiments.E17OpenLoop()
 		if err != nil {
 			b.Fatal(err)
 		}
-		var simDeadlocks int64
-		var host *experiments.E17Row
-		for j := range rows {
-			r := &rows[j]
+		var deadlocks int64
+		for _, r := range rows {
 			if r.Committed == 0 || r.KTxnsPerSec <= 0 {
 				b.Fatalf("E17: dead row: %+v", r)
 			}
-			if r.Runtime == "sim" {
-				simDeadlocks += r.Deadlocks
-				// The paper's premise regime: with no victim aborts the
-				// oracle must agree with every declaration and find no
-				// uncovered cycle.
-				if r.Victim == "none" && (r.FalseDeadlocks != 0 || r.UncoveredCycles != 0) {
-					b.Fatalf("E17: no-abort row not clean: %+v", r)
-				}
-			}
-			if r.Runtime == "host" {
-				host = r
+			deadlocks += r.Deadlocks
+			// The paper's premise regime: with no victim aborts the
+			// oracle must agree with every declaration and find no
+			// uncovered cycle.
+			if r.Victim == "none" && (r.FalseDeadlocks != 0 || r.UncoveredCycles != 0) {
+				b.Fatalf("E17: no-abort row not clean: %+v", r)
 			}
 		}
-		if simDeadlocks == 0 {
-			b.Fatal("E17: sim policy comparison produced no deadlocks")
-		}
-		// The host leg runs near the offered 20k txns/s; detection work
-		// must leave most of the committed throughput standing.
-		if host == nil || host.KTxnsPerSec < 1 {
-			b.Fatalf("E17: host leg below 1k committed txns/s: %+v", host)
-		}
-		if host.Deadlocks > 0 && host.DetectP99Us <= 0 {
-			b.Fatalf("E17: host deadlocks declared but no latency recorded: %+v", host)
+		if deadlocks == 0 {
+			b.Fatal("E17: policy comparison produced no deadlocks")
 		}
 	}
 }

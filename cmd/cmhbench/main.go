@@ -7,15 +7,17 @@
 //	cmhbench            # all tables
 //	cmhbench E1 E7      # a subset
 //
-// The simulator tables are deterministic and held byte for byte by the
-// golden tests of internal/experiments; the wall-clock tables are
-// printed for reading, not compared.
+// Every experiment runs on the seeded simulator, so every table is
+// deterministic and held byte for byte by the golden tests of
+// internal/experiments. Wall-clock speed is measured by the repo
+// benchmark (BENCHMARK.json), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -34,14 +36,14 @@ func run(args []string) error {
 	}
 	only := make(map[string]bool, fs.NArg())
 	known := make(map[string]bool)
-	last := ""
+	var ids []string
 	for _, spec := range experiments.All() {
 		known[spec.ID] = true
-		last = spec.ID
+		ids = append(ids, spec.ID)
 	}
 	for _, a := range fs.Args() {
 		if !known[a] {
-			return fmt.Errorf("unknown experiment %q (have E1..%s)", a, last)
+			return fmt.Errorf("unknown experiment %q (have %s)", a, strings.Join(ids, " "))
 		}
 		only[a] = true
 	}

@@ -224,7 +224,7 @@ func (p *Process) startDetectionStep() (uint64, bool) {
 	seq := p.nextSeq
 	me := p.cfg.ID
 	p.comps[me] = &compState{latest: seq, engager: me, wait: true, num: len(p.dependents)}
-	for d := range p.dependents {
+	for _, d := range p.sortedDependentsStep() {
 		p.send(d, msg.CommQuery{Init: me, Seq: seq})
 		p.queriesSent++
 	}
@@ -329,7 +329,7 @@ func (p *Process) handleQueryStep(sender id.Proc, q msg.CommQuery, after []func(
 			wait:    true,
 			num:     len(p.dependents),
 		}
-		for d := range p.dependents {
+		for _, d := range p.sortedDependentsStep() {
 			p.send(d, msg.CommQuery{Init: q.Init, Seq: q.Seq})
 			p.queriesSent++
 		}
@@ -478,12 +478,19 @@ func (p *Process) Deadlocked() bool {
 // Dependents returns the sorted current dependent set.
 func (p *Process) Dependents() []id.Proc {
 	var out []id.Proc
-	p.run.Exec(func() {
-		out = make([]id.Proc, 0, len(p.dependents))
-		for d := range p.dependents {
-			out = append(out, d)
-		}
-	})
+	p.run.Exec(func() { out = p.sortedDependentsStep() })
+	return out
+}
+
+// sortedDependentsStep returns the dependent set in ascending order.
+// Every send loop over it uses this order: under a latency model that
+// draws each send's delay from the scheduler's RNG, map order would
+// make a seeded run differ from run to run.
+func (p *Process) sortedDependentsStep() []id.Proc {
+	out := make([]id.Proc, 0, len(p.dependents))
+	for d := range p.dependents {
+		out = append(out, d)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -2,6 +2,7 @@ package commdl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -385,5 +386,75 @@ func TestORQueryBound(t *testing.T) {
 	}
 	if !r.declared[0] {
 		t.Fatal("dense OR ring undetected")
+	}
+}
+
+// TestSeededRunIsAFunctionOfItsSeed replays one seeded scenario several
+// times in one process and requires the same declarations at the same
+// virtual times. Under UniformLatency every send draws its delay from
+// the scheduler's RNG, so a query flood that followed map order would
+// hand the draws to different edges on each run. The scenario is the
+// N = 16, fanout 2 configuration of the E10 experiment: a closed knot
+// over the lower half, a periphery with escapable waits above it, and
+// every blocked process initiating.
+func TestSeededRunIsAFunctionOfItsSeed(t *testing.T) {
+	const n, fanout, runs = 16, 2, 5
+	type decl struct {
+		p  id.Proc
+		at sim.Time
+	}
+	run := func() []decl {
+		r := newRig(t, 0, 100*n+fanout)
+		var seq []decl
+		for i := 0; i < n; i++ {
+			pid := id.Proc(i)
+			p, err := New(Config{
+				ID:         pid,
+				Transport:  r.net,
+				OnDeadlock: func(uint64) { seq = append(seq, decl{pid, r.sched.Now()}) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.procs = append(r.procs, p)
+		}
+		rng := rand.New(rand.NewSource(n))
+		core := n / 2
+		for i := 0; i < n; i++ {
+			if i >= core && rng.Intn(4) == 0 {
+				continue
+			}
+			limit := n
+			if i < core {
+				limit = core
+			}
+			seen := map[id.Proc]struct{}{id.Proc(i): {}}
+			var deps []id.Proc
+			for len(deps) < fanout && len(seen) < limit {
+				d := id.Proc(rng.Intn(limit))
+				if _, dup := seen[d]; dup {
+					continue
+				}
+				seen[d] = struct{}{}
+				deps = append(deps, d)
+			}
+			if err := r.procs[i].Block(deps...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range r.procs {
+			p.StartDetection()
+		}
+		r.run()
+		return seq
+	}
+	first := run()
+	if len(first) == 0 {
+		t.Fatal("the knot was never declared")
+	}
+	for k := 1; k < runs; k++ {
+		if got := run(); !slices.Equal(got, first) {
+			t.Fatalf("run %d declared %v, run 0 declared %v", k, got, first)
+		}
 	}
 }

@@ -22,12 +22,7 @@ func (p *Process) Snapshot() string {
 func (p *Process) snapshotStep() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "comm/%d{b:%t ep:%d seq:%d decl:%t deps:[", p.cfg.ID, p.blocked, p.episode, p.nextSeq, p.declared)
-	deps := make([]id.Proc, 0, len(p.dependents))
-	for d := range p.dependents {
-		deps = append(deps, d)
-	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-	for _, d := range deps {
+	for _, d := range p.sortedDependentsStep() {
 		fmt.Fprintf(&b, "%d;", d)
 	}
 	b.WriteString("] comps:[")

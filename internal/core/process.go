@@ -499,12 +499,19 @@ func (p *Process) propagateWFGDStep(after []func()) []func() {
 	return after
 }
 
-// blackPathEdgesStep returns S_j as a slice.
+// blackPathEdgesStep returns S_j as a slice, sorted by (From, To) so
+// OnWFGD sees the same order on every run.
 func (p *Process) blackPathEdgesStep() []id.Edge {
 	out := make([]id.Edge, 0, len(p.blackPaths))
 	for e := range p.blackPaths {
 		out = append(out, e)
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
+		}
+		return out[i].To < out[j].To
+	})
 	return out
 }
 

@@ -2,10 +2,13 @@ package ddb
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // TestPeerDownReleasesDeadSitesAgents: a lock held here by an agent
@@ -82,6 +85,61 @@ func TestPeerDownAbortsTransactionsStuckOnDeadSite(t *testing.T) {
 	// No release may be addressed to the corpse: the dead entry was
 	// stripped before the abort's release sweep.
 	sched.RunUntil(sim.Time(25 * sim.Millisecond))
+
+	// The same verdict from an engine.Host: site 0 is hosted, site 1
+	// sits across a live network, and the Host delivers the peer-down
+	// and peer-up verdicts as recovery steps on site 0's shard.
+	live := transport.NewLive()
+	defer live.Close()
+	host := engine.NewHost(engine.Options{Shards: 1, Transport: live})
+	defer host.Close()
+	hostAborts := make(chan id.Txn, 1)
+	sites := make([]*Controller, 2)
+	for i, net := range []transport.Transport{host, live} {
+		cfg := Config{
+			Site:         id.Site(i),
+			Transport:    net,
+			Timers:       &countingTimers{}, // the hold never ends
+			ResourceHome: func(r id.Resource) id.Site { return id.Site(int(r) % 2) },
+			Mode:         InitiateManual,
+			HoldTime:     int64(sim.Second),
+		}
+		if i == 0 {
+			cfg.OnAbort = func(txn id.Txn) { hostAborts <- txn }
+		}
+		c, err := NewController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = c
+	}
+	if err := sites[1].Submit(1, 0, []LockStep{{Resource: 1, Mode: w}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sites[0].Submit(0, 0, []LockStep{{Resource: 1, Mode: w}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !sites[1].AgentBlocked(0) {
+		if time.Now().After(deadline) {
+			t.Fatal("T0's acquisition never queued at site 1")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	host.PeerDown(1)
+	host.PeerUp(1, false)
+	host.Drain()
+	select {
+	case txn := <-hostAborts:
+		if txn != 0 {
+			t.Fatalf("hosted OnAbort reported T%d, want T0", txn)
+		}
+	default:
+		t.Fatal("hosted peer-down did not abort the stuck transaction")
+	}
+	if st := sites[0].Stats(); st.PeerAborts != 1 {
+		t.Fatalf("hosted PeerAborts = %d, want 1", st.PeerAborts)
+	}
 }
 
 // TestPeerDownUpResetsProbeWindow: the §4.3 per-initiator freshness

@@ -1,9 +1,10 @@
 // Package experiments implements the per-experiment harness of
-// DESIGN.md §4: one function per experiment (E1–E9), each running the
-// workload the paper's claim concerns and returning both typed rows and
-// a rendered table. The cmd/cmhbench binary and the root benchmark
-// suite both call into this package, and EXPERIMENTS.md records the
-// paper-vs-measured comparison for every entry.
+// DESIGN.md §4: one function per experiment, each running the workload
+// the paper's claim concerns on the seeded simulator and returning both
+// typed rows and a rendered table. Every table is a golden test. The
+// cmd/cmhbench binary and the root benchmark suite both call into this
+// package, and EXPERIMENTS.md records the paper-vs-measured comparison
+// for every entry.
 package experiments
 
 import (
@@ -362,6 +363,54 @@ func E5WFGD(shapes [][2]int) ([]E5Row, *metrics.Table, error) {
 		}
 		rows = append(rows, row)
 		table.AddRow(ringN, tailN, row.WFGDMsgs, informed, len(blocked), exact)
+	}
+	return rows, table, nil
+}
+
+// E8Row is one ring size of the scalability experiment.
+type E8Row struct {
+	N           int
+	SimDetectMs float64 // virtual detection latency over fixed 1ms links
+	SimExpectMs float64 // N x latency: one probe lap around the cycle
+	Probes      int64   // probes sent in the whole run
+}
+
+// E8Scalability measures detection latency versus cycle length: the
+// probe must travel the whole cycle once, so latency is linear in N.
+// With on-block initiation the first probes leave together with the
+// requests and FIFO links deliver them back-to-back, so the simulator
+// shows exactly N fixed-latency hops.
+func E8Scalability(sizes []int) ([]E8Row, *metrics.Table, error) {
+	if len(sizes) == 0 {
+		sizes = []int{4, 8, 16, 32, 64, 128}
+	}
+	table := metrics.NewTable(
+		"E8 — detection latency vs cycle length (one probe lap)",
+		"N", "sim_ms", "expected_ms", "probes")
+	rows := make([]E8Row, 0, len(sizes))
+	for _, n := range sizes {
+		sys, err := workload.NewBasicSystem(n, workload.BasicOptions{
+			Seed:    int64(n),
+			Latency: transport.FixedLatency(sim.Millisecond),
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := sys.Apply(workload.Ring(n)); err != nil {
+			return nil, nil, err
+		}
+		sys.Run(1 << 24)
+		if len(sys.Detections) == 0 {
+			return nil, nil, fmt.Errorf("E8: ring %d not detected", n)
+		}
+		row := E8Row{
+			N:           n,
+			SimDetectMs: float64(sys.Detections[0].At) / float64(sim.Millisecond),
+			SimExpectMs: float64(n),
+			Probes:      sys.Counters.Sent(msg.KindProbe),
+		}
+		rows = append(rows, row)
+		table.AddRow(n, row.SimDetectMs, row.SimExpectMs, row.Probes)
 	}
 	return rows, table, nil
 }

@@ -3,15 +3,15 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
 // The experiment functions are exercised at small scale so the full
 // table pipeline (workload -> rows -> rendered table) stays correct;
-// the root benchmark suite runs them at paper scale.
+// TestGoldenTables holds them at paper scale.
 
 func TestE1SmallScale(t *testing.T) {
 	rows, table, err := E1ProbesPerComputation([]int{3, 6})
@@ -125,8 +125,10 @@ func TestE8SmallScale(t *testing.T) {
 		if r.SimDetectMs != float64(r.N) {
 			t.Fatalf("sim detection should be exactly N hops: %+v", r)
 		}
-		if r.LiveDetectUs <= 0 {
-			t.Fatalf("live leg did not run: %+v", r)
+		// Every process initiates on block, and each computation's
+		// probe laps the cycle once: N computations of N probes.
+		if r.Probes != int64(r.N*r.N) {
+			t.Fatalf("want N computations of one N-probe lap each: %+v", r)
 		}
 	}
 }
@@ -270,76 +272,46 @@ func TestRunAllSubset(t *testing.T) {
 		}
 		ids[s.ID] = true
 	}
-	if len(ids) != 20 {
-		t.Fatalf("expected 20 experiments, have %d", len(ids))
-	}
 }
 
-func TestE15HostScaling(t *testing.T) {
-	// Small configurations: the full ladder (8192 procs, the TCP
-	// baseline at 64 listeners) belongs to BenchmarkE15HostScaling.
-	rows, _, err := E15HostScaling([]int{1, 64}, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.KMsgsPerSec <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-		if r.Procs >= 2 && r.DetectUs <= 0 {
-			t.Fatalf("ring not detected: %+v", r)
-		}
-		if r.Procs == 1 && r.DetectUs != 0 {
-			t.Fatalf("detection latency reported with no cycle: %+v", r)
-		}
-	}
-	if rows[len(rows)-1].Path != "tcp" {
-		t.Fatalf("baseline row missing: %+v", rows[len(rows)-1])
-	}
-}
+// e17Rows runs E17 once for the two tests that inspect its rows.
+var e17Rows = sync.OnceValues(func() ([]E17Row, error) {
+	rows, _, err := E17OpenLoop()
+	return rows, err
+})
 
 func TestE17OpenLoop(t *testing.T) {
-	// Small host leg: the full 30k-transaction run belongs to
-	// BenchmarkE17OpenLoop.
-	rows, _, err := E17OpenLoop(2000)
+	rows, err := e17Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("want 3 sim policy rows + 1 host row, got %d", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("want one row per victim policy, got %d", len(rows))
 	}
-	var simDeadlocks int64
+	var deadlocks int64
 	for _, r := range rows {
-		if r.Committed == 0 {
+		if r.Committed == 0 || r.KTxnsPerSec <= 0 {
 			t.Fatalf("row committed nothing: %+v", r)
 		}
-		if r.KTxnsPerSec <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-		if r.Runtime == "sim" {
-			simDeadlocks += r.Deadlocks
-			if r.Victim == "none" && (r.FalseDeadlocks != 0 || r.UncoveredCycles != 0) {
-				t.Fatalf("no-abort row not clean: %+v", r)
-			}
+		deadlocks += r.Deadlocks
+		if r.Victim == "none" && (r.FalseDeadlocks != 0 || r.UncoveredCycles != 0) {
+			t.Fatalf("no-abort row not clean: %+v", r)
 		}
 	}
-	if simDeadlocks == 0 {
-		t.Fatal("sim policy rows produced no deadlocks; the comparison is vacuous")
-	}
-	if rows[len(rows)-1].Runtime != "host" {
-		t.Fatalf("host row missing: %+v", rows[len(rows)-1])
+	if deadlocks == 0 {
+		t.Fatal("policy rows produced no deadlocks; the comparison is vacuous")
 	}
 }
 
 func TestE17SimRowsDeterministic(t *testing.T) {
-	// The sim rows run in virtual time, so a replay in the same process
+	// The rows run in virtual time, so a replay in the same process
 	// must give the same rows field for field, throughput and latency
 	// percentiles included.
-	a, err := e17SimRows()
+	a, err := e17Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e17SimRows()
+	b, _, err := E17OpenLoop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,88 +322,5 @@ func TestE17SimRowsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("%s: sim row not deterministic:\n%+v\nvs\n%+v", a[i].Victim, a[i], b[i])
 		}
-	}
-}
-
-// TestWallClockSelfChecks runs each wall-clock experiment once at its
-// default size and asserts what its table must show however fast the
-// machine is. It never asserts a rate. Several of these checks also
-// fail the experiment itself; repeating them here names the claim.
-func TestWallClockSelfChecks(t *testing.T) {
-	cases := []struct {
-		id    string
-		check func(t *testing.T)
-	}{
-		{"E13", func(t *testing.T) {
-			rows, _, err := E13IngressThroughput(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
-				// One frame in hostileEvery is a stray reply.
-				if want := uint64(r.Frames / hostileEvery); r.Rejected != want {
-					t.Errorf("batch=%d: %d hostile frames rejected, want %d", r.MaxBatch, r.Rejected, want)
-				}
-			}
-		}},
-		{"E16", func(t *testing.T) {
-			rows, _, err := E16WireCodec(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
-				if r.Codec == "binary" && (r.EncAllocsPerOp != 0 || r.DecAllocsPerOp != 0) {
-					t.Errorf("binary codec allocates: encode %.1f/op, decode %.1f/op, want 0/0",
-						r.EncAllocsPerOp, r.DecAllocsPerOp)
-				}
-			}
-		}},
-		{"E18", func(t *testing.T) {
-			rows, _, err := E18Pipeline(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
-				if r.VectorFlushShare != 1 {
-					t.Errorf("shards=%d: %.2f of flushes vectored, want all", r.Shards, r.VectorFlushShare)
-				}
-				if r.RingShare <= 0 {
-					t.Errorf("shards=%d: no delivery used the rings", r.Shards)
-				}
-			}
-		}},
-		{"E19", func(t *testing.T) {
-			rows, _, err := E19Recovery()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
-				switch {
-				case r.Mode == "durable-restore":
-					if r.SnapshotsRestored != e19Procs || r.TailReplayed != uint64(r.Frames) {
-						t.Errorf("durable restore: %d snapshots, %d tail frames replayed, want %d and %d",
-							r.SnapshotsRestored, r.TailReplayed, e19Procs, r.Frames)
-					}
-				case r.Fsync == wal.SyncAlways.String():
-					if r.RecordsPerSync <= 1 {
-						t.Errorf("fsync=always: %.2f records per sync, want > 1", r.RecordsPerSync)
-					}
-				}
-			}
-		}},
-		{"E20", func(t *testing.T) {
-			// The run itself fails on a lost or duplicated frame and on
-			// migration counters other than one out, one in.
-			rows, _, err := E20Migration()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != 3 || rows[1].Phase != "migration" || rows[1].MigrateMs <= 0 {
-				t.Fatalf("rows = %+v, want intra-host, migration, cross-host with a measured move", rows)
-			}
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.id, c.check)
 	}
 }

@@ -4,11 +4,12 @@ package experiments
 // open-loop generator (internal/workload) drives the §6 DDB lock
 // manager near service capacity and reports what detection costs where
 // it matters: probes sent per COMMITTED transaction, deadlocks per 1k
-// commits, and the block-to-declaration latency distribution. The sim
-// rows compare victim policies on an identical seeded workload — they
-// are fully deterministic, so TestGoldenTables holds them byte for
-// byte; the host row runs the same generator over the sharded engine
-// runtime at a capped arrival rate for a wall-clock figure.
+// commits, and the block-to-declaration latency distribution. The rows
+// compare victim policies on an identical seeded workload in virtual
+// time, so TestGoldenTables holds them byte for byte. The same
+// generator over the sharded engine runtime is exercised by the
+// workload package's host tests and measured by the repo benchmark's
+// host-local workload.
 
 import (
 	"fmt"
@@ -19,8 +20,7 @@ import (
 
 // E17Row is one (runtime, victim policy) leg of the workload.
 type E17Row struct {
-	// Runtime is "sim" (deterministic, virtual time) or "host" (sharded
-	// engine runtime, wall clock).
+	// Runtime is "sim": every row runs on the seeded simulator.
 	Runtime string
 	// Victim is the abort policy on declaration: none, detected,
 	// youngest, random.
@@ -35,11 +35,11 @@ type E17Row struct {
 	// figures: what the detection layer spends per unit of useful work.
 	DeadlocksPer1kCommits float64
 	ProbesPerCommit       float64
-	// KTxnsPerSec is committed transactions per second, in thousands —
-	// virtual-time for sim rows, wall-clock for the host row.
+	// KTxnsPerSec is committed transactions per second of virtual time,
+	// in thousands.
 	KTxnsPerSec float64
 	// DetectP50Us / DetectP99Us are block-to-declaration latency
-	// quantiles in microseconds (virtual time on sim rows).
+	// quantiles in microseconds of virtual time.
 	DetectP50Us float64
 	DetectP99Us float64
 	// FalseDeadlocks counts declarations the oracle refuted at
@@ -53,7 +53,7 @@ type E17Row struct {
 // e17SimConfig is the shared sim workload every policy row runs: the
 // calibrated near-capacity configuration of the workload test suite.
 func e17SimConfig(victim string) workload.OpenLoopConfig {
-	cfg := workload.OpenLoopConfig{
+	return workload.OpenLoopConfig{
 		Runtime:     workload.RuntimeSim,
 		Sites:       8,
 		Keys:        256,
@@ -72,86 +72,26 @@ func e17SimConfig(victim string) workload.OpenLoopConfig {
 		Seed:        1,
 		CheckOracle: true,
 	}
-	return cfg
 }
 
-// e17HostConfig is the wall-clock leg: the same generator over the
-// sharded engine Host at a capped arrival rate, so the throughput
-// column measures the runtime keeping up with a fixed offered load
-// rather than an unbounded burn rate. The shape is the cmhload default
-// (read-mostly, 1-2 locks): with strict-FIFO read/write locks, the
-// hottest Zipfian key serializes on every WRITE — a writer admits no
-// sharers and waits out the whole reader batch ahead of it — so
-// steps x write-frac is the stability knob, not the arrival rate.
-// Write-heavy mixes at theta 0.99 convoy-collapse at any rate worth
-// benchmarking (see the sim rows for write-heavy contention).
-func e17HostConfig(maxTxns int64) workload.OpenLoopConfig {
-	return workload.OpenLoopConfig{
-		Runtime:    workload.RuntimeHost,
-		Sites:      512,
-		Shards:     8,
-		Keys:       1 << 20,
-		Dist:       "zipfian",
-		Theta:      0.99,
-		RatePerSec: 20000,
-		DurationNs: 2_000_000_000,
-		MaxTxns:    maxTxns,
-		Mix:        workload.TxnMix{MinSteps: 1, MaxSteps: 2, WriteFrac: 0.05},
-		ThinkNs:    0,
-		HoldNs:     200_000,
-		DelayNs:    10_000_000,
-		Victim:     workload.VictimYoungest,
-		Retry:      true,
-		BackoffNs:  10_000_000,
-		Seed:       17,
-	}
-}
-
-// E17OpenLoop runs the policy comparison (sim) plus the host leg.
-// hostMaxTxns caps the host leg's admitted transactions; <= 0 uses the
-// full default.
-func E17OpenLoop(hostMaxTxns int64) ([]E17Row, *metrics.Table, error) {
-	if hostMaxTxns <= 0 {
-		hostMaxTxns = 30000
-	}
-	rows, err := e17SimRows()
-	if err != nil {
-		return nil, nil, err
-	}
-	hostRep, err := workload.RunOpenLoop(e17HostConfig(hostMaxTxns))
-	if err != nil {
-		return nil, nil, fmt.Errorf("E17 host: %w", err)
-	}
-	if hostRep.ProtocolErrors != 0 {
-		return nil, nil, fmt.Errorf("E17 host: %d protocol errors", hostRep.ProtocolErrors)
-	}
-	rows = append(rows, rowFromReport(hostRep))
-	return rows, e17Table(rows), nil
-}
-
-// e17SimRows runs the victim-policy comparison on the seeded simulator,
-// one row per policy.
-func e17SimRows() ([]E17Row, error) {
+// E17OpenLoop runs the victim-policy comparison on the seeded
+// simulator, one row per policy.
+func E17OpenLoop() ([]E17Row, *metrics.Table, error) {
 	var rows []E17Row
 	for _, victim := range []string{workload.VictimNone, workload.VictimYoungest, workload.VictimRandom} {
 		rep, err := workload.RunOpenLoop(e17SimConfig(victim))
 		if err != nil {
-			return nil, fmt.Errorf("E17 sim %s: %w", victim, err)
+			return nil, nil, fmt.Errorf("E17 sim %s: %w", victim, err)
 		}
 		if rep.ProtocolErrors != 0 {
-			return nil, fmt.Errorf("E17 sim %s: %d protocol errors", victim, rep.ProtocolErrors)
+			return nil, nil, fmt.Errorf("E17 sim %s: %d protocol errors", victim, rep.ProtocolErrors)
 		}
 		if victim == workload.VictimNone && (rep.FalseDeadlocks != 0 || rep.UncoveredCycles != 0) {
-			return nil, fmt.Errorf("E17 sim none: false=%d uncovered=%d, want 0/0",
+			return nil, nil, fmt.Errorf("E17 sim none: false=%d uncovered=%d, want 0/0",
 				rep.FalseDeadlocks, rep.UncoveredCycles)
 		}
 		rows = append(rows, rowFromReport(rep))
 	}
-	return rows, nil
-}
-
-// e17Table renders E17 rows.
-func e17Table(rows []E17Row) *metrics.Table {
 	table := metrics.NewTable(
 		"E17 — open-loop Zipfian workload: detection cost per committed txn, by victim policy",
 		"runtime", "victim", "started", "committed", "aborted", "deadlocks",
@@ -161,7 +101,7 @@ func e17Table(rows []E17Row) *metrics.Table {
 			r.DeadlocksPer1kCommits, r.ProbesPerCommit, r.KTxnsPerSec,
 			r.DetectP50Us, r.DetectP99Us, r.FalseDeadlocks, r.UncoveredCycles)
 	}
-	return table
+	return rows, table, nil
 }
 
 // rowFromReport projects a workload report onto the table row.

@@ -85,44 +85,14 @@ func All() []Spec {
 			Run:   func() (*metrics.Table, error) { return tableOf(E12VictimPolicyAblation()) },
 		},
 		{
-			ID:    "E13",
-			Claim: "hardened ingress: write batching multiplies frames per flush; forged frames are dropped, not fatal",
-			Run:   func() (*metrics.Table, error) { return tableOf(E13IngressThroughput(nil)) },
-		},
-		{
 			ID:    "E14",
 			Claim: "crash-recovery: under committed chaos schedules, zero phantom deadlocks and every surviving cycle re-declared",
 			Run:   func() (*metrics.Table, error) { return tableOf(E14CrashRecovery()) },
 		},
 		{
-			ID:    "E15",
-			Claim: "sharded host: thousands of co-located processes on one endpoint; intra-host sends outrun per-process loopback TCP",
-			Run:   func() (*metrics.Table, error) { return tableOf(E15HostScaling(nil, nil)) },
-		},
-		{
-			ID:    "E16",
-			Claim: "binary wire codec: zero allocs and ~10x less CPU per probe encoded; higher loopback frame rate than gob",
-			Run:   func() (*metrics.Table, error) { return tableOf(E16WireCodec(0)) },
-		},
-		{
 			ID:    "E17",
 			Claim: "open-loop Zipfian workload: probes per committed txn and p99 detection latency under production-shaped load, by victim policy",
-			Run:   func() (*metrics.Table, error) { return tableOf(E17OpenLoop(0)) },
-		},
-		{
-			ID:    "E18",
-			Claim: "assembled zero-alloc pipeline: writev batches -> pooled decode -> SPSC shard rings carry every wire frame socket-to-step",
-			Run:   func() (*metrics.Table, error) { return tableOf(E18Pipeline(nil)) },
-		},
-		{
-			ID:    "E19",
-			Claim: "durable recovery: checkpoint load + local WAL tail replay restores a crashed host orders of magnitude faster than wire re-derivation",
-			Run:   func() (*metrics.Table, error) { return tableOf(E19Recovery()) },
-		},
-		{
-			ID:    "E20",
-			Claim: "live migration: a process moves between cluster hosts mid-storm with zero lost frames; downtime and the forwarded/replayed tail quantified",
-			Run:   func() (*metrics.Table, error) { return tableOf(E20Migration()) },
+			Run:   func() (*metrics.Table, error) { return tableOf(E17OpenLoop()) },
 		},
 	}
 }
