@@ -7,7 +7,6 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/id"
@@ -78,35 +77,6 @@ func TestStrayReplyRejected(t *testing.T) {
 	expectReject(t, p, rejected, 1, msg.Reply{}, core.ReasonStrayReply)
 	// A second stray reply is rejected again, not latched.
 	expectReject(t, p, rejected, 1, msg.Reply{}, core.ReasonStrayReply)
-
-	// At load over a batched TCP link: one frame in strayEvery is a
-	// stray reply among non-meaningful probes. Every frame lands in
-	// exactly one of the two counters, and every stray is rejected once.
-	const frames, strayEvery = 2000, 16
-	net := transport.NewTCPWithOptions(transport.TCPOptions{MaxBatch: 64})
-	defer net.Close()
-	net.Register(1, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
-	q, err := core.NewProcess(core.Config{ID: 2, Transport: net, Policy: core.InitiateManually})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < frames; i++ {
-		if i%strayEvery == 0 {
-			net.Send(1, 2, msg.Reply{})
-		} else {
-			net.Send(1, 2, msg.Probe{Tag: id.Tag{Initiator: 1, N: uint64(i)}})
-		}
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for st := q.Stats(); st.ProbesDiscarded+st.ProtocolErrors != frames; st = q.Stats() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d discarded + %d rejected of %d frames after 20s", st.ProbesDiscarded, st.ProtocolErrors, frames)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got, want := q.Stats().ProtocolErrors, uint64((frames+strayEvery-1)/strayEvery); got != want {
-		t.Fatalf("%d stray replies rejected over batched TCP, want %d", got, want)
-	}
 }
 
 func TestDuplicateRequestRejected(t *testing.T) {

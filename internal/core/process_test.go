@@ -2,10 +2,8 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -42,47 +40,6 @@ func TestRingCycleIsDetected(t *testing.T) {
 				t.Errorf("ring(%d): %v declared but oracle says not on black cycle", n, d.Proc)
 			}
 		}
-	}
-
-	// The same ring co-hosted on the single-writer shards of one
-	// engine.Host, in wall-clock time: every send takes the intra-host
-	// path, and one probe computation from process 0 must declare.
-	const n, shards = 64, 4
-	host := engine.NewHost(engine.Options{Shards: shards})
-	defer host.Close()
-	detected := make(chan struct{}, 1)
-	procs := make([]*core.Process, n)
-	for i := range procs {
-		cfg := core.Config{ID: id.Proc(i), Transport: host, Policy: core.InitiateManually}
-		if i == 0 {
-			cfg.OnDeadlock = func(id.Tag) {
-				select {
-				case detected <- struct{}{}:
-				default:
-				}
-			}
-		}
-		p, err := core.NewProcess(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = p
-	}
-	for i, p := range procs {
-		if err := p.Request(id.Proc((i + 1) % n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := procs[0].StartProbe(); !ok {
-		t.Fatal("host ring: initiator not blocked")
-	}
-	select {
-	case <-detected:
-	case <-time.After(20 * time.Second):
-		t.Fatalf("ring(%d) on %d host shards: not declared within 20s", n, shards)
-	}
-	if st := host.Stats(); st.RemoteSends != 0 {
-		t.Fatalf("host ring: %d remote sends, want every send intra-host", st.RemoteSends)
 	}
 }
 
