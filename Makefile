@@ -72,14 +72,16 @@ chaos-smoke:
 	$(GO) test -race -run 'TestFaultScheduleConformance|TestWirePerturbationMatchesFaultFreeBaseline|TestTCPChaosConformance|TestTCPMuxChaosConformance' ./internal/conformance/
 
 # Durable crash/restore smoke under the race detector: the WAL and
-# engine checkpoint unit tests, the ≥8-seed sim + TCP crash/restore
-# conformance sweeps (verdicts byte-identical to the fault-free
-# baseline), and the cmhnode kill-and-resume restart test (CI runs
-# this as the crash-smoke job).
+# engine checkpoint unit tests, the shard timer wheel's tests, the ≥8-seed
+# sim + TCP crash/restore conformance sweeps (verdicts byte-identical to
+# the fault-free baseline), the ddb restore and detection-timer tests (a
+# restored wait must re-arm its timer), and the cmhnode kill-and-resume
+# restart test (CI runs this as the crash-smoke job).
 crash-smoke:
 	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'TestSimCrashRestoreConformance|TestTCPCrashRestoreConformance' ./internal/conformance/
-	$(GO) test -race -run 'Checkpoint|Restore|WAL' ./internal/engine/
+	$(GO) test -race -run 'Checkpoint|Restore|WAL|Timer' ./internal/engine/
+	$(GO) test -race -run 'Restore|Timer' ./internal/ddb/
 	$(GO) test -race -run 'TestHostModeDurableRestart|TestWALDirRequiresHostMode' ./cmd/cmhnode/
 
 # Host-scale smoke: 8192 processes co-hosted on one sharded runtime

@@ -35,11 +35,6 @@ import (
 	"repro/internal/transport"
 )
 
-// Timers schedules delayed callbacks (nanoseconds).
-type Timers interface {
-	After(d int64, fn func())
-}
-
 // ProtocolErrorReason classifies why an ingress frame was rejected; see
 // the engine-runtime taxonomy (internal/engine/ingress.go).
 type ProtocolErrorReason = engine.Reason
@@ -83,7 +78,7 @@ type Config struct {
 	// computation automatically.
 	Delay int64
 	// Timers schedules the Delay; required when Delay > 0.
-	Timers Timers
+	Timers engine.Timers
 	// OnDeadlock fires at most once per blocking episode, when the
 	// process determines it is deadlocked.
 	OnDeadlock func(seq uint64)

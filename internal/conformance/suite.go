@@ -297,7 +297,7 @@ func pollQuiesce(c *metrics.Counters) func() error {
 // run executes the three-phase workload on the given transport and
 // returns the canonical verdict, after cross-checking it against the
 // oracle.
-func run(spec Spec, net observableTransport, timers core.Timers, quiesce func() error) (string, error) {
+func run(spec Spec, net observableTransport, timers engine.Timers, quiesce func() error) (string, error) {
 	return runPlaced(spec, singlePlacement{net: net}, timers, quiesce)
 }
 
@@ -305,7 +305,7 @@ func run(spec Spec, net observableTransport, timers core.Timers, quiesce func() 
 // three-phase workload drives both single-transport topologies and the
 // sharded host topology (processes split across two engine Hosts
 // bridged by a multiplexed TCP link).
-func runPlaced(spec Spec, place placement, timers core.Timers, quiesce func() error) (string, error) {
+func runPlaced(spec Spec, place placement, timers engine.Timers, quiesce func() error) (string, error) {
 	if spec.N < 2 || spec.MaxBatch < 1 {
 		return "", fmt.Errorf("spec needs N >= 2 and MaxBatch >= 1, got N=%d MaxBatch=%d", spec.N, spec.MaxBatch)
 	}

@@ -28,12 +28,6 @@ import (
 	"repro/internal/transport"
 )
 
-// Timers schedules delayed callbacks; the simulated scheduler and a
-// real-time adapter both implement it. Durations are nanoseconds.
-type Timers interface {
-	After(d int64, fn func())
-}
-
 // InitiationPolicy selects when a process starts probe computations.
 type InitiationPolicy int
 
@@ -62,7 +56,7 @@ type Config struct {
 	// Delay is the timer T for InitiateAfterDelay, in nanoseconds.
 	Delay int64
 	// Timers is required for InitiateAfterDelay.
-	Timers Timers
+	Timers engine.Timers
 
 	// OnRequest is called after a request from another process arrives
 	// (the incoming edge just turned black).

@@ -2,19 +2,12 @@ package ddb
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/msg"
 	"repro/internal/transport"
 )
-
-// Timers schedules delayed callbacks (nanoseconds); the simulated
-// scheduler and a real-time adapter both satisfy it.
-type Timers interface {
-	After(d int64, fn func())
-}
 
 // InitiationMode selects when a controller starts probe computations.
 type InitiationMode int
@@ -107,8 +100,10 @@ type Config struct {
 	Site id.Site
 	// Transport carries inter-controller traffic.
 	Transport transport.Transport
-	// Timers schedules script steps, hold times and detection delays.
-	Timers Timers
+	// Timers schedules script steps and hold times, and detection
+	// delays too unless the transport is a Host: there the detection
+	// timer goes on the owning shard's wheel.
+	Timers engine.Timers
 	// ResourceHome maps each resource to the site that manages it.
 	ResourceHome func(id.Resource) id.Site
 
@@ -169,19 +164,10 @@ type agentState struct {
 	// the incoming black inter-controller edge (§6.4).
 	pendingAck    id.Resource
 	hasPendingAck bool
-	// wait is the token of the agent's current wait, shared with the
-	// detection timer armed for that wait (waitStartStep); nil while the
-	// agent is not waiting or no timer was armed.
-	wait *atomic.Bool
-}
-
-// endWait retires the current wait's token: its detection timer, still
-// pending, will return without entering the controller.
-func (a *agentState) endWait() {
-	if a.wait != nil {
-		a.wait.Store(true)
-		a.wait = nil
-	}
+	// wait is the number of the agent's current wait, which the
+	// detection timer armed for that wait carries (armDetectionStep); 0
+	// while the agent is not waiting or no timer was armed.
+	wait uint64
 }
 
 // txnState is a home transaction.
@@ -212,6 +198,11 @@ type Controller struct {
 	// runtime's shared rejection accounting. See internal/engine.
 	run     engine.Runner
 	ingress engine.Ingress
+	// wheel is the owning shard's timer wheel when the transport is a
+	// Host, nil otherwise; waits numbers the waits the detection timers
+	// are armed for (armDetectionStep).
+	wheel *engine.Wheel
+	waits uint64
 
 	// agents and txns hold the transactions in flight and nothing else:
 	// a transaction is forgotten in the step that finishes it (DESIGN.md
@@ -269,6 +260,7 @@ func NewController(cfg Config) (*Controller, error) {
 		cfg:      cfg,
 		run:      engine.RunnerFor(cfg.Transport, node),
 		ingress:  engine.NewIngress(node, cfg.OnProtocolError),
+		wheel:    engine.WheelFor(cfg.Transport, node),
 		locks:    newLockTable(),
 		agents:   make(map[id.Txn]*agentState),
 		txns:     make(map[id.Txn]*txnState),
@@ -320,7 +312,7 @@ func (c *Controller) newAgentStep(txn id.Txn, home id.Site, inc uint32) *agentSt
 // dropAgentStep forgets an agent that holds nothing and is queued for
 // nothing; a remote acquisition it still awaits ends with it.
 func (c *Controller) dropAgentStep(a *agentState) {
-	a.endWait()
+	a.wait = 0
 	delete(c.agents, a.txn)
 	c.freeAgents = append(c.freeAgents, a)
 }
@@ -541,12 +533,7 @@ func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry, after 
 
 // waitStartStep opens a wait of the agent: it emits the wait-start
 // event and, under InitiateOnWaitDelay, arms the §4.3 timer for this
-// wait and no other — "initiate only if the edge has existed
-// continuously for T". The timer shares a token with the agent, raised
-// by whatever ends the wait (waitEndStep, agent teardown): a timer whose
-// wait ended inside T returns on one atomic load without entering the
-// controller, and one that fires into a younger wait of the same agent
-// does not initiate for it — that wait has its own timer.
+// wait.
 func (c *Controller) waitStartStep(a *agentState, after []func()) []func() {
 	if a == nil {
 		return after
@@ -555,22 +542,46 @@ func (c *Controller) waitStartStep(a *agentState, after []func()) []func() {
 		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
 		after = append(after, func() { cb(ag) })
 	}
-	if c.cfg.Mode != InitiateOnWaitDelay {
-		return after
+	if c.cfg.Mode == InitiateOnWaitDelay {
+		c.armDetectionStep(a)
 	}
-	txn, ended := a.txn, new(atomic.Bool)
-	a.wait = ended
+	return after
+}
+
+// armDetectionStep gives the agent's wait a number no other wait of
+// this controller has and arms the §4.3 timer for that wait and no
+// other — "initiate only if the edge has existed continuously for T".
+// Whatever ends the wait (waitEndStep, agent teardown) clears the
+// number, so a timer whose wait ended inside T, or that fires into a
+// younger wait of the same agent, finds a different number and does not
+// initiate: the younger wait has its own timer. On a Host the timer is
+// an entry on the shard's wheel; elsewhere it goes through
+// Config.Timers.
+func (c *Controller) armDetectionStep(a *agentState) {
+	c.waits++
+	a.wait = c.waits
+	if c.wheel != nil {
+		c.wheel.Arm(c.cfg.Delay, uint64(a.txn), a.wait)
+		return
+	}
+	txn, wait := a.txn, a.wait
 	c.cfg.Timers.After(c.cfg.Delay, func() {
-		if ended.Load() {
-			return
-		}
-		c.exec(func() (after []func()) {
-			if cur, ok := c.agents[txn]; ok && cur.wait == ended {
-				_, _, after = c.checkAgentStep(txn, nil)
-			}
-			return after
-		})
+		c.exec(func() []func() { return c.detectStep(txn, wait, nil) })
 	})
+}
+
+// StepTimer implements engine.TimerLogic: the wheel entry armed for
+// wait number wait of txn's agent fell due.
+func (c *Controller) StepTimer(txn, wait uint64) {
+	runAll(c.drainReadyStep(c.detectStep(id.Txn(txn), wait, nil)))
+}
+
+// detectStep initiates a computation for txn's agent if its current
+// wait is the one numbered wait, which has then lasted T.
+func (c *Controller) detectStep(txn id.Txn, wait uint64, after []func()) []func() {
+	if a, ok := c.agents[txn]; ok && a.wait == wait {
+		_, _, after = c.checkAgentStep(txn, after)
+	}
 	return after
 }
 
@@ -580,7 +591,7 @@ func (c *Controller) waitEndStep(a *agentState, after []func()) []func() {
 	if a == nil {
 		return after
 	}
-	a.endWait()
+	a.wait = 0
 	if cb := c.cfg.OnWaitEnd; cb != nil {
 		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
 		after = append(after, func() { cb(ag) })
@@ -848,4 +859,5 @@ var (
 	_ transport.Handler    = (*Controller)(nil)
 	_ engine.Logic         = (*Controller)(nil)
 	_ engine.RecoveryLogic = (*Controller)(nil)
+	_ engine.TimerLogic    = (*Controller)(nil)
 )

@@ -300,7 +300,7 @@ func TestRecycledAgentAndLockStateAreClean(t *testing.T) {
 		if a != recycled[len(recycled)-1] {
 			t.Errorf("T1's new agent %p is not the last state freed (%p)", a, recycled[len(recycled)-1])
 		}
-		if a.txn != 1 || a.home != 0 || a.inc != 1 || a.hasWaiting || a.hasPendingAck || a.wait != nil ||
+		if a.txn != 1 || a.home != 0 || a.inc != 1 || a.hasWaiting || a.hasPendingAck || a.wait != 0 ||
 			fmt.Sprint(a.held) != "[{3 2}]" {
 			t.Errorf("recycled agent = %+v, want only txn, home, inc 1 and the hold on r3", *a)
 		}

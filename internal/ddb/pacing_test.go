@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/id"
@@ -17,57 +18,106 @@ import (
 // a wait granted and followed by another wait of the same agent inside
 // the window T must not inherit the first wait's timer — the second has
 // not existed continuously for T — while a wait that persists is still
-// checked at its own T.
+// checked at its own T. The sim leg runs the timers through
+// Config.Timers, the host leg on the shard's wheel.
 func TestDetectionTimerIgnoresEndedWait(t *testing.T) {
-	const delay = 5 * sim.Millisecond
-	sched := sim.New(1)
-	net := transport.NewSimNet(sched, transport.FixedLatency(sim.Millisecond))
-	c, err := NewController(Config{
-		Site:         0,
-		Transport:    net,
-		Timers:       simTimers{sched: sched},
-		ResourceHome: func(id.Resource) id.Site { return 0 },
-		Mode:         InitiateOnWaitDelay,
-		Delay:        int64(delay),
-		HoldTime:     int64(sim.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := msg.LockWrite
-	// T1 holds r0, T2 holds r1 (both for a second); T3 wants r0 then r1.
-	for _, s := range []struct {
+	// T1 holds r0, T2 holds r1 (both for longer than the test); T3 wants
+	// r0 then r1.
+	scripts := []struct {
 		txn   id.Txn
 		steps []LockStep
 	}{
 		{1, []LockStep{{0, w}}},
 		{2, []LockStep{{1, w}}},
-		{3, []LockStep{{0, w}, {1, w}}}, // t=0: first wait, timer for t=5ms
-	} {
-		if err := c.Submit(s.txn, 0, s.steps); err != nil {
-			t.Fatal(err)
+		{3, []LockStep{{0, w}, {1, w}}}, // first wait, timer due at T
+	}
+	submitAll := func(t *testing.T, c *Controller) {
+		for _, s := range scripts {
+			if err := c.Submit(s.txn, 0, s.steps); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// t=2ms: r0 is released; T3 takes it and at once waits for r1 — a
-	// second wait, whose own timer arms for t=7ms.
-	sched.RunUntil(sim.Time(2 * sim.Millisecond))
-	c.AbortLocal(1)
-	sched.RunUntil(sim.Time(2 * sim.Millisecond))
-	if !c.AgentBlocked(3) {
-		t.Fatal("test premise broken: T3 is not waiting for r1")
+	cfg := func(tr transport.Transport, timers engine.Timers, delay, hold int64) Config {
+		return Config{
+			Site:         0,
+			Transport:    tr,
+			Timers:       timers,
+			ResourceHome: func(id.Resource) id.Site { return 0 },
+			Mode:         InitiateOnWaitDelay,
+			Delay:        delay,
+			HoldTime:     hold,
+		}
 	}
 
-	// t=6ms: the FIRST timer was due at t=5ms with T3 blocked — but in a
-	// younger wait, so nothing may start.
-	sched.RunUntil(sim.Time(6 * sim.Millisecond))
-	if got := c.Stats().Computations; got != 0 {
-		t.Fatalf("stale timer initiated: Computations = %d at t=6ms, want 0", got)
-	}
-	// t=8ms: the second wait has lasted T; its own timer (t=7ms) checks it.
-	sched.RunUntil(sim.Time(8 * sim.Millisecond))
-	if got := c.Stats().Computations; got != 1 {
-		t.Fatalf("Computations = %d at t=8ms, want 1 (the persisting wait's own timer)", got)
-	}
+	t.Run("sim", func(t *testing.T) {
+		const delay = 5 * sim.Millisecond
+		sched := sim.New(1)
+		net := transport.NewSimNet(sched, transport.FixedLatency(sim.Millisecond))
+		c, err := NewController(cfg(net, simTimers{sched: sched}, int64(delay), int64(sim.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitAll(t, c) // t=0
+		// t=2ms: r0 is released; T3 takes it and at once waits for r1 — a
+		// second wait, whose own timer arms for t=7ms.
+		sched.RunUntil(sim.Time(2 * sim.Millisecond))
+		c.AbortLocal(1)
+		sched.RunUntil(sim.Time(2 * sim.Millisecond))
+		if !c.AgentBlocked(3) {
+			t.Fatal("test premise broken: T3 is not waiting for r1")
+		}
+
+		// t=6ms: the FIRST timer was due at t=5ms with T3 blocked — but in a
+		// younger wait, so nothing may start.
+		sched.RunUntil(sim.Time(6 * sim.Millisecond))
+		if got := c.Stats().Computations; got != 0 {
+			t.Fatalf("stale timer initiated: Computations = %d at t=6ms, want 0", got)
+		}
+		// t=8ms: the second wait has lasted T; its own timer (t=7ms) checks it.
+		sched.RunUntil(sim.Time(8 * sim.Millisecond))
+		if got := c.Stats().Computations; got != 1 {
+			t.Fatalf("Computations = %d at t=8ms, want 1 (the persisting wait's own timer)", got)
+		}
+	})
+
+	t.Run("host", func(t *testing.T) {
+		const delay = 250 * time.Millisecond
+		host := engine.NewHost(engine.Options{Shards: 1})
+		defer host.Close()
+		c, err := NewController(cfg(host, realTimers{}, int64(delay), int64(time.Minute)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitAll(t, c)
+		time.Sleep(delay / 5)
+		second := time.Now() // the second wait opens no earlier than this
+		if got := c.Stats().Computations; got != 0 {
+			t.Fatalf("test premise broken: %d computations before T", got)
+		}
+		c.AbortLocal(1)
+		if !c.AgentBlocked(3) {
+			t.Fatal("test premise broken: T3 is not waiting for r1")
+		}
+		// The first timer falls due about T/5 before the second may: in
+		// that window it finds a younger wait and must not initiate.
+		for time.Since(second) < delay {
+			if got := c.Stats().Computations; got != 0 {
+				t.Fatalf("stale timer initiated: Computations = %d %v after the second wait opened, T = %v",
+					got, time.Since(second), delay)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for deadline := time.Now().Add(5 * time.Second); c.Stats().Computations == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the persisting wait's own timer never initiated")
+			}
+		}
+		if got := c.Stats().Computations; got != 1 {
+			t.Fatalf("Computations = %d, want 1 (the persisting wait's own timer)", got)
+		}
+	})
 }
 
 // countingTimers counts the timers a controller arms and fires none.
@@ -225,9 +275,11 @@ func benchTxns(b *testing.B, runTxn func(i int)) {
 
 // TestTxnAllocGates holds the allocations of a whole transaction to what
 // they were measured at once finished transactions were recycled (27 for
-// the local one before that). What is left is the Exec (its closures and
-// done channel), the after-step callback list, and on the remote path
-// the frames boxed into msg.Message and the hop between shards.
+// the local one before that) and detection timers moved onto the shard
+// wheel (22 for the remote one before that: a token and a closure per
+// remote wait). What is left is the Exec (its closures and done
+// channel), the after-step callback list, and on the remote path the
+// frames boxed into msg.Message and the hop between shards.
 func TestTxnAllocGates(t *testing.T) {
 	_, local := localTxnRig(t)
 	for _, g := range []struct {
@@ -236,7 +288,7 @@ func TestTxnAllocGates(t *testing.T) {
 		max    float64
 	}{
 		{"local", local, 8},
-		{"remote", remoteTxnRig(t), 22},
+		{"remote", remoteTxnRig(t), 16},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			i := 0

@@ -15,12 +15,13 @@ import (
 // transaction state, the probe-computation table and the §6.5 latest
 // table — plus the home transactions' scripted lock steps, which the
 // fingerprint summarizes as a cursor but replay needs verbatim.
-// Counters are excluded; hold timers are not persisted (a restored
-// running transaction re-arms its hold timer from config when it next
-// acquires, and an expired-but-undelivered release is re-derived by the
-// workload layer). Neither method serializes through the Runner; the
-// Host calls them with the owning shard parked (checkpoint barrier) or
-// before traffic.
+// Counters are excluded; timers are not persisted (a restored running
+// transaction re-arms its hold timer from config when it next acquires,
+// an expired-but-undelivered release is re-derived by the workload
+// layer, and RestoreState re-arms a full-T detection timer for every
+// open wait). Neither method serializes through the Runner; the Host
+// calls them on the owning shard (checkpoint restore, migration install)
+// or with it parked at a checkpoint barrier.
 
 // ddbStateVersion versions the layout.
 const ddbStateVersion = 1
@@ -57,11 +58,7 @@ func (c *Controller) MarshalState() []byte {
 	}
 
 	// Agents.
-	atxns := make([]id.Txn, 0, len(c.agents))
-	for t := range c.agents {
-		atxns = append(atxns, t)
-	}
-	sort.Slice(atxns, func(i, j int) bool { return atxns[i] < atxns[j] })
+	atxns := sortedKeys(c.agents)
 	w.Len(len(atxns))
 	for _, t := range atxns {
 		a := c.agents[t]
@@ -81,11 +78,7 @@ func (c *Controller) MarshalState() []byte {
 	}
 
 	// Home transactions.
-	ttxns := make([]id.Txn, 0, len(c.txns))
-	for t := range c.txns {
-		ttxns = append(ttxns, t)
-	}
-	sort.Slice(ttxns, func(i, j int) bool { return ttxns[i] < ttxns[j] })
+	ttxns := sortedKeys(c.txns)
 	w.Len(len(ttxns))
 	for _, t := range ttxns {
 		ts := c.txns[t]
@@ -268,7 +261,26 @@ func (c *Controller) RestoreState(data []byte) error {
 	c.nextN = nextN
 	c.comps = comps
 	c.latestBy = latestBy
+	// The restored waits are open, and nothing else will ever arm their
+	// §4.3 timers: give each a full T, as waitStartStep did when it began.
+	if c.cfg.Mode == InitiateOnWaitDelay {
+		for _, t := range sortedKeys(agents) {
+			if c.agentBlockedStep(t) {
+				c.armDetectionStep(agents[t])
+			}
+		}
+	}
 	return nil
+}
+
+// sortedKeys returns the transactions of m in increasing order.
+func sortedKeys[V any](m map[id.Txn]V) []id.Txn {
+	ts := make([]id.Txn, 0, len(m))
+	for t := range m {
+		ts = append(ts, t)
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	return ts
 }
 
 func agentEdgeLess(a, b id.AgentEdge) bool {

@@ -7,7 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
+	"repro/internal/id"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -45,6 +48,105 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatalf("controller %d: restored state re-marshals differently", i)
 		}
 	}
+}
+
+// TestRestoredWaitArmsDetection: a deadlock standing at the cut is
+// declared after a restore. The waits' §4.3 timers are not part of the
+// state, so RestoreState must arm a full T for every open wait; without
+// that nothing ever initiates for the restored cycle. Both a checkpoint
+// restore and a migration install go through RestoreState; the sim leg
+// paces detection through Config.Timers, the host leg on the wheel.
+func TestRestoredWaitArmsDetection(t *testing.T) {
+	w := msg.LockWrite
+	// T1 at S0 and T2 at S1 each lock their home resource, then, a step
+	// later, ask for the other's: a two-site cycle.
+	scripts := [2][]LockStep{{{0, w}, {1, w}}, {{1, w}, {0, w}}}
+
+	t.Run("sim", func(t *testing.T) {
+		opts := ClusterOptions{Sites: 2, Resources: 2, Seed: 41, Delay: int64(100 * sim.Millisecond),
+			StepDelay: int64(10 * sim.Millisecond), HoldTime: int64(sim.Second)}
+		cl := newCluster(t, opts)
+		for i, steps := range scripts {
+			mustSubmit(t, cl, TxnSpec{Txn: id.Txn(i + 1), Home: id.Site(i), Steps: steps})
+		}
+		cl.Sched.RunUntil(sim.Time(40 * sim.Millisecond))
+		if len(cl.Detections) != 0 || !cl.Controllers[0].AgentBlocked(1) || !cl.Controllers[1].AgentBlocked(2) {
+			t.Fatal("test premise broken: want both transactions waiting and nothing declared at the cut")
+		}
+		fresh := newCluster(t, opts)
+		for i, c := range cl.Controllers {
+			if err := fresh.Controllers[i].RestoreState(c.MarshalState()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh.Sched.RunUntil(sim.Time(5 * opts.Delay))
+		if len(fresh.Detections) == 0 {
+			t.Fatal("restored deadlock not declared within 5 T")
+		}
+	})
+
+	t.Run("host", func(t *testing.T) {
+		const delay = 100 * time.Millisecond
+		pair := func(onDeadlock func(id.Agent, id.CtrlTag)) (*engine.Host, [2]*Controller) {
+			host := engine.NewHost(engine.Options{Shards: 2})
+			t.Cleanup(host.Close)
+			var cs [2]*Controller
+			for i := range cs {
+				c, err := NewController(Config{
+					Site:         id.Site(i),
+					Transport:    host,
+					Timers:       realTimers{},
+					ResourceHome: func(r id.Resource) id.Site { return id.Site(int(r) % 2) },
+					Delay:        int64(delay),
+					StepDelay:    int64(10 * time.Millisecond),
+					HoldTime:     int64(time.Minute),
+					OnDeadlock:   onDeadlock,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs[i] = c
+			}
+			return host, cs
+		}
+		orig, cs := pair(nil)
+		for i, steps := range scripts {
+			if err := cs[i].Submit(id.Txn(i+1), 0, steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); !cs[0].AgentBlocked(1) || !cs[1].AgentBlocked(2); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("test premise broken: the cycle never formed")
+			}
+		}
+		orig.Drain()
+		var blobs [2][]byte
+		for i, c := range cs {
+			c.run.Exec(func() { blobs[i] = c.MarshalState() })
+		}
+		orig.Close()
+
+		declared := make(chan id.Agent, 1)
+		_, fresh := pair(func(a id.Agent, _ id.CtrlTag) {
+			select {
+			case declared <- a:
+			default:
+			}
+		})
+		for i, c := range fresh {
+			var err error
+			c.run.Exec(func() { err = c.RestoreState(blobs[i]) })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-declared:
+		case <-time.After(50 * delay):
+			t.Fatal("restored deadlock not declared within 50 T")
+		}
+	})
 }
 
 // TestRestoreStateRejectsBadInput: truncation and version mismatches

@@ -20,6 +20,9 @@
 //     touch the wire, and one Host multiplexes any number of
 //     paper-processes onto one underlying transport endpoint.
 //
+// Each shard also keeps a timer wheel (wheel.go) that hosted processes
+// arm through their Wheel and that expires inside the shard's batches.
+//
 // Shared plumbing: ingress.go (typed ProtocolError + rejection
 // accounting), recovery.go (WaitAborted + peer-down bookkeeping).
 package engine
@@ -28,6 +31,14 @@ import (
 	"repro/internal/msg"
 	"repro/internal/transport"
 )
+
+// Timers schedules delayed callbacks; durations are nanoseconds. The
+// simulator's scheduler and real-time adapters implement it. Engines pace
+// scripted work through it, and off a Host it also carries their §4.3
+// detection delay (on a Host that goes to the owning shard's Wheel).
+type Timers interface {
+	After(d int64, fn func())
+}
 
 // Logic is the step-function face of an engine process: one serialized
 // protocol step per delivered message. A Host shard invokes Step

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/msg"
 	"repro/internal/transport"
@@ -60,6 +61,7 @@ type Host struct {
 	shards  []*shard
 	hostID  transport.NodeID
 	shardOf func(node transport.NodeID) int
+	epoch   time.Time // zero of the shard wheels' clock (wheel.go)
 
 	mu     sync.RWMutex
 	procs  map[transport.NodeID]*proc
@@ -143,6 +145,7 @@ type proc struct {
 	rec   RecoveryLogic
 	ann   ReannouncingLogic
 	snap  Snapshotter
+	tl    TimerLogic
 	sh    *shard
 	// mig is non-nil while the process is migrating (parked or
 	// forwarding). It is written only before the proc is published
@@ -212,6 +215,7 @@ func NewHost(opts Options) *Host {
 		under:   opts.Transport,
 		hostID:  opts.HostID,
 		shardOf: opts.ShardOf,
+		epoch:   time.Now(),
 		procs:   make(map[transport.NodeID]*proc),
 	}
 	h.shards = make([]*shard, n)
@@ -291,6 +295,7 @@ func (h *Host) Register(node transport.NodeID, handler transport.Handler) {
 	p.rec, _ = handler.(RecoveryLogic)
 	p.ann, _ = handler.(ReannouncingLogic)
 	p.snap, _ = handler.(Snapshotter)
+	p.tl, _ = handler.(TimerLogic)
 	h.mu.Lock()
 	if h.pendingPark[node] {
 		// The registration is a migration shell: it parks every delivery
@@ -571,8 +576,17 @@ type shard struct {
 	// gid is the loop goroutine's id and stepping is raised by the loop
 	// around each batch: what shardRunner.Exec needs to run a nested call
 	// inline instead of self-deadlocking.
-	gid        atomic.Uint64
-	stepping   atomic.Bool
+	gid      atomic.Uint64
+	stepping atomic.Bool
+	// wheel holds the timers hosted processes arm (wheel.go); only the
+	// loop goroutine touches it. tick is the one reusable time.Timer that
+	// ends a park at the next boundary a pending entry can fall due at;
+	// tickAt (mu) is the boundary it is armed for, 0 when none, and
+	// tickDue (mu) tells the parked loop that a boundary has passed.
+	wheel      timerWheel
+	tick       *time.Timer
+	tickAt     int64
+	tickDue    bool
 	batches    uint64
 	events     uint64
 	maxBatch   int
@@ -636,7 +650,7 @@ func (s *shard) loop() {
 	for {
 		s.mu.Lock()
 		s.idle = true
-		for len(s.queue) == 0 && !s.closed {
+		for len(s.queue) == 0 && !s.closed && !s.tickDue {
 			// Park only when the rings are drained too. parked must be
 			// set before the emptiness check: a producer that pushed
 			// just before the check is seen by it, one that pushed just
@@ -646,11 +660,19 @@ func (s *shard) loop() {
 				s.parked.Store(false)
 				break
 			}
+			if s.wheel.n > 0 {
+				s.armTickLocked()
+			}
 			s.cond.Broadcast() // wake drain waiters
 			s.cond.Wait()
 			s.parked.Store(false)
 		}
+		s.tickDue = false
 		if len(s.queue) == 0 && s.closed && s.ringsEmptyLocked() {
+			if s.tick != nil {
+				s.tick.Stop()
+				s.tickAt = 0
+			}
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			return
@@ -690,8 +712,56 @@ func (s *shard) loop() {
 				s.h.deliver(ev)
 			}
 		}
+		if s.wheel.n > 0 {
+			s.expireTimers()
+		}
 		s.stepping.Store(false)
 	}
+}
+
+// expireTimers runs every wheel entry that is due, on the loop goroutine
+// with stepping raised. An entry whose process was registered anew or is
+// migrating (parked, or moved to another host, which re-arms from the
+// shipped state) is dropped. Expired entries are not counted as events:
+// nearly all of them find their wait ended and do nothing.
+func (s *shard) expireTimers() {
+	due := s.wheel.expire(s.h.now())
+	for i := range due {
+		e := due[i]
+		due[i] = timerEntry{} // release the proc promptly
+		if e.p.mig != nil || s.h.proc(e.p.node) != e.p {
+			continue
+		}
+		e.p.tl.StepTimer(e.a, e.b)
+	}
+}
+
+// armTickLocked (s.mu held, loop goroutine, entries pending) makes sure
+// the tick timer will end the coming park by the next boundary at which
+// an entry can fall due; a wake already armed for that boundary or an
+// earlier one is left alone, so a park costs no timer call in the common
+// case.
+func (s *shard) armTickLocked() {
+	t := s.wheel.nextTick()
+	if s.tickAt != 0 && s.tickAt <= t {
+		return
+	}
+	d := time.Duration(t*wheelTick - s.h.now())
+	if s.tick == nil {
+		s.tick = time.AfterFunc(d, s.onTick)
+	} else {
+		s.tick.Reset(d)
+	}
+	s.tickAt = t
+}
+
+// onTick is the tick timer's callback: it wakes the parked loop.
+func (s *shard) onTick() {
+	s.mu.Lock()
+	s.tickAt = 0
+	s.tickDue = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // drain blocks until the queue and every ring are empty and the loop is

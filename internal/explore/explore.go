@@ -51,8 +51,8 @@ type timerEntry struct {
 // ChoiceNet is a transport whose delivery order is chosen externally:
 // sends queue per ordered pair (preserving FIFO within the pair), and
 // Deliver hands the head of a chosen pair to its destination. It also
-// implements the Timers interface shared by the engines (core, commdl,
-// ddb): timers below the horizon fire synchronously, in (delay, arm)
+// implements engine.Timers, which every engine (core, commdl, ddb)
+// takes: timers below the horizon fire synchronously, in (delay, arm)
 // order, as part of the step that armed them — local computation is
 // instantaneous in the paper's model, so a timer chain is part of one
 // atomic step — while timers at or beyond the horizon never fire at
@@ -108,8 +108,7 @@ func (n *ChoiceNet) Send(from, to transport.NodeID, m msg.Message) {
 	n.queues[l] = append(n.queues[l], m)
 }
 
-// After implements the engines' Timers interface (core.Timers,
-// commdl.Timers, ddb.Timers all share this shape).
+// After implements engine.Timers.
 func (n *ChoiceNet) After(d int64, fn func()) {
 	if d >= n.horizon {
 		return // dead: beyond the horizon, never fires

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -12,15 +13,15 @@ import (
 	"repro/internal/wfg"
 )
 
-// SimTimers adapts the discrete-event scheduler to core.Timers.
+// SimTimers adapts the discrete-event scheduler to engine.Timers.
 type SimTimers struct {
 	Sched *sim.Scheduler
 }
 
-// After implements core.Timers.
+// After implements engine.Timers.
 func (t SimTimers) After(d int64, fn func()) { t.Sched.After(sim.Duration(d), fn) }
 
-var _ core.Timers = SimTimers{}
+var _ engine.Timers = SimTimers{}
 
 // Detection records one deadlock declaration observed during a run.
 type Detection struct {

@@ -325,7 +325,7 @@ type olRun struct {
 	gen          *txnGen
 	ctrls        []*ddb.Controller
 	oracle       *ddb.Oracle
-	timers       ddb.Timers
+	timers       engine.Timers
 	now          func() int64
 	resolve      bool
 	victim       ddb.VictimPolicy
@@ -348,7 +348,7 @@ type olRun struct {
 	runErr    error
 }
 
-func newOlRun(cfg OpenLoopConfig, timers ddb.Timers, now func() int64, instantCheck bool) (*olRun, error) {
+func newOlRun(cfg OpenLoopConfig, timers engine.Timers, now func() int64, instantCheck bool) (*olRun, error) {
 	dist, err := NewKeyDist(cfg.Dist, cfg.keyDistConfig())
 	if err != nil {
 		return nil, err
@@ -836,7 +836,7 @@ func sleepOrInterrupt(d time.Duration, interrupt <-chan struct{}) bool {
 	}
 }
 
-// wallTimers is the real-time ddb.Timers for host runs.
+// wallTimers is the real-time engine.Timers for host runs.
 type wallTimers struct{}
 
 func (wallTimers) After(d int64, fn func()) { time.AfterFunc(time.Duration(d), fn) }
