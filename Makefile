@@ -62,6 +62,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALSegment -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALGroupCut -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzClusterWire -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzDecoder -fuzztime=10s ./internal/msg
+	$(GO) test -run='^$$' -fuzz=FuzzWFGDCanonical -fuzztime=10s ./internal/msg
 
 # Seeded fault-injection conformance under the race detector: the six
 # committed chaos schedules (crash / restart / partition / delay / dup)

@@ -103,7 +103,6 @@ func run(args []string, out io.Writer) error {
 		retryBase   = fs.Duration("retry-base", 50*time.Millisecond, "initial dial backoff, doubled per failed attempt")
 		retryMax    = fs.Duration("retry-max", 2*time.Second, "dial backoff cap")
 		maxBatch    = fs.Int("max-batch", 64, "max envelopes coalesced into one wire flush (1 = flush per frame)")
-		codecName   = fs.String("codec", "binary", "wire codec: binary (DESIGN.md §9) or gob (legacy interop)")
 		highWater   = fs.Int("mailbox-high-water", 0, "ingress mailbox depth that raises a backpressure event (0 = disabled)")
 		verbose     = fs.Bool("verbose", false, "print connection-lifecycle events")
 		showStats   = fs.Bool("net-stats", false, "print transport counters before exiting")
@@ -127,10 +126,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	codec, err := parseCodec(*codecName)
-	if err != nil {
-		return err
-	}
 	syncPolicy, err := wal.ParseSyncPolicy(*fsyncMode)
 	if err != nil {
 		return fmt.Errorf("-fsync: %w", err)
@@ -147,14 +142,14 @@ func run(args []string, out io.Writer) error {
 			idFlag: *idFlag, listen: *listen, procs: *procs, shards: *shards,
 			join: *joinFlag, size: *clusterSize, gossip: *gossipEvery,
 			initiate: *initiate, timeout: *timeout, settle: *settle,
-			maxBatch: *maxBatch, codec: codec, verbose: *verbose,
+			maxBatch: *maxBatch, verbose: *verbose,
 			walDir: *walDir, sync: syncPolicy,
 		})
 	}
 	if *procs > 1 {
 		return runHostMode(out, hostConfig{
 			idFlag: *idFlag, listen: *listen, procs: *procs, shards: *shards,
-			initiate: *initiate, timeout: *timeout, maxBatch: *maxBatch, codec: codec,
+			initiate: *initiate, timeout: *timeout, maxBatch: *maxBatch,
 			walDir: *walDir, ckptEvery: *ckptEvery, sync: syncPolicy,
 		})
 	}
@@ -175,7 +170,6 @@ func run(args []string, out io.Writer) error {
 		RetryBase:        *retryBase,
 		RetryMax:         *retryMax,
 		MaxBatch:         *maxBatch,
-		Codec:            codec,
 		MailboxHighWater: *highWater,
 		LeaseInterval:    *leaseEvery,
 		LeaseMisses:      *leaseMisses,
@@ -356,19 +350,6 @@ func reinitiate(p *core.Process) {
 	}
 }
 
-// parseCodec maps the -codec flag to a wire format. Both ends of a
-// link may choose independently: the decoder sniffs the format from
-// the stream's first byte and acks in kind.
-func parseCodec(name string) (msg.WireFormat, error) {
-	switch name {
-	case "binary":
-		return msg.WireBinary, nil
-	case "gob":
-		return msg.WireGob, nil
-	}
-	return 0, fmt.Errorf("unknown -codec %q (want binary or gob)", name)
-}
-
 // hostConfig carries the host-mode flags.
 type hostConfig struct {
 	idFlag, procs, shards int
@@ -376,7 +357,6 @@ type hostConfig struct {
 	initiate              bool
 	timeout               time.Duration
 	maxBatch              int
-	codec                 msg.WireFormat
 	walDir                string
 	ckptEvery             time.Duration
 	sync                  wal.SyncPolicy
@@ -401,7 +381,6 @@ func runHostMode(out io.Writer, cfg hostConfig) error {
 	hostID := transport.NodeID(1 + cfg.idFlag) // host ids must be positive
 	net := transport.NewTCPWithOptions(transport.TCPOptions{
 		MaxBatch: cfg.maxBatch,
-		Codec:    cfg.codec,
 		OnError: func(err error) {
 			fmt.Fprintf(os.Stderr, "cmhnode host %v: transport: %v\n", hostID, err)
 		},
@@ -558,8 +537,8 @@ func runHostMode(out io.Writer, cfg hostConfig) error {
 		st := host.Stats()
 		fmt.Fprintf(out, "host %v: DEADLOCK detected by computation %v in %v (%d-process cycle)\n",
 			hostID, tag, elapsed.Round(time.Microsecond), cfg.procs)
-		fmt.Fprintf(out, "host %v: intra-host sends=%d remote sends=%d batches=%d max batch=%d ring events=%d ring spills=%d\n",
-			hostID, st.IntraSends, st.RemoteSends, st.Batches, st.MaxBatch, st.RingEvents, st.RingSpills)
+		fmt.Fprintf(out, "host %v: intra-host sends=%d remote sends=%d batches=%d max batch=%d\n",
+			hostID, st.IntraSends, st.RemoteSends, st.Batches, st.MaxBatch)
 		finish()
 		return nil
 	case sig := <-sigC:
@@ -615,7 +594,6 @@ type clusterConfig struct {
 	timeout               time.Duration
 	settle                time.Duration
 	maxBatch              int
-	codec                 msg.WireFormat
 	verbose               bool
 	walDir                string
 	sync                  wal.SyncPolicy
@@ -682,7 +660,6 @@ func runClusterMode(out io.Writer, cfg clusterConfig) error {
 	hostID := transport.NodeID(1 + cfg.idFlag) // host ids must be positive
 	net := transport.NewTCPWithOptions(transport.TCPOptions{
 		MaxBatch: cfg.maxBatch,
-		Codec:    cfg.codec,
 		OnError: func(err error) {
 			fmt.Fprintf(os.Stderr, "cmhnode host %v: transport: %v\n", hostID, err)
 		},

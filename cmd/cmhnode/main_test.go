@@ -60,11 +60,8 @@ func TestThreeNodesDetectOverTCP(t *testing.T) {
 	}
 	common := []string{"-timeout", "10s", "-settle", "300ms"}
 	wg.Add(3)
-	// Node 1 speaks the legacy gob codec: the ring only closes if
-	// mixed-version interop (binary <-> gob links, format sniffed per
-	// stream) works end-to-end.
 	go runNode(0, append([]string{"-id", "0", "-listen", p0, "-peer", "1=" + p1 + ",2=" + p2, "-request", "1", "-initiate"}, common...))
-	go runNode(1, append([]string{"-id", "1", "-listen", p1, "-peer", "2=" + p2 + ",0=" + p0, "-request", "2", "-codec", "gob"}, common...))
+	go runNode(1, append([]string{"-id", "1", "-listen", p1, "-peer", "2=" + p2 + ",0=" + p0, "-request", "2"}, common...))
 	go runNode(2, append([]string{"-id", "2", "-listen", p2, "-peer", "0=" + p0 + ",1=" + p1, "-request", "0"}, common...))
 
 	done := make(chan struct{})

@@ -1,5 +1,5 @@
 // Livenet: the probe computation over real TCP sockets. Four processes
-// each listen on a loopback port, exchange gob-encoded requests and
+// each listen on a loopback port, exchange binary-framed requests and
 // probes over per-link TCP connections, form a request cycle, and the
 // Chandy–Misra algorithm detects it — demonstrating that the protocol
 // participants run unchanged over a real network stack (the transports

@@ -27,8 +27,8 @@ type clusterNode struct {
 
 // RunCluster replays the spec on the full cluster control plane: hosts
 // K nodes join through a seed, gossip a shared member map, derive
-// process placement from the consistent-hash ring (no AssignNode, no
-// SetHostPeer — every route resolves through Directory.Lookup), and —
+// process placement from the consistent-hash ring (every route
+// resolves through Directory.Lookup), and —
 // mid-run, between the sweep and the probe phase — live-migrate one
 // blocked process to another host, snapshot and in-flight frames
 // included. The verdict must be byte-identical to every other

@@ -40,7 +40,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wfg"
@@ -159,18 +158,6 @@ func RunLive(spec Spec) (string, error) {
 // the DESIGN.md §9 wire format).
 func RunTCP(spec Spec) (string, error) {
 	net := transport.NewTCP()
-	defer net.Close()
-	counters := metrics.NewCounters()
-	net.Observe(counters)
-	return run(spec, net, nil, pollQuiesce(counters))
-}
-
-// RunTCPGob replays the spec over loopback TCP with the legacy gob wire
-// format — the mixed-version interop codec. Its verdict must be
-// byte-identical to the binary codec's: the wire encoding may never
-// change what the algorithm concludes.
-func RunTCPGob(spec Spec) (string, error) {
-	net := transport.NewTCPWithOptions(transport.TCPOptions{Codec: msg.WireGob})
 	defer net.Close()
 	counters := metrics.NewCounters()
 	net.Observe(counters)

@@ -35,10 +35,6 @@ func TestDifferentialTransportConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tcp: %v", err)
 			}
-			gobV, err := RunTCPGob(spec)
-			if err != nil {
-				t.Fatalf("tcp-gob: %v", err)
-			}
 			hostedV, err := RunHosted(spec, 4)
 			if err != nil {
 				t.Fatalf("hosted: %v", err)
@@ -52,9 +48,6 @@ func TestDifferentialTransportConformance(t *testing.T) {
 			}
 			if simV != tcpV {
 				t.Errorf("sim and tcp verdicts differ:\n--- sim ---\n%s--- tcp ---\n%s", simV, tcpV)
-			}
-			if tcpV != gobV {
-				t.Errorf("binary and gob codec verdicts differ:\n--- binary ---\n%s--- gob ---\n%s", tcpV, gobV)
 			}
 			if simV != hostedV {
 				t.Errorf("sim and hosted verdicts differ:\n--- sim ---\n%s--- hosted ---\n%s", simV, hostedV)

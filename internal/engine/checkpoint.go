@@ -206,7 +206,7 @@ func (h *Host) Checkpoint() error {
 func (h *Host) checkpointGated() error {
 	w := h.walLog.Load()
 	// Cut: frames journaled before the gate closed may still be in a
-	// mailbox, ring, or shard queue — and the cascades they trigger can
+	// mailbox or shard queue — and the cascades they trigger can
 	// hop to a shard a single drain pass already visited. Drain until
 	// every journaled frame has been stepped AND a full pass executes
 	// nothing; the gate guarantees no new wire frames join.

@@ -41,13 +41,12 @@ func (l *snapLogic) RestoreState(data []byte) error {
 }
 
 // walRig wires a Host to a WAL the way the TCP transport does: every
-// sequenced frame is journaled (LogDelivery) and then delivered through
-// the stream-sink path.
+// sequenced frame is journaled (LogDelivery) and then handed to the
+// destination's inbound shim.
 type walRig struct {
 	t      *testing.T
 	h      *Host
 	w      *wal.Log
-	ss     *streamSession
 	logics map[transport.NodeID]*snapLogic
 }
 
@@ -65,8 +64,18 @@ func newWALRig(t *testing.T, dir string, inc uint64) *walRig {
 		r.logics[node] = l
 		h.Register(node, l)
 	}
-	r.ss = h.newStreamSession()
 	return r
+}
+
+// handOff delivers one journaled frame as the transport's mailbox does:
+// through the destination's inbound shim, onto its shard queue.
+func (r *walRig) handOff(from, to transport.NodeID, m msg.Message) {
+	p := r.h.proc(to)
+	if p == nil {
+		r.t.Errorf("handOff(%d->%d): destination not hosted", from, to)
+		return
+	}
+	inboundShim{h: r.h, p: p}.HandleSequenced(from, m, 0, 0)
 }
 
 func (r *walRig) close() {
@@ -81,9 +90,7 @@ func (r *walRig) close() {
 func (r *walRig) deliver(stream transport.NodeID, host bool, from, to transport.NodeID, seq, n uint64) {
 	m := msg.Probe{Tag: id.Tag{Initiator: 1, N: n}}
 	r.h.LogDelivery(stream, host, 1, seq, from, to, m)
-	if !r.ss.DeliverStream(from, to, m) {
-		r.t.Fatalf("DeliverStream(%d->%d) rejected", from, to)
-	}
+	r.handOff(from, to, m)
 }
 
 // sums drains and reads each process's state.

@@ -50,11 +50,7 @@ func (g *groupReader) flush() {
 	g.stage = g.stage[:0]
 }
 
-func (g *groupReader) handOff(f stagedFrame) {
-	if !g.r.ss.DeliverStream(f.from, f.to, f.m) {
-		g.r.t.Errorf("DeliverStream(%d->%d) rejected", f.from, f.to)
-	}
-}
+func (g *groupReader) handOff(f stagedFrame) { g.r.handOff(f.from, f.to, f.m) }
 
 // TestCheckpointWaitsForStagedGroup walks the checkpoint cut through a
 // half-built group, step by step: frames journaled but still staged keep
@@ -240,6 +236,6 @@ func TestLogDeliveryBareIsDurableOnReturn(t *testing.T) {
 	// The frames were journaled but never handed on: step them so the
 	// rig's close (and any cut) sees logged == stepped.
 	for seq := uint64(1); seq <= 9; seq++ {
-		r.ss.DeliverStream(900, 1, m)
+		r.handOff(900, 1, m)
 	}
 }

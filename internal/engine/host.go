@@ -90,9 +90,8 @@ type Host struct {
 	migReplayed  atomic.Uint64
 
 	// procsA is the lock-free read side of procs: a copy-on-write
-	// snapshot republished by Register, so Send and the stream-sink
-	// rings resolve a destination with one atomic load instead of an
-	// RLock per message.
+	// snapshot republished by Register, so Send resolves a destination
+	// with one atomic load instead of an RLock per message.
 	procsA  atomic.Pointer[map[transport.NodeID]*proc]
 	closedA atomic.Bool
 
@@ -103,7 +102,6 @@ type Host struct {
 	intraSends  atomic.Uint64
 	remoteSends atomic.Uint64
 	remoteRecvs atomic.Uint64
-	ringSpills  atomic.Uint64
 
 	// Durability state (checkpoint.go). walLog is nil until AttachWAL;
 	// every field below is idle — and off the hot path — without it.
@@ -170,10 +168,12 @@ type HostStats struct {
 	Batches  uint64
 	Events   uint64
 	MaxBatch int
-	// RingEvents counts deliveries the shards consumed from the
-	// lock-free stream rings (the mutex-free ingress path); RingSpills
-	// counts frames that detoured through the shard queue because their
-	// ring was full or a spill was still in flight.
+	// RingEvents and RingSpills are always 0. They counted the
+	// per-stream SPSC rings, a second shard ingress that has been
+	// removed: every wire frame now reaches its shard through the
+	// transport's mailbox and the inbound shim. The fields stay because
+	// the repo benchmark still reads them (engine.ring_share,
+	// engine.ring_spills_per_kframe).
 	RingEvents uint64
 	RingSpills uint64
 	// Migration counters (migrate.go). MigrationsOut/In count completed
@@ -343,11 +343,6 @@ func (s inboundShim) HandleSequenced(from transport.NodeID, m msg.Message, epoch
 // return — Host.deliver recycles after the process's step instead.
 func (s inboundShim) RetainsMessages() {}
 
-// BindStream implements transport.SinkProvider: frames of one inbound
-// stream flow through per-shard SPSC rings instead of the transport's
-// dispatch mailbox and this shim.
-func (s inboundShim) BindStream() transport.StreamSink { return s.h.newStreamSession() }
-
 // Send implements transport.Transport. A destination hosted here is a
 // direct append to its shard's queue — the intra-host fast path; any
 // other destination forwards to the underlying transport.
@@ -476,7 +471,6 @@ func (h *Host) Stats() HostStats {
 		IntraSends:       h.intraSends.Load(),
 		RemoteSends:      h.remoteSends.Load(),
 		RemoteRecvs:      h.remoteRecvs.Load(),
-		RingSpills:       h.ringSpills.Load(),
 		MigrationsOut:    h.migsOut.Load(),
 		MigrationsIn:     h.migsIn.Load(),
 		FramesForwarded:  h.migForwarded.Load(),
@@ -498,7 +492,6 @@ func (h *Host) Stats() HostStats {
 		if m > st.MaxBatch {
 			st.MaxBatch = m
 		}
-		st.RingEvents += s.ringEvents.Load()
 	}
 	return st
 }
@@ -562,16 +555,7 @@ type shard struct {
 	spare  []event
 	closed bool
 	idle   bool
-	// rings are the lock-free ingress lanes registered by stream
-	// sessions (appended under mu; the loop polls them between queue
-	// batches). parked is the Dekker flag of the ring wakeup protocol:
-	// the loop sets it (seq-cst) before its final emptiness check and
-	// Wait; a producer checks it after its push, so one of the two
-	// always observes the other and a push can never strand a parked
-	// loop. closedA lets producers drop frames for a closed shard
-	// without taking mu.
-	rings   []*spscRing
-	parked  atomic.Bool
+	// closedA mirrors closed for readers that do not take mu.
 	closedA atomic.Bool
 	// gid is the loop goroutine's id and stepping is raised by the loop
 	// around each batch: what shardRunner.Exec needs to run a nested call
@@ -583,14 +567,13 @@ type shard struct {
 	// ends a park at the next boundary a pending entry can fall due at;
 	// tickAt (mu) is the boundary it is armed for, 0 when none, and
 	// tickDue (mu) tells the parked loop that a boundary has passed.
-	wheel      timerWheel
-	tick       *time.Timer
-	tickAt     int64
-	tickDue    bool
-	batches    uint64
-	events     uint64
-	maxBatch   int
-	ringEvents atomic.Uint64
+	wheel    timerWheel
+	tick     *time.Timer
+	tickAt   int64
+	tickDue  bool
+	batches  uint64
+	events   uint64
+	maxBatch int
 }
 
 func newShard(h *Host) *shard {
@@ -615,35 +598,9 @@ func (s *shard) enqueue(ev event) bool {
 	return true
 }
 
-// addRing registers one stream-session ring with the loop.
-func (s *shard) addRing(r *spscRing) {
-	s.mu.Lock()
-	s.rings = append(s.rings, r)
-	s.mu.Unlock()
-}
-
-// wake nudges a parked loop after a ring push.
-func (s *shard) wake() {
-	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// ringsEmptyLocked (s.mu held, or loop goroutine) reports whether every
-// registered ring is drained.
-func (s *shard) ringsEmptyLocked() bool {
-	for _, r := range s.rings {
-		if !r.empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// loop drains the queue in batches — and the stream rings between
-// batches — until closed and empty. One goroutine, so every event it
-// executes is serialized with every other — the single-writer
-// invariant.
+// loop drains the queue in batches until closed and empty. One
+// goroutine, so every event it executes is serialized with every other
+// — the single-writer invariant.
 func (s *shard) loop() {
 	defer s.h.wg.Done()
 	s.gid.Store(curGID())
@@ -651,24 +608,14 @@ func (s *shard) loop() {
 		s.mu.Lock()
 		s.idle = true
 		for len(s.queue) == 0 && !s.closed && !s.tickDue {
-			// Park only when the rings are drained too. parked must be
-			// set before the emptiness check: a producer that pushed
-			// just before the check is seen by it, one that pushed just
-			// after sees parked and calls wake.
-			s.parked.Store(true)
-			if !s.ringsEmptyLocked() {
-				s.parked.Store(false)
-				break
-			}
 			if s.wheel.n > 0 {
 				s.armTickLocked()
 			}
 			s.cond.Broadcast() // wake drain waiters
 			s.cond.Wait()
-			s.parked.Store(false)
 		}
 		s.tickDue = false
-		if len(s.queue) == 0 && s.closed && s.ringsEmptyLocked() {
+		if len(s.queue) == 0 && s.closed {
 			if s.tick != nil {
 				s.tick.Stop()
 				s.tickAt = 0
@@ -681,7 +628,6 @@ func (s *shard) loop() {
 		batch := s.queue
 		s.queue = s.spare[:0]
 		s.spare = batch
-		rings := s.rings
 		if len(batch) > 0 {
 			s.batches++
 			s.events += uint64(len(batch))
@@ -702,15 +648,6 @@ func (s *shard) loop() {
 				continue
 			}
 			s.h.deliver(ev)
-		}
-		// Poll the stream rings, bounded per ring so a firehose stream
-		// cannot starve queued API calls and recovery steps.
-		var ev event
-		for _, r := range rings {
-			for n := 0; n < ringBurst && r.pop(&ev); n++ {
-				s.ringEvents.Add(1)
-				s.h.deliver(ev)
-			}
 		}
 		if s.wheel.n > 0 {
 			s.expireTimers()
@@ -764,11 +701,11 @@ func (s *shard) onTick() {
 	s.mu.Unlock()
 }
 
-// drain blocks until the queue and every ring are empty and the loop is
-// parked (or the shard is closed).
+// drain blocks until the queue is empty and the loop is parked (or the
+// shard is closed).
 func (s *shard) drain() {
 	s.mu.Lock()
-	for !(s.closed || (s.idle && len(s.queue) == 0 && s.ringsEmptyLocked())) {
+	for !(s.closed || (s.idle && len(s.queue) == 0)) {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -793,9 +730,8 @@ func (h *Host) shardEvents() uint64 {
 	return n
 }
 
-// close marks the shard closed and wakes the loop; queued and ringed
-// events are still drained before the loop exits (frames pushed after
-// the close flag is visible are dropped by the producers instead).
+// close marks the shard closed and wakes the loop; queued events are
+// still drained before the loop exits (enqueue refuses later ones).
 func (s *shard) close() {
 	s.mu.Lock()
 	s.closed = true

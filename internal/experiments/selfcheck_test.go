@@ -108,8 +108,8 @@ func TestWallClockSelfChecks(t *testing.T) {
 		// frame: encode into an established stream, and pooled decode
 		// with each frame recycled as the dispatch mailbox does.
 		env := msg.Envelope{From: 1, To: 2, Seq: 1, Msg: msg.Probe{Tag: id.Tag{Initiator: 1, N: 1}}}
-		enc := msg.NewEncoderFormat(&bytes.Buffer{}, msg.WireBinary)
-		if err := enc.Encode(env); err != nil { // stream preamble, excluded
+		enc := msg.NewEncoder(&bytes.Buffer{})
+		if err := enc.Encode(env); err != nil { // version byte, excluded
 			t.Fatal(err)
 		}
 		encAllocs := testing.AllocsPerRun(1000, func() {
@@ -124,7 +124,7 @@ func TestWallClockSelfChecks(t *testing.T) {
 
 		const frames = 2000
 		var stream bytes.Buffer
-		senc := msg.NewEncoderFormat(&stream, msg.WireBinary)
+		senc := msg.NewEncoder(&stream)
 		for i := 1; i <= frames+1; i++ {
 			env.Seq = uint64(i)
 			if err := senc.EncodeBuffered(env); err != nil {
@@ -135,7 +135,7 @@ func TestWallClockSelfChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec := msg.NewPooledDecoder(&stream)
-		if _, err := dec.Decode(); err != nil { // sniff + size scratch
+		if _, err := dec.Decode(); err != nil { // version byte + size scratch
 			t.Fatal(err)
 		}
 		decAllocs := testing.AllocsPerRun(frames/2, func() {
@@ -153,7 +153,7 @@ func TestWallClockSelfChecks(t *testing.T) {
 	t.Run("E18", func(t *testing.T) {
 		// The assembled pipeline engages every stage: each sender flush
 		// is one gathered writev, and every wire frame reaches a shard
-		// through the stream rings, some without spilling.
+		// through the mailbox and the Host's inbound shim.
 		const procs, frames = 8, 4000
 		tcpA := transport.NewTCPWithOptions(transport.TCPOptions{MaxBatch: 64})
 		tcpB := transport.NewTCPWithOptions(transport.TCPOptions{MaxBatch: 64})
@@ -201,12 +201,8 @@ func TestWallClockSelfChecks(t *testing.T) {
 		if ts := tcpA.Stats(); ts.Flushes == 0 || ts.VectorFlushes != ts.Flushes {
 			t.Errorf("%d of %d flushes vectored, want all", ts.VectorFlushes, ts.Flushes)
 		}
-		hs := host.Stats()
-		if hs.RingEvents+hs.RingSpills != frames {
-			t.Errorf("rings carried %d of %d frames: deliveries bypassed the stream sink", hs.RingEvents+hs.RingSpills, frames)
-		}
-		if hs.RingEvents == 0 {
-			t.Error("every frame spilled: the lock-free path never ran")
+		if hs := host.Stats(); hs.RemoteRecvs != frames {
+			t.Errorf("the Host received %d of %d wire frames", hs.RemoteRecvs, frames)
 		}
 	})
 }

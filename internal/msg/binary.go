@@ -1,22 +1,14 @@
 package msg
 
-// The binary wire format — the hand-rolled replacement for the gob
-// framing the transport shipped through PR 5. gob pays reflection, type
-// descriptors and fresh allocations on every frame of every probe; the
-// binary codec writes a fixed little-endian header plus a flat per-type
-// payload straight into the connection's buffered writer, so a
-// steady-state probe frame costs zero heap allocations to encode and
-// one (the interface boxing of the decoded message) to decode.
+// The binary wire format — the transport's one codec. It writes a fixed
+// little-endian header plus a flat per-type payload straight into the
+// connection's buffered writer, so a steady-state probe frame costs zero
+// heap allocations to encode and none to decode into a pooled message.
 //
 // Stream layout. A binary stream opens with the single version byte
-// binMagic (0xB1); everything after it is a sequence of frames. The
-// byte doubles as the codec version *and* the gob/binary discriminator:
-// gob's own framing starts every stream with a length whose first byte
-// is either 0x00–0x7F (small value) or 0xF8–0xFF (negated byte count of
-// a larger value), so 0xB1 is unreachable for a legacy peer and the
-// decoder can sniff the format from the first byte alone. A stream with
-// any other first byte is decoded as legacy gob — that is the one
-// release of interop the migration keeps (DESIGN.md §9).
+// binMagic (0xB1); everything after it is a sequence of frames. A stream
+// with any other first byte is rejected with ErrBadVersion before a
+// single frame is read.
 //
 // Frame layout (all integers little-endian):
 //
@@ -54,9 +46,8 @@ import (
 // disciplines.
 
 // binMagic is the stream-opening version byte of binary format v1.
-// Bump it (0xB2, ...) for any layout change; the decoder treats every
-// unknown leading byte as a legacy gob stream, so a new version must
-// keep the byte outside gob's reachable first-byte set (0x80–0xF7).
+// Bump it (0xB2, ...) for any layout change; the decoder rejects every
+// other leading byte with ErrBadVersion.
 const binMagic byte = 0xB1
 
 // binHdrLen is the fixed frame header size including the 4-byte length
@@ -78,6 +69,9 @@ const maxFrameLen = 1 << 24
 // TestBinaryRejectNoAlloc), and the transport closes the connection on
 // any decode error regardless.
 var (
+	// ErrBadVersion rejects a stream whose first byte is not binMagic:
+	// another protocol, a newer codec version, or garbage.
+	ErrBadVersion = errors.New("msg: stream does not open with the binary codec version byte")
 	// ErrNilMessage rejects a data envelope whose Msg is nil — including
 	// a typed nil like (*Probe)(nil), which compares unequal to nil but
 	// would still crash or confuse any downstream type dispatch.

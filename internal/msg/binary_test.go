@@ -1,9 +1,8 @@
 package msg
 
-// Tests for the binary wire codec: per-type round-trips, differential
-// equivalence with the legacy gob path, the golden header layout, the
-// zero-allocation guarantees of the encode and reject paths, and the
-// format-sniffing interop rules.
+// Tests for the binary wire codec: per-type round-trips, the golden
+// header layout, the zero-allocation guarantees of the encode and
+// reject paths, and the version-byte check.
 
 import (
 	"bytes"
@@ -45,8 +44,7 @@ func allWireMessages() []Message {
 }
 
 // sameMessage compares decoded messages, treating a nil and an empty
-// slice as equal (gob flattens empty slices to nil; the binary codec
-// preserves a zero count — both mean "no elements").
+// slice as equal (both mean "no elements").
 func sameMessage(a, b Message) bool {
 	norm := func(m Message) Message {
 		switch v := m.(type) {
@@ -77,7 +75,7 @@ func sameMessage(a, b Message) bool {
 func TestBinaryRoundTripAllTypes(t *testing.T) {
 	for i, m := range allWireMessages() {
 		var buf bytes.Buffer
-		enc := NewEncoderFormat(&buf, WireBinary)
+		enc := NewEncoder(&buf)
 		in := Envelope{
 			From: int32(i + 1), To: -int32(i + 2), SrcHost: int32(i),
 			Seq: uint64(i + 10), Epoch: uint64(i)<<32 | 0xdead, Ack: uint64(i), Inc: uint64(i + 3),
@@ -90,9 +88,6 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		out, err := dec.Decode()
 		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
-		}
-		if dec.Format() != WireBinary {
-			t.Fatalf("%T: sniffed format %v, want binary", m, dec.Format())
 		}
 		if out.From != in.From || out.To != in.To || out.SrcHost != in.SrcHost ||
 			out.Seq != in.Seq || out.Epoch != in.Epoch || out.Ack != in.Ack || out.Inc != in.Inc {
@@ -107,70 +102,12 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestGobBinaryDifferential encodes the same envelope stream once per
-// format and checks both decode to identical results — the differential
-// guarantee the mixed-version interop window rests on.
-func TestGobBinaryDifferential(t *testing.T) {
-	msgs := allWireMessages()
-	decodeAll := func(f WireFormat) []Envelope {
-		t.Helper()
-		var buf bytes.Buffer
-		enc := NewEncoderFormat(&buf, f)
-		for i, m := range msgs {
-			env := Envelope{From: 1, To: 2, Seq: uint64(i + 1), Epoch: 7, Msg: m}
-			if err := enc.EncodeBuffered(env); err != nil {
-				t.Fatalf("%v encode %T: %v", f, m, err)
-			}
-		}
-		// A control frame of each kind rides along.
-		for _, ctl := range []uint8{CtlPing, CtlAck} {
-			if err := enc.EncodeBuffered(Envelope{From: 1, To: 2, Epoch: 7, Ctl: ctl, Ack: 12, Inc: 9}); err != nil {
-				t.Fatalf("%v encode ctl %d: %v", f, ctl, err)
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		dec := NewDecoder(&buf)
-		var out []Envelope
-		for {
-			env, err := dec.Decode()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%v decode: %v", f, err)
-			}
-			out = append(out, env)
-		}
-		if dec.Format() != f {
-			t.Fatalf("sniffed %v, want %v", dec.Format(), f)
-		}
-		return out
-	}
-	gobOut := decodeAll(WireGob)
-	binOut := decodeAll(WireBinary)
-	if len(gobOut) != len(binOut) {
-		t.Fatalf("frame counts differ: gob %d, binary %d", len(gobOut), len(binOut))
-	}
-	for i := range gobOut {
-		g, b := gobOut[i], binOut[i]
-		if g.From != b.From || g.To != b.To || g.SrcHost != b.SrcHost || g.Seq != b.Seq ||
-			g.Epoch != b.Epoch || g.Ctl != b.Ctl || g.Ack != b.Ack || g.Inc != b.Inc {
-			t.Errorf("frame %d: headers differ:\ngob    %+v\nbinary %+v", i, g, b)
-		}
-		if !sameMessage(g.Msg, b.Msg) {
-			t.Errorf("frame %d: messages differ:\ngob    %#v\nbinary %#v", i, g.Msg, b.Msg)
-		}
-	}
-}
-
 // TestBinaryGoldenLayout pins the exact bytes of one probe frame. A
 // change here is a wire-protocol break: it needs a new version byte,
 // not a test update (DESIGN.md §9 evolution rules).
 func TestBinaryGoldenLayout(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoderFormat(&buf, WireBinary)
+	enc := NewEncoder(&buf)
 	err := enc.Encode(Envelope{
 		From: 0x01020304, To: 0x11121314, SrcHost: 0x21222324,
 		Seq: 0x3132333435363738, Epoch: 0x4142434445464748,
@@ -209,7 +146,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // most — performs zero heap allocations per frame, including the
 // periodic Flush.
 func TestBinaryEncodeZeroAlloc(t *testing.T) {
-	enc := NewEncoderFormat(discard{}, WireBinary)
+	enc := NewEncoder(discard{})
 	env := Envelope{From: 1, To: 2, SrcHost: 3, Seq: 1, Epoch: 99,
 		Msg: Probe{Tag: id.Tag{Initiator: 1, N: 1}}}
 	// Warm up: version byte out, buffers sized.
@@ -292,7 +229,7 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	mk := func(mut func(b []byte) []byte) []byte {
 		// A valid probe frame, then mutated.
 		var buf bytes.Buffer
-		enc := NewEncoderFormat(&buf, WireBinary)
+		enc := NewEncoder(&buf)
 		if err := enc.Encode(Envelope{From: 1, To: 2, Seq: 1, Epoch: 1,
 			Msg: Probe{Tag: id.Tag{Initiator: 1, N: 1}}}); err != nil {
 			t.Fatal(err)
@@ -327,7 +264,7 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		}), ErrBadFrame},
 		{"wfgd-count-overruns", func() []byte {
 			var buf bytes.Buffer
-			enc := NewEncoderFormat(&buf, WireBinary)
+			enc := NewEncoder(&buf)
 			if err := enc.Encode(Envelope{From: 1, To: 2, Seq: 1, Epoch: 1,
 				Msg: WFGD{Edges: []id.Edge{{From: 1, To: 2}}}}); err != nil {
 				t.Fatal(err)
@@ -347,21 +284,19 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestTypedNilRejected extends the nil-message guard to typed nils in
-// both formats: (*Probe)(nil) passes an == nil comparison but must be
-// rejected with the same ErrNilMessage as an untyped nil.
+// TestTypedNilRejected extends the nil-message guard to typed nils:
+// (*Probe)(nil) passes an == nil comparison but must be rejected with
+// the same ErrNilMessage as an untyped nil.
 func TestTypedNilRejected(t *testing.T) {
-	for _, f := range []WireFormat{WireBinary, WireGob} {
-		enc := NewEncoderFormat(&bytes.Buffer{}, f)
-		err := enc.EncodeBuffered(Envelope{From: 1, To: 2, Msg: (*Probe)(nil)})
-		if !errors.Is(err, ErrNilMessage) {
-			t.Errorf("%v: typed-nil message: err = %v, want ErrNilMessage", f, err)
-		}
-		// An alien non-nil type is a different failure: unknown, not nil.
-		err = enc.EncodeBuffered(Envelope{From: 1, To: 2, Msg: alienMsg{}})
-		if !errors.Is(err, ErrUnknownMessage) {
-			t.Errorf("%v: alien message: err = %v, want ErrUnknownMessage", f, err)
-		}
+	enc := NewEncoder(&bytes.Buffer{})
+	err := enc.EncodeBuffered(Envelope{From: 1, To: 2, Msg: (*Probe)(nil)})
+	if !errors.Is(err, ErrNilMessage) {
+		t.Errorf("typed-nil message: err = %v, want ErrNilMessage", err)
+	}
+	// An alien non-nil type is a different failure: unknown, not nil.
+	err = enc.EncodeBuffered(Envelope{From: 1, To: 2, Msg: alienMsg{}})
+	if !errors.Is(err, ErrUnknownMessage) {
+		t.Errorf("alien message: err = %v, want ErrUnknownMessage", err)
 	}
 }
 
@@ -370,27 +305,43 @@ type alienMsg struct{}
 
 func (alienMsg) Kind() Kind { return Kind(998) }
 
-// TestFormatSniffing checks one decoder accepts whichever format the
-// peer speaks — the property mixed-version links depend on — and that
-// Format() reports it so acks can be answered in kind.
+// TestFormatSniffing checks the decoder's first-byte check: a stream
+// opening with the version byte 0xB1 decodes, and a stream opening with
+// any other byte (another protocol, a newer codec version, the gob
+// framing earlier releases spoke) fails every Decode with ErrBadVersion,
+// allocation-free, without reading a frame.
 func TestFormatSniffing(t *testing.T) {
-	for _, f := range []WireFormat{WireBinary, WireGob} {
-		var buf bytes.Buffer
-		enc := NewEncoderFormat(&buf, f)
-		if err := enc.Encode(Envelope{From: 3, To: 4, Seq: 1, Epoch: 5,
-			Msg: Probe{Tag: id.Tag{Initiator: 3, N: 8}}}); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf).Encode(Envelope{From: 3, To: 4, Seq: 1, Epoch: 5,
+		Msg: Probe{Tag: id.Tag{Initiator: 3, N: 8}}}); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if good[0] != 0xB1 {
+		t.Fatalf("stream opens with %#x, want 0xB1", good[0])
+	}
+	env, err := NewDecoder(bytes.NewReader(good)).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := env.Msg.(Probe); !ok || p.Tag.N != 8 {
+		t.Fatalf("decoded %#v", env.Msg)
+	}
+	for _, first := range []byte{0x00, 0x20, 0x7F, 0xB0, 0xB2, 0xFF} {
+		bad := append([]byte{first}, good[1:]...)
+		dec := NewDecoder(bytes.NewReader(bad))
+		if _, err := dec.Decode(); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("first byte %#x: err = %v, want ErrBadVersion", first, err)
 		}
-		dec := NewDecoder(&buf)
-		env, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("%v: %v", f, err)
+		if dec.FrameBuffered() {
+			t.Fatalf("first byte %#x: FrameBuffered on a rejected stream", first)
 		}
-		if dec.Format() != f {
-			t.Fatalf("sniffed %v, want %v", dec.Format(), f)
-		}
-		if p, ok := env.Msg.(Probe); !ok || p.Tag.N != 8 {
-			t.Fatalf("%v: decoded %#v", f, env.Msg)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := dec.Decode(); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("first byte %#x: repeat decode err = %v, want ErrBadVersion", first, err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("first byte %#x: bad-version reject allocates %.1f times", first, allocs)
 		}
 	}
 }
@@ -401,7 +352,7 @@ func TestFormatSniffing(t *testing.T) {
 // with the frame length is rejected, never over-read.
 func TestBinaryClusterPayload(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoderFormat(&buf, WireBinary)
+	enc := NewEncoder(&buf)
 	payload := []byte{9, 8, 7, 6}
 	for i := 0; i < 2; i++ {
 		if err := enc.EncodeBuffered(Envelope{From: 1, To: 2, Seq: uint64(i + 1), Epoch: 1,
@@ -438,7 +389,7 @@ func TestBinaryClusterPayload(t *testing.T) {
 // the pre-boxed singletons (no per-frame boxing allocation).
 func TestBinaryDecodeSingletons(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoderFormat(&buf, WireBinary)
+	enc := NewEncoder(&buf)
 	for _, m := range []Message{Request{}, Request{Rejoin: true}, Reply{}, CommWork{}} {
 		if err := enc.EncodeBuffered(Envelope{From: 1, To: 2, Seq: 1, Epoch: 1, Msg: m}); err != nil {
 			t.Fatal(err)

@@ -2,8 +2,6 @@ package msg
 
 import (
 	"bufio"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -69,87 +67,20 @@ const (
 	CtlAck               // cumulative delivery acknowledgement
 )
 
-// WireFormat selects the frame encoding an Encoder produces. Decoders
-// need no selection: they sniff the stream's first byte (see binMagic)
-// and accept either format, which is what lets mixed-version links
-// interoperate during the migration window.
-type WireFormat int
-
-const (
-	// WireBinary is the hand-rolled length-prefixed binary codec of
-	// binary.go — the default. Zero heap allocations per steady-state
-	// frame encoded.
-	WireBinary WireFormat = iota
-	// WireGob is the reflection-based gob framing every release through
-	// PR 5 spoke. Kept for one release so a node that must send to an
-	// old peer can opt in (TCPOptions.Codec); old senders are understood
-	// automatically regardless.
-	WireGob
-)
-
-// String names the format.
-func (f WireFormat) String() string {
-	switch f {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("wire(%d)", int(f))
-	}
-}
-
-func init() {
-	// gob needs the concrete types that may appear behind the Message
-	// interface. Registration is deterministic and side-effect free,
-	// which is the sanctioned use of init.
-	gob.Register(Request{})
-	gob.Register(Reply{})
-	gob.Register(Probe{})
-	gob.Register(WFGD{})
-	gob.Register(CtrlAcquire{})
-	gob.Register(CtrlGranted{})
-	gob.Register(CtrlRelease{})
-	gob.Register(CtrlProbe{})
-	gob.Register(CtrlAbort{})
-	gob.Register(BaselineReport{})
-	gob.Register(BaselineDecision{})
-	gob.Register(CommWork{})
-	gob.Register(CommQuery{})
-	gob.Register(CommReply{})
-	gob.Register(Cluster{})
-}
-
-// Encoder writes envelopes to a stream in one WireFormat.
+// Encoder writes binary-encoded envelopes (binary.go) to a stream.
 type Encoder struct {
-	bw   *bufio.Writer
-	wire WireFormat
-	// enc is the gob encoder, created only in WireGob mode.
-	enc *gob.Encoder
-	// started records that the binary stream's version byte went out.
+	bw *bufio.Writer
+	// started records that the stream's version byte went out.
 	started bool
-	// frameBuf is the reusable binary frame staging slice: appendFrame
-	// builds each frame into it, then one bufio.Write copies it out.
-	// Grown to the largest frame seen, never reallocated per frame in
-	// steady state.
+	// frameBuf is the reusable frame staging slice: appendFrame builds
+	// each frame into it, then one bufio.Write copies it out. Grown to
+	// the largest frame seen, never reallocated per frame in steady
+	// state.
 	frameBuf []byte
 }
 
-// NewEncoder returns an Encoder writing the default (binary) format.
-func NewEncoder(w io.Writer) *Encoder { return NewEncoderFormat(w, WireBinary) }
-
-// NewEncoderFormat returns an Encoder writing the given format to w.
-func NewEncoderFormat(w io.Writer, f WireFormat) *Encoder {
-	bw := bufio.NewWriter(w)
-	e := &Encoder{bw: bw, wire: f}
-	if f == WireGob {
-		e.enc = gob.NewEncoder(bw)
-	}
-	return e
-}
-
-// Format reports the format the encoder writes.
-func (e *Encoder) Format() WireFormat { return e.wire }
+// NewEncoder returns an Encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{bw: bufio.NewWriter(w)} }
 
 // Encode writes one envelope and flushes it to the underlying stream.
 func (e *Encoder) Encode(env Envelope) error {
@@ -169,62 +100,36 @@ func (e *Encoder) Encode(env Envelope) error {
 //
 // A data envelope whose Msg is nil — including a typed nil such as
 // (*Probe)(nil), which an == nil check would wave through — is rejected
-// with ErrNilMessage before anything reaches the stream. In binary mode
-// a steady-state frame costs zero heap allocations: the header and
-// payload are staged through the encoder's own scratch buffer straight
-// into the stream's write buffer.
+// with ErrNilMessage before anything reaches the stream. A steady-state
+// frame costs zero heap allocations: the header and payload are staged
+// through the encoder's own scratch buffer straight into the stream's
+// write buffer.
 func (e *Encoder) EncodeBuffered(env Envelope) error {
-	if e.wire == WireBinary {
-		if !e.started {
-			// One version byte per stream, ahead of the first frame; its
-			// value tells a sniffing decoder this is not a gob stream.
-			if err := e.bw.WriteByte(binMagic); err != nil {
-				return err
-			}
-			e.started = true
-		}
-		buf, err := appendFrame(e.frameBuf[:0], env)
-		e.frameBuf = buf
-		if err != nil {
+	if !e.started {
+		// One version byte per stream, ahead of the first frame.
+		if err := e.bw.WriteByte(binMagic); err != nil {
 			return err
 		}
-		_, err = e.bw.Write(buf)
+		e.started = true
+	}
+	buf, err := appendFrame(e.frameBuf[:0], env)
+	e.frameBuf = buf
+	if err != nil {
 		return err
 	}
-	if env.Ctl == CtlData {
-		if _, _, ok := binTagSize(env.Msg); !ok {
-			return fmt.Errorf("encode envelope %d->%d: %w", env.From, env.To, classifyBadMessage(env.Msg))
-		}
-		// gob knows only the registered value types; a pooled pointer
-		// form re-boxes to its value twin before hitting the stream.
-		env.Msg = Deref(env.Msg)
-	}
-	if err := e.enc.Encode(env); err != nil {
-		return fmt.Errorf("encode envelope: %w", err)
-	}
-	return nil
+	_, err = e.bw.Write(buf)
+	return err
 }
-
-// Vectored reports whether the encoder's format supports AppendFrame —
-// building frames into caller-owned slices for a gathered (writev)
-// flush. Only the binary format does; gob callers keep the buffered
-// path.
-func (e *Encoder) Vectored() bool { return e.wire == WireBinary }
-
-// errNotVectored rejects AppendFrame on a non-binary encoder.
-var errNotVectored = errors.New("msg: AppendFrame requires the binary wire format")
 
 // AppendFrame appends the complete wire encoding of env to dst and
 // returns the grown slice, without touching the encoder's buffered
-// stream. The first frame of the stream is preceded by the version
-// byte (shared `started` state with EncodeBuffered, so the two write
-// disciplines may alternate on one connection as long as the buffered
-// path is flushed before vector writes). On a rejected message dst is
-// returned unchanged.
+// stream — the transport builds each frame of a batch into its own
+// segment and gathers them into one writev. The first frame of the
+// stream is preceded by the version byte (shared `started` state with
+// EncodeBuffered, so the two write disciplines may alternate on one
+// connection as long as the buffered path is flushed before vector
+// writes). On a rejected message dst is returned unchanged.
 func (e *Encoder) AppendFrame(dst []byte, env Envelope) ([]byte, error) {
-	if e.wire != WireBinary {
-		return dst, errNotVectored
-	}
 	withMagic := dst
 	if !e.started {
 		withMagic = append(dst, binMagic)
@@ -261,28 +166,22 @@ func isTypedNil(m Message) bool {
 	return false
 }
 
-// Decoder reads envelopes from a stream, accepting either wire format.
-// The first byte decides: binMagic selects the binary codec, anything
-// else replays the legacy gob path (gob can never emit binMagic first,
-// see binary.go).
+// Decoder reads binary-encoded envelopes from a stream. The stream's
+// first byte must be the version byte binMagic; any other first byte
+// fails every Decode with ErrBadVersion.
 type Decoder struct {
-	br   *bufio.Reader
-	mode WireFormat
-	// sniffed records whether the stream's format is known yet.
-	sniffed bool
-	// dec is the gob decoder, created only for legacy streams.
-	dec *gob.Decoder
-	// buf is the reusable binary payload scratch: one buffer per
-	// connection, grown to the largest frame seen, never reallocated per
-	// frame in steady state.
+	br *bufio.Reader
+	// started records that the stream's version byte was read.
+	started bool
+	// buf is the reusable payload scratch: one buffer per connection,
+	// grown to the largest frame seen, never reallocated per frame in
+	// steady state.
 	buf []byte
 	// pooled selects pool-backed pointer messages for the hot fixed-size
 	// types: a steady-state data frame then decodes with zero heap
 	// allocations (the pointer rides the interface word). The consumer
 	// owns each pooled message for exactly one delivery and returns it
-	// with Recycle. Mirrored on the gob-interop path (values are
-	// converted to the pooled forms after decode) so handlers see one
-	// delivery convention regardless of the peer's codec.
+	// with Recycle.
 	pooled bool
 }
 
@@ -299,21 +198,16 @@ func NewPooledDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReader(r), pooled: true}
 }
 
-// Format reports the sniffed stream format; valid only after the first
-// successful Decode. The transport uses it to answer an inbound stream
-// with acknowledgements in the format its sender understands.
-func (d *Decoder) Format() WireFormat { return d.mode }
-
 // FrameBuffered reports whether the next Decode is certain to return
-// without reading from the underlying stream: a complete binary frame
-// (4-byte length plus that many bytes) already sits in the read buffer,
-// or the buffered length prefix is one Decode rejects outright. It
-// consumes nothing. False means "maybe not": before the first Decode has
-// sniffed the format, on a gob stream, on a partial header or body, and
-// for a frame larger than the read buffer. A reader uses it to tell
-// "more frames arrived with this one" from "the next Decode may block".
+// without reading from the underlying stream: a complete frame (4-byte
+// length plus that many bytes) already sits in the read buffer, or the
+// buffered length prefix is one Decode rejects outright. It consumes
+// nothing. False means "maybe not": before the first Decode has read
+// the version byte, on a partial header or body, and for a frame larger
+// than the read buffer. A reader uses it to tell "more frames arrived
+// with this one" from "the next Decode may block".
 func (d *Decoder) FrameBuffered() bool {
-	if !d.sniffed || d.mode != WireBinary {
+	if !d.started {
 		return false
 	}
 	have := d.br.Buffered()
@@ -329,11 +223,11 @@ func (d *Decoder) FrameBuffered() bool {
 // cleanly between frames. A structurally valid frame that carries no
 // message (possible with a hand-crafted or corrupted frame) is rejected
 // as an error rather than surfacing a nil message to handlers; control
-// frames (Ctl != CtlData) legitimately carry none. On the binary path
-// every malformed-frame rejection is one of the package's sentinel
-// errors and allocates nothing.
+// frames (Ctl != CtlData) legitimately carry none. Every malformed-frame
+// rejection — a wrong version byte included — is one of the package's
+// sentinel errors and allocates nothing.
 func (d *Decoder) Decode() (Envelope, error) {
-	if !d.sniffed {
+	if !d.started {
 		first, err := d.br.Peek(1)
 		if err != nil {
 			if err == io.EOF {
@@ -341,35 +235,14 @@ func (d *Decoder) Decode() (Envelope, error) {
 			}
 			return Envelope{}, fmt.Errorf("decode envelope: %w", err)
 		}
-		d.sniffed = true
-		if first[0] == binMagic {
-			d.mode = WireBinary
-			d.br.ReadByte() // consume the version byte
-		} else {
-			d.mode = WireGob
-			d.dec = gob.NewDecoder(d.br)
+		if first[0] != binMagic {
+			// Not consumed: every later Decode rejects the stream too.
+			return Envelope{}, ErrBadVersion
 		}
+		d.br.Discard(1)
+		d.started = true
 	}
-	if d.mode == WireBinary {
-		env, buf, err := binDecodeFrame(d.br, d.buf, d.pooled)
-		d.buf = buf
-		return env, err
-	}
-	var env Envelope
-	if err := d.dec.Decode(&env); err != nil {
-		if err == io.EOF {
-			return Envelope{}, io.EOF
-		}
-		return Envelope{}, fmt.Errorf("decode envelope: %w", err)
-	}
-	if env.Ctl == CtlData && (env.Msg == nil || isTypedNil(env.Msg)) {
-		return Envelope{}, fmt.Errorf("decode envelope %d->%d: %w", env.From, env.To, ErrNilMessage)
-	}
-	if d.pooled {
-		// Legacy gob peers produce value-typed messages; hand the caller
-		// the same pooled pointer forms the binary path does, so the
-		// delivery convention does not depend on the sender's codec.
-		env.Msg = toPooled(env.Msg)
-	}
-	return env, nil
+	env, buf, err := binDecodeFrame(d.br, d.buf, d.pooled)
+	d.buf = buf
+	return env, err
 }

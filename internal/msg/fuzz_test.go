@@ -19,16 +19,18 @@ func FuzzDecoder(f *testing.F) {
 		WFGD{Edges: []id.Edge{{From: 1, To: 2}}},
 		CtrlAcquire{Txn: 3, Resource: 4, Mode: LockWrite, Inc: 1},
 	}
-	for _, m := range seedMsgs {
-		// One valid stream per format: the decoder sniffs and must
-		// survive arbitrary mutations of either.
-		for _, format := range []WireFormat{WireBinary, WireGob} {
-			var buf bytes.Buffer
-			if err := NewEncoderFormat(&buf, format).Encode(Envelope{From: 1, To: 2, Msg: m}); err != nil {
+	encode := func(envs ...Envelope) []byte {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		for _, env := range envs {
+			if err := enc.Encode(env); err != nil {
 				f.Fatal(err)
 			}
-			f.Add(buf.Bytes())
 		}
+		return buf.Bytes()
+	}
+	for _, m := range seedMsgs {
+		f.Add(encode(Envelope{From: 1, To: 2, Msg: m}))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
@@ -43,6 +45,17 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(append([]byte{binMagic, 46, 0, 0, 0, 0, 0}, make([]byte, 44)...))
 	f.Add(append([]byte{binMagic, 47, 0, 0, 0, 1, 0}, make([]byte, 45)...))
 	f.Add(append([]byte{binMagic, 46, 0, 0, 0, 9, 0}, make([]byte, 44)...))
+	// Valid control frames carry no message: a lease ping, a cumulative
+	// ack, and a stream mixing data and control frames.
+	f.Add(encode(Envelope{From: 1, To: 2, SrcHost: 3, Epoch: 9, Ctl: CtlPing}))
+	f.Add(encode(Envelope{From: 2, To: 1, Epoch: 9, Ctl: CtlAck, Ack: 64, Inc: 5}))
+	f.Add(encode(
+		Envelope{From: 1, To: 2, Seq: 1, Epoch: 9, Msg: Probe{Tag: id.Tag{Initiator: 1, N: 1}}},
+		Envelope{From: 1, To: 2, Epoch: 9, Ctl: CtlPing},
+		Envelope{From: 1, To: 2, Seq: 2, Epoch: 9, Msg: Cluster{Payload: []byte{1, 2, 3}}},
+	))
+	// A stream that does not open with the version byte.
+	f.Add(append([]byte{0x20}, encode(Envelope{From: 1, To: 2, Msg: Reply{}})[1:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
@@ -54,10 +67,13 @@ func FuzzDecoder(f *testing.F) {
 				}
 				return // any non-panic error is acceptable
 			}
-			// A successfully decoded envelope must carry a usable
-			// message.
+			// A successfully decoded data envelope must carry a usable
+			// message; ping and ack frames legitimately carry none.
+			if env.Ctl != CtlData {
+				continue
+			}
 			if env.Msg == nil {
-				t.Fatal("decoded envelope with nil message")
+				t.Fatal("decoded data envelope with nil message")
 			}
 			_ = env.Msg.Kind().String()
 		}

@@ -92,49 +92,6 @@ func Recycle(m Message) {
 	}
 }
 
-// toPooled converts the hot value-typed forms into their pooled pointer
-// forms. The gob-interop decode path uses it so a pooled Decoder hands
-// handlers the same pointer forms regardless of which codec the peer
-// spoke — one delivery convention, byte-identical verdicts across
-// codecs. Non-hot forms pass through unchanged.
-func toPooled(m Message) Message {
-	switch v := m.(type) {
-	case Probe:
-		p := probePool.Get().(*Probe)
-		*p = v
-		return p
-	case CtrlAcquire:
-		p := ctrlAcquirePool.Get().(*CtrlAcquire)
-		*p = v
-		return p
-	case CtrlGranted:
-		p := ctrlGrantedPool.Get().(*CtrlGranted)
-		*p = v
-		return p
-	case CtrlRelease:
-		p := ctrlReleasePool.Get().(*CtrlRelease)
-		*p = v
-		return p
-	case CtrlProbe:
-		p := ctrlProbePool.Get().(*CtrlProbe)
-		*p = v
-		return p
-	case CtrlAbort:
-		p := ctrlAbortPool.Get().(*CtrlAbort)
-		*p = v
-		return p
-	case CommQuery:
-		p := commQueryPool.Get().(*CommQuery)
-		*p = v
-		return p
-	case CommReply:
-		p := commReplyPool.Get().(*CommReply)
-		*p = v
-		return p
-	}
-	return m
-}
-
 // IsNilPtr reports whether m is a typed-nil pointer form — a non-nil
 // interface holding a nil *Probe and friends, the worst-case product of
 // a buggy decoder. Protocol step switches use it to reject such frames
@@ -175,9 +132,9 @@ func IsNilPtr(m Message) bool {
 
 // Deref converts a pooled pointer form back to its value form (boxing a
 // fresh interface value — this allocates, so it stays off hot paths).
-// The gob encoder uses it so pointer-form messages hit the wire as the
-// registered value types; anything else passes through unchanged. Typed
-// nils pass through unchanged (see IsNilPtr).
+// Consumers that keep a delivered message past its step (migration
+// parking, test recorders) use it; anything else passes through
+// unchanged. Typed nils pass through unchanged (see IsNilPtr).
 func Deref(m Message) Message {
 	if IsNilPtr(m) {
 		return m

@@ -31,63 +31,51 @@ func pooledRoundTripEnvs() []Envelope {
 
 // TestPooledDecodeRoundTrip checks a pooled decoder yields pointer
 // forms for the hot types whose dereferenced payloads match what was
-// sent, value/singleton forms for everything else, on both codecs. Each
-// codec's steady-state probe allocations are held to a ceiling: zero
-// for binary, and gob's long-standing one per encode and four per
-// decode, so a gob regression shows up here rather than on a wire.
+// sent, and value/singleton forms for everything else. Steady-state
+// probe frames cost zero allocations to encode and to decode.
 func TestPooledDecodeRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		wire                 WireFormat
-		encAllocs, decAllocs float64
-	}{
-		{WireBinary, 0, 0},
-		{WireGob, 1, 4},
-	} {
-		wire := tc.wire
-		var buf bytes.Buffer
-		enc := NewEncoderFormat(&buf, wire)
-		envs := pooledRoundTripEnvs()
-		for _, env := range envs {
-			if err := enc.Encode(env); err != nil {
-				t.Fatalf("%v encode: %v", wire, err)
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	envs := pooledRoundTripEnvs()
+	for _, env := range envs {
+		if err := enc.Encode(env); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+	}
+	dec := NewPooledDecoder(&buf)
+	for i, want := range envs {
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if _, sliced := got.Msg.(WFGD); !sliced { // slice payloads do not compare with ==
+			if Deref(got.Msg) != Deref(want.Msg) {
+				t.Fatalf("frame %d: got %#v want %#v", i, got.Msg, want.Msg)
 			}
 		}
-		dec := NewPooledDecoder(&buf)
-		for i, want := range envs {
-			got, err := dec.Decode()
-			if err != nil {
-				t.Fatalf("%v decode %d: %v", wire, i, err)
+		switch want.Msg.(type) {
+		case Probe, CtrlAcquire, CtrlGranted, CtrlRelease, CtrlProbe, CtrlAbort, CommQuery, CommReply:
+			switch got.Msg.(type) {
+			case *Probe, *CtrlAcquire, *CtrlGranted, *CtrlRelease, *CtrlProbe, *CtrlAbort, *CommQuery, *CommReply:
+			default:
+				t.Fatalf("frame %d: hot type decoded as %T, want pooled pointer form", i, got.Msg)
 			}
-			if _, sliced := got.Msg.(WFGD); !sliced { // slice payloads do not compare with ==
-				if Deref(got.Msg) != Deref(want.Msg) {
-					t.Fatalf("%v frame %d: got %#v want %#v", wire, i, got.Msg, want.Msg)
-				}
-			}
-			switch want.Msg.(type) {
-			case Probe, CtrlAcquire, CtrlGranted, CtrlRelease, CtrlProbe, CtrlAbort, CommQuery, CommReply:
-				switch got.Msg.(type) {
-				case *Probe, *CtrlAcquire, *CtrlGranted, *CtrlRelease, *CtrlProbe, *CtrlAbort, *CommQuery, *CommReply:
-				default:
-					t.Fatalf("%v frame %d: hot type decoded as %T, want pooled pointer form", wire, i, got.Msg)
-				}
-			}
-			Recycle(got.Msg)
 		}
-		if enc, dec := steadyProbeAllocs(t, wire); enc > tc.encAllocs || dec > tc.decAllocs {
-			t.Errorf("%v: %.1f allocs per probe encode, %.1f per decode; ceilings %.0f and %.0f",
-				wire, enc, dec, tc.encAllocs, tc.decAllocs)
-		}
+		Recycle(got.Msg)
+	}
+	if enc, dec := steadyProbeAllocs(t); enc != 0 || dec != 0 {
+		t.Errorf("%.1f allocs per probe encode, %.1f per decode; want 0 and 0", enc, dec)
 	}
 }
 
 // steadyProbeAllocs measures allocations per probe frame on an
 // established stream: one EncodeBuffered plus Flush, and one pooled
 // Decode whose message is recycled, as the transport's dispatch does.
-func steadyProbeAllocs(t *testing.T, wire WireFormat) (enc, dec float64) {
+func steadyProbeAllocs(t *testing.T) (enc, dec float64) {
 	t.Helper()
 	env := Envelope{From: 1, To: 2, Seq: 1, Epoch: 7, Msg: Probe{Tag: id.Tag{Initiator: 1, N: 1}}}
-	e := NewEncoderFormat(io.Discard, wire)
-	if err := e.Encode(env); err != nil { // stream preamble, gob type descriptors
+	e := NewEncoder(io.Discard)
+	if err := e.Encode(env); err != nil { // version byte, buffers sized
 		t.Fatal(err)
 	}
 	enc = testing.AllocsPerRun(500, func() {
@@ -100,7 +88,7 @@ func steadyProbeAllocs(t *testing.T, wire WireFormat) (enc, dec float64) {
 		}
 	})
 	var stream bytes.Buffer
-	w := NewEncoderFormat(&stream, wire)
+	w := NewEncoder(&stream)
 	for i := 0; i < 600; i++ {
 		env.Seq++
 		if err := w.EncodeBuffered(env); err != nil {
@@ -111,7 +99,7 @@ func steadyProbeAllocs(t *testing.T, wire WireFormat) (enc, dec float64) {
 		t.Fatal(err)
 	}
 	d := NewPooledDecoder(&stream)
-	if _, err := d.Decode(); err != nil { // stream preamble
+	if _, err := d.Decode(); err != nil { // version byte, scratch sized
 		t.Fatal(err)
 	}
 	dec = testing.AllocsPerRun(500, func() {
@@ -195,13 +183,10 @@ func TestEncodePointerFormsByteIdentical(t *testing.T) {
 }
 
 // TestAppendFrameMagicOnce checks the stream version byte precedes
-// exactly the first vector frame, stays unsent when the first frame is
-// rejected, and that gob encoders refuse the vector path.
+// exactly the first vector frame and stays unsent when the first frame
+// is rejected.
 func TestAppendFrameMagicOnce(t *testing.T) {
 	enc := NewEncoder(io.Discard)
-	if !enc.Vectored() {
-		t.Fatal("binary encoder must support vector frames")
-	}
 	if _, err := enc.AppendFrame(nil, Envelope{From: 1, To: 2, Msg: nil}); err == nil {
 		t.Fatal("nil message must be rejected")
 	}
@@ -219,13 +204,6 @@ func TestAppendFrameMagicOnce(t *testing.T) {
 	if len(seg2) > 0 && seg2[0] == binMagic {
 		t.Fatal("version byte must be sent once per stream")
 	}
-	gobEnc := NewEncoderFormat(io.Discard, WireGob)
-	if gobEnc.Vectored() {
-		t.Fatal("gob encoder must not claim vector support")
-	}
-	if _, err := gobEnc.AppendFrame(nil, Envelope{Msg: Reply{}}); err == nil {
-		t.Fatal("gob AppendFrame must fail")
-	}
 }
 
 // TestPooledDecodeZeroAllocs pins the pooled steady state: decoding a
@@ -240,7 +218,7 @@ func TestPooledDecodeZeroAllocs(t *testing.T) {
 	frame := append([]byte(nil), wire.Bytes()...)
 	r := bytes.NewReader(frame)
 	dec := NewPooledDecoder(r)
-	if _, err := dec.Decode(); err != nil { // warm-up: sniff + size scratch
+	if _, err := dec.Decode(); err != nil { // warm-up: version byte + size scratch
 		t.Fatal(err)
 	}
 	// Re-feed the same frame bytes (sans magic) through the same decoder.

@@ -73,28 +73,8 @@ func TestBatchedWritesPreserveFIFO(t *testing.T) {
 		t.Fatalf("Flushes = %d >= FramesWritten = %d: no coalescing happened", st.Flushes, st.FramesWritten)
 	}
 	if st.VectorFlushes != st.Flushes {
-		t.Fatalf("VectorFlushes = %d of %d flushes: the binary codec must take the gathered-write path",
+		t.Fatalf("VectorFlushes = %d of %d flushes: every sender-loop flush must be one gathered write",
 			st.VectorFlushes, st.Flushes)
-	}
-}
-
-// TestGobLinksSkipVectorPath pins the interop fallback: a link speaking
-// the legacy gob codec cannot build an iovec of preframed bytes, so its
-// flushes go through the buffered encoder and never count as vectored.
-func TestGobLinksSkipVectorPath(t *testing.T) {
-	const n = 100
-	net_ := transport.NewTCPWithOptions(transport.TCPOptions{Codec: msg.WireGob})
-	defer net_.Close()
-	got := sendBurst(t, net_, n)
-	if len(got) != n {
-		t.Fatalf("delivered %d frames, want %d", len(got), n)
-	}
-	st := net_.Stats()
-	if st.VectorFlushes != 0 {
-		t.Fatalf("VectorFlushes = %d on a gob link, want 0", st.VectorFlushes)
-	}
-	if st.Flushes == 0 {
-		t.Fatal("no flushes recorded")
 	}
 }
 

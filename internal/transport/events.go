@@ -153,7 +153,7 @@ type TCPOptions struct {
 	// them.
 	OnConnEvent func(ConnEvent)
 	// MaxBatch caps how many queued envelopes a link's sender coalesces
-	// into one buffered encode + single flush. 1 restores per-frame
+	// into one gathered write. 1 restores per-frame
 	// flushing; batching is safe across connection failures because the
 	// reconnect protocol replays written frames and receivers dedup by
 	// sequence number. Default 64.
@@ -185,13 +185,6 @@ type TCPOptions struct {
 	// without an acknowledgement before the peer is declared down.
 	// Default 3 (when LeaseInterval is set).
 	LeaseMisses int
-	// Codec selects the wire format outbound links speak. The zero
-	// value is msg.WireBinary (the current format); set msg.WireGob when
-	// this node must send to peers from the release before the binary
-	// codec. Inbound streams are format-sniffed, and acknowledgements
-	// answer each inbound stream in its sender's own format, so the
-	// option only governs what *this* node's data streams look like.
-	Codec msg.WireFormat
 	// MaxHeldPerStream caps how many out-of-order frames the receiver's
 	// resequencer parks per inbound stream while waiting for a gap to
 	// fill. Legitimate reconnects need only the frames written on
@@ -266,8 +259,9 @@ type TCPStats struct {
 	// counts the stream flushes that carried them. With write batching,
 	// FramesWritten/Flushes is the achieved coalescing factor.
 	// VectorFlushes is the subset of Flushes issued as one gathered
-	// writev over the batch's frames (binary codec only); the remainder
-	// went through the buffered per-frame encoder.
+	// writev over the batch's frames — every sender-loop flush; the
+	// remainder are reconnect replays, which go through the buffered
+	// encoder.
 	FramesWritten int64
 	Flushes       int64
 	VectorFlushes int64

@@ -14,10 +14,10 @@ import (
 )
 
 // The group-commit ordering tests (DESIGN.md §11). Every test drives one
-// inbox whose delivery log, stream sink and acknowledgements all write
-// into one event list, so the write-ahead orderings read off as a
-// sequence: a<seq> (journal append), commit (the barrier), d<seq> (the
-// frame handed to its sink), ack<n> (an acknowledgement covering n).
+// inbox whose delivery log, handler and acknowledgements all write into
+// one event list, so the write-ahead orderings read off as a sequence:
+// a<seq> (journal append), commit (the barrier), d<seq> (the frame
+// reaching the handler), ack<n> (an acknowledgement covering n).
 
 // eventLog is the shared, ordered record.
 type eventLog struct {
@@ -84,19 +84,14 @@ func (p plainLog) LogDelivery(_ NodeID, _ bool, _, seq uint64, _, _ NodeID, _ ms
 	p.log.add("log%d", seq)
 }
 
-// sinkHandler is a Handler whose streams bind a sink recording each
-// hand-off synchronously, under the inbox lock — so d<seq> lands in the
-// event list exactly where the transport delivered it. The payload's
-// tag must still be the one that was sent: a staged pooled message
-// recycled early would come back zeroed or aliased to a later frame.
-type sinkHandler struct{ log *eventLog }
+// deliveryRecorder is a Handler recording each delivery as d<seq>. The
+// payload's tag must still be the one that was sent: a staged pooled
+// message recycled early would come back zeroed or aliased to a later
+// frame.
+type deliveryRecorder struct{ log *eventLog }
 
-func (sinkHandler) HandleMessage(NodeID, msg.Message) {}
-func (h sinkHandler) BindStream() StreamSink          { return h }
-func (h sinkHandler) DeliverStream(_, _ NodeID, m msg.Message) bool {
+func (h deliveryRecorder) HandleMessage(_ NodeID, m msg.Message) {
 	h.log.add("d%d", msg.Deref(m).(msg.Probe).Tag.N)
-	msg.Recycle(m)
-	return true
 }
 
 // groupEnv builds frame seq of the test stream; the probe's tag repeats
@@ -121,11 +116,45 @@ func newGroupInbox(t *testing.T, h Handler, lg DeliveryLog) (*TCP, *inbox) {
 	return tr, tr.inboxOf(2)
 }
 
+// wantEvents compares the event list with want. Journal, commit and
+// ack events are recorded synchronously by the reader and must match
+// exactly, in order. A delivery is recorded by the inbox's mailbox
+// dispatcher some time after the resequencer handed the frame on, so
+// d<seq> may land later than want places it — past an ack, or past a
+// later group's events — but never earlier, and deliveries keep their
+// order: a frame is never delivered ahead of the commit covering it.
 func wantEvents(t *testing.T, l *eventLog, want ...string) {
 	t.Helper()
-	if got := l.snapshot(); !reflect.DeepEqual(got, want) {
+	if got := l.snapshot(); !eventsMatch(got, want) {
 		t.Fatalf("event order\n got %v\nwant %v", got, want)
 	}
+}
+
+func eventsMatch(got, want []string) bool {
+	// split separates deliveries from the rest, remembering how many
+	// other events precede each delivery.
+	split := func(evs []string) (rest, dels []string, after []int) {
+		for _, e := range evs {
+			if e[0] == 'd' {
+				dels = append(dels, e)
+				after = append(after, len(rest))
+			} else {
+				rest = append(rest, e)
+			}
+		}
+		return rest, dels, after
+	}
+	gotRest, gotDels, gotAfter := split(got)
+	wantRest, wantDels, wantAfter := split(want)
+	if !reflect.DeepEqual(gotRest, wantRest) || !reflect.DeepEqual(gotDels, wantDels) {
+		return false
+	}
+	for i := range gotAfter {
+		if gotAfter[i] < wantAfter[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func awaitEvents(t *testing.T, l *eventLog, want ...string) {
@@ -221,7 +250,7 @@ func (p *pipeReader) write(t *testing.T, raw []byte, envs ...msg.Envelope) {
 // commit-before-ack for a single frame).
 func TestGroupCommitOneBarrierPerRead(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	p := startPipeReader(t, tr, ib, log)
 
 	p.write(t, nil, groupEnv(1))
@@ -238,7 +267,7 @@ func TestGroupCommitOneBarrierPerRead(t *testing.T) {
 // frame (nor consume: the stream continues with the rest of it).
 func TestGroupCommitClosesWhenReadDrains(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	p := startPipeReader(t, tr, ib, log)
 	p.write(t, nil, groupEnv(1))
 	awaitEvents(t, log, "a1", "commit", "d1", "ack1")
@@ -262,7 +291,7 @@ func TestGroupCommitClosesWhenReadDrains(t *testing.T) {
 // frames — and the frames behind it form the next group.
 func TestGroupCommitPingMidGroup(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	p := startPipeReader(t, tr, ib, log)
 	p.write(t, nil, groupEnv(1))
 	awaitEvents(t, log, "a1", "commit", "d1", "ack1")
@@ -279,7 +308,7 @@ func TestGroupCommitPingMidGroup(t *testing.T) {
 // block" and the group is still open when Decode fails.
 func TestGroupCommitOnReaderExit(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	p := startPipeReader(t, tr, ib, log)
 	p.write(t, nil, groupEnv(1))
 	awaitEvents(t, log, "a1", "commit", "d1", "ack1")
@@ -304,7 +333,7 @@ func TestGroupCommitOnReaderExit(t *testing.T) {
 // without journaling anything, and A's late flush finds nothing to do.
 func TestGroupCommitOverlappingConnections(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	defer tr.Close()
 	recv := func(env msg.Envelope) { // more=true: each reader is mid-read
 		if ack, due := tr.receive(ib, env, true); due {
@@ -319,7 +348,7 @@ func TestGroupCommitOverlappingConnections(t *testing.T) {
 	recv(groupEnv(2)) // reader B: replay of a delivered frame
 	tr.flush(ib)      // reader A drains its buffer
 	tr.flush(ib)      // reader B drains its buffer
-	wantEvents(t, log, "a1", "commit", "d1", "ack1",
+	awaitEvents(t, log, "a1", "commit", "d1", "ack1",
 		"a2", "a3", "commit", "d2", "d3", "ack3",
 		"a4", "commit", "d4", "ack4")
 	if got := tr.Stats().Duplicates; got != 1 {
@@ -333,7 +362,7 @@ func TestGroupCommitOverlappingConnections(t *testing.T) {
 // stride then owes.
 func TestGroupCommitFullStage(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	defer tr.Close()
 	const extra = 5
 	last := uint64(1 + tcpGroupMax + extra)
@@ -357,7 +386,7 @@ func TestGroupCommitFullStage(t *testing.T) {
 	}
 	group(2, 1+tcpGroupMax)
 	group(2+tcpGroupMax, last)
-	wantEvents(t, log, want...)
+	awaitEvents(t, log, want...)
 	if cap(ib.stage) > 2*tcpGroupMax {
 		t.Fatalf("stage grew to cap %d; the bound is %d frames", cap(ib.stage), tcpGroupMax)
 	}
@@ -369,12 +398,12 @@ func TestGroupCommitFullStage(t *testing.T) {
 // per-frame call — order preserved, nothing left waiting on the cut.
 func TestGroupCommitDeclinedAppend(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log, decline: 3})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log, decline: 3})
 	defer tr.Close()
 	for seq := uint64(1); seq <= 4; seq++ {
 		tr.receive(ib, groupEnv(seq), seq < 4)
 	}
-	wantEvents(t, log, "a1", "commit", "d1",
+	awaitEvents(t, log, "a1", "commit", "d1",
 		"a2", "commit", "d2", "log3", "d3",
 		"a4", "commit", "d4")
 }
@@ -384,7 +413,7 @@ func TestGroupCommitDeclinedAppend(t *testing.T) {
 // immediately before that frame's delivery, no staging.
 func TestPlainDeliveryLogPerFrame(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, plainLog{log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, plainLog{log})
 	p := startPipeReader(t, tr, ib, log)
 	p.write(t, nil, groupEnv(1), groupEnv(2), groupEnv(3), groupPing())
 	awaitEvents(t, log, "log1", "d1", "ack1", "log2", "d2", "log3", "d3", "ack3")
@@ -399,21 +428,23 @@ func TestPlainDeliveryLogPerFrame(t *testing.T) {
 // what the old log had staged before frames start flowing unjournaled.
 func TestGroupCommitBypasses(t *testing.T) {
 	log := &eventLog{}
-	tr, ib := newGroupInbox(t, sinkHandler{log}, &groupLog{log: log})
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
 	defer tr.Close()
 	tr.receive(ib, groupEnv(1), true)
 	tr.receive(ib, groupEnv(2), true) // staged
 	tr.receive(ib, msg.Envelope{From: 1, To: 2, Epoch: 7, Ctl: msg.CtlAck, Ack: 9}, true)
-	wantEvents(t, log, "a1", "commit", "d1", "a2")
-	tr.receive(ib, msg.Envelope{From: 5, To: 2, Msg: msg.Probe{}}, false) // Seq 0, and the read is drained
-	wantEvents(t, log, "a1", "commit", "d1", "a2", "commit", "d2")
+	awaitEvents(t, log, "a1", "commit", "d1", "a2")
+	// Seq 0, and the read is drained: the unsequenced frame (tag 0) is
+	// handed on at once, then the group in front of it closes.
+	tr.receive(ib, msg.Envelope{From: 5, To: 2, Msg: msg.Probe{}}, false)
+	awaitEvents(t, log, "a1", "commit", "d1", "a2", "d0", "commit", "d2")
 
 	tr.receive(ib, groupEnv(3), true) // staged
 	if err := tr.SetDeliveryLog(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.receive(ib, groupEnv(4), true)
-	wantEvents(t, log, "a1", "commit", "d1", "a2", "commit", "d2", "a3", "commit", "d3", "d4")
+	awaitEvents(t, log, "a1", "commit", "d1", "a2", "d0", "commit", "d2", "a3", "commit", "d3", "d4")
 }
 
 // blockedCommit runs frames 1..3 plus a ping through a real reader whose
@@ -477,9 +508,9 @@ func TestSyncBeforeDeliver(t *testing.T) {
 // wire. Moving the commit after the ack write fails here.
 func TestSyncBeforeAck(t *testing.T) {
 	log := &eventLog{}
-	release := blockedCommit(t, sinkHandler{log}, log)
+	release := blockedCommit(t, deliveryRecorder{log}, log)
 	time.Sleep(100 * time.Millisecond)
-	wantEvents(t, log, "a1", "commit", "d1", "ack1", "a2", "a3", "commit")
+	awaitEvents(t, log, "a1", "commit", "d1", "ack1", "a2", "a3", "commit")
 	release()
 	awaitEvents(t, log, "a1", "commit", "d1", "ack1", "a2", "a3", "commit", "d2", "d3", "ack3")
 }

@@ -244,12 +244,13 @@ func TestHostMuxCoexistsWithLegacyNodes(t *testing.T) {
 }
 
 // TestHostMuxRegisterRemoteAssignmentPanics pins the misconfiguration
-// behaviour: locally registering a node assigned to a host with no
-// local listener is a programming error, not silent misrouting.
+// behaviour: locally registering a node placed on a host with no local
+// listener is a programming error, not silent misrouting.
 func TestHostMuxRegisterRemoteAssignmentPanics(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
-	tr.AssignNode(5, 4001) // host 4001 never listens locally
+	// Host 4001 never listens locally.
+	tr.SetResolver(StaticPlacement{Hosts: map[NodeID]NodeID{5: 4001}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Register of a remotely-assigned node did not panic")

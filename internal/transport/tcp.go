@@ -16,12 +16,10 @@ import (
 // (from,to) pair, each with its own goroutine, queue, mutex and
 // encoder, so a slow or unreachable peer stalls only its own link.
 // Frames are binary-encoded, sequence-numbered envelopes (see
-// msg.Envelope and DESIGN.md §9; TCPOptions.Codec can select the
-// legacy gob format for mixed-version interop): the sequence numbers
-// let the receiver drop duplicates
-// and resequence frames replayed across a re-dialed connection, which
-// preserves the per-ordered-pair FIFO guarantee the algorithm's proofs
-// require even when connections fail.
+// msg.Envelope and DESIGN.md §9): the sequence numbers let the receiver
+// drop duplicates and resequence frames replayed across a re-dialed
+// connection, which preserves the per-ordered-pair FIFO guarantee the
+// algorithm's proofs require even when connections fail.
 //
 // Failure handling: dials retry with exponential backoff; write and
 // read failures tear down only the affected connection and are
@@ -40,13 +38,13 @@ import (
 //
 // Host-level multiplexing: a deployment hosting many nodes per OS
 // process calls ListenHost once (one listener for the whole host) and
-// AssignNode for each node it hosts or knows to be hosted remotely.
-// Register then skips the per-node loopback listener for assigned
-// nodes, Send routes their traffic over one shared link per ordered
-// host pair (Envelope.SrcHost names the stream; From/To still name the
-// node endpoints), and the receiving host demultiplexes by Envelope.To.
-// Unassigned nodes keep the legacy per-node addressing; both coexist
-// on one transport.
+// installs a PlacementResolver (SetResolver) that maps nodes to hosts
+// and hosts to addresses. Register then skips the per-node loopback
+// listener for placed nodes, Send routes their traffic over one shared
+// link per ordered host pair (Envelope.SrcHost names the stream;
+// From/To still name the node endpoints), and the receiving host
+// demultiplexes by Envelope.To. Nodes the resolver does not place keep
+// the legacy per-node addressing; both coexist on one transport.
 type TCP struct {
 	opts TCPOptions
 
@@ -59,19 +57,16 @@ type TCP struct {
 	observers []Observer
 	closed    bool
 
-	// Host-multiplexing state: one listener+inbox per local host, an
-	// address directory per remote host, the node→host assignment and
-	// the handler directory the host inboxes demultiplex into.
+	// Host-multiplexing state: one listener+inbox per local host, the
+	// local hosts' listen addresses and the handler directory the host
+	// inboxes demultiplex into.
 	hostLns   map[NodeID]net.Listener
 	hostAddrs map[NodeID]string
-	hostOf    map[NodeID]NodeID
 	handlers  map[NodeID]Handler
 	hostBoxes map[NodeID]*inbox
 
-	// resolver, when set, answers placement and address questions the
-	// static tables above cannot: node→host from a routing directory,
-	// host→addr from a member map. Static entries win, so hand-wired
-	// shims and the directory can coexist during the migration window.
+	// resolver, when set, answers every placement question: node→host
+	// from a routing directory, host→addr from a member map.
 	resolver PlacementResolver
 
 	// done unblocks backoff sleeps and dial attempts on Close.
@@ -111,20 +106,7 @@ type inbox struct {
 	// flushes everything the ack will cover first. A pooled message in
 	// the stage is owned by the transport until the flush hands it on.
 	// The backing array is reused across groups.
-	stage []stagedDelivery
-	// sinks memoizes the per-stream lock-free delivery sink (nil when
-	// the stream's handler does not provide one, or observers were
-	// attached at bind time). Keyed per stream — NOT per pairState —
-	// so a sender epoch change keeps its session: frames of the new
-	// epoch must flow through the same rings as the old one's, or the
-	// two could race each other into the shards.
-	sinks map[streamKey]StreamSink
-}
-
-// stagedDelivery is one journaled frame awaiting its group's commit.
-type stagedDelivery struct {
-	key streamKey
-	d   delivery
+	stage []delivery
 }
 
 // tcpGroupMax bounds how many frames one group commit covers: a stage
@@ -186,7 +168,6 @@ func NewTCPWithOptions(o TCPOptions) *TCP {
 		inboxes:   make(map[NodeID]*inbox),
 		hostLns:   make(map[NodeID]net.Listener),
 		hostAddrs: make(map[NodeID]string),
-		hostOf:    make(map[NodeID]NodeID),
 		handlers:  make(map[NodeID]Handler),
 		hostBoxes: make(map[NodeID]*inbox),
 		done:      make(chan struct{}),
@@ -195,11 +176,9 @@ func NewTCPWithOptions(o TCPOptions) *TCP {
 
 // Observe attaches an observer to all subsequent traffic. Observers
 // that also implement SeqObserver additionally receive each delivered
-// frame's (epoch, seq) sequencing. Attach observers before traffic
-// begins: an inbound stream whose handler provides a lock-free
-// StreamSink binds it at the stream's first frame when no observers
-// are attached, and a stream already bound stays on the sink path —
-// which bypasses delivery callbacks — for its lifetime.
+// frame's (epoch, seq) sequencing. Every delivery goes through the
+// dispatch mailbox, so an observer attached mid-traffic sees every
+// delivery dispatched after it.
 func (t *TCP) Observe(o Observer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -238,16 +217,17 @@ func (t *TCP) Stats() TCPStats {
 	return s
 }
 
-// Register implements Transport. A node assigned to a local host (see
-// AssignNode/ListenHost) only records its handler — the host's single
-// listener already carries its ingress, so co-hosted nodes do not each
-// open a loopback listener. An unassigned node keeps the legacy
-// behaviour: its own listener and accept loop.
+// Register implements Transport. A node the resolver places on a local
+// host (see SetResolver/ListenHost) only records its handler — the
+// host's single listener already carries its ingress, so co-hosted
+// nodes do not each open a loopback listener. A node the resolver does
+// not place keeps the legacy behaviour: its own listener and accept
+// loop.
 func (t *TCP) Register(id NodeID, h Handler) {
 	t.mu.Lock()
 	if host, hosted := t.resolveHostLocked(id); hosted {
 		if _, local := t.hostLns[host]; !local {
-			if t.resolver != nil && len(t.hostLns) > 0 {
+			if len(t.hostLns) > 0 {
 				// Dynamic placement: a migration target registers its
 				// shell process while the resolver still maps the node to
 				// the old host (routes flip only after the cut). Inbound
@@ -259,7 +239,7 @@ func (t *TCP) Register(id NodeID, h Handler) {
 				return
 			}
 			t.mu.Unlock()
-			panic(fmt.Sprintf("tcp: register node %d: assigned to host %d, which has no local listener (ListenHost first, or the node belongs on the remote host)", id, host))
+			panic(fmt.Sprintf("tcp: register node %d: placed on host %d, which has no local listener (ListenHost first, or the node belongs on the remote host)", id, host))
 		}
 		t.handlers[id] = h
 		t.mu.Unlock()
@@ -277,7 +257,7 @@ func (t *TCP) RegisterAddr(id NodeID, addr string, h Handler) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	ib := &inbox{node: id, inc: newEpoch(), pairs: make(map[streamKey]*pairState), sinks: make(map[streamKey]StreamSink)}
+	ib := &inbox{node: id, inc: newEpoch(), pairs: make(map[streamKey]*pairState)}
 	_, retains := h.(MessageRetainer)
 	seqh, _ := h.(SequencedHandler)
 	ib.box = newMailbox(h, func(d delivery) {
@@ -329,8 +309,8 @@ func (t *TCP) RegisterAddr(id NodeID, addr string, h Handler) error {
 }
 
 // ListenHost starts the single listener for a local host: one accept
-// loop and one inbox carry the ingress of every node later assigned to
-// the host via AssignNode. Host ids must be positive (0 is the wire's
+// loop and one inbox carry the ingress of every node the resolver
+// places on the host. Host ids must be positive (0 is the wire's
 // legacy-addressing sentinel) and live in a namespace of their own —
 // a host id never collides with a node id even when numerically equal.
 func (t *TCP) ListenHost(host NodeID, addr string) error {
@@ -341,7 +321,7 @@ func (t *TCP) ListenHost(host NodeID, addr string) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	ib := &inbox{node: host, inc: newEpoch(), pairs: make(map[streamKey]*pairState), sinks: make(map[streamKey]StreamSink)}
+	ib := &inbox{node: host, inc: newEpoch(), pairs: make(map[streamKey]*pairState)}
 	ib.box = newMailbox(nil, func(d delivery) {
 		t.mu.Lock()
 		h := t.handlers[d.to]
@@ -404,69 +384,32 @@ func (t *TCP) ListenHost(host NodeID, addr string) error {
 	return nil
 }
 
-// SetResolver installs the placement resolver consulted whenever the
-// static AssignNode/SetHostPeer tables have no entry for a node or
-// host. Install it before traffic begins; the resolver is read on every
-// Send and each dial cycle, so a live directory (the cluster layer's)
-// re-routes links as membership changes without any per-pair wiring.
+// SetResolver installs the placement resolver: every node→host and
+// remote host→address question is put to it. Install it before traffic
+// begins; the resolver is read on every Send and each dial cycle, so a
+// live directory (the cluster layer's) re-routes links as membership
+// changes without any per-pair wiring.
 func (t *TCP) SetResolver(r PlacementResolver) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.resolver = r
 }
 
-// resolveHostLocked (t.mu held) maps a node to its owning host: the
-// static AssignNode table first, then the placement resolver. ok=false
-// means the node uses legacy per-node addressing.
+// resolveHostLocked (t.mu held) maps a node to its owning host through
+// the placement resolver. ok=false means the node uses legacy per-node
+// addressing.
 func (t *TCP) resolveHostLocked(node NodeID) (NodeID, bool) {
-	if h, ok := t.hostOf[node]; ok {
-		return h, true
-	}
 	if t.resolver != nil {
 		return t.resolver.HostOf(node)
 	}
 	return 0, false
 }
 
-// SetHostPeer records (or updates) the address of a host running
-// elsewhere. Nodes assigned to that host become reachable through its
-// one multiplexed link.
-//
-// Deprecated: hand-wired host directories are superseded by the
-// directory API — install a PlacementResolver (transport.StaticPlacement
-// or the cluster layer's Directory) via SetResolver instead. The shim
-// remains for one release; static entries still take precedence.
-func (t *TCP) SetHostPeer(host NodeID, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.hostAddrs[host] = addr
-}
-
-// HostAddr returns the listen address of a host (local or learned via
-// SetHostPeer).
+// HostAddr returns the listen address of a local host (see ListenHost).
 func (t *TCP) HostAddr(host NodeID) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.hostAddrs[host]
-}
-
-// AssignNode pins a node to a host. Outbound traffic to the node rides
-// the shared per-host-pair link, and a local Register of the node skips
-// the per-node listener. Assign before registering or sending; the
-// assignment of a remote node routes sends, the assignment of a local
-// node additionally suppresses its loopback listener.
-//
-// Deprecated: per-node pinning is superseded by the directory API —
-// install a PlacementResolver (transport.StaticPlacement or the cluster
-// layer's Directory) via SetResolver instead. The shim remains for one
-// release; static assignments still take precedence over the resolver.
-func (t *TCP) AssignNode(node, host NodeID) {
-	if host <= 0 {
-		panic(fmt.Sprintf("tcp: assign node %d: host ids must be positive, got %d", node, host))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.hostOf[node] = host
 }
 
 // ListenerCount reports how many TCP listeners the transport holds open
@@ -545,10 +488,7 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 		}
 		if ack, due := t.receive(ib, env, dec.FrameBuffered()); due {
 			if enc == nil {
-				// Answer in whatever format the sender speaks (sniffed
-				// from its stream), so a legacy gob peer understands the
-				// acknowledgements during the migration window.
-				enc = msg.NewEncoderFormat(conn, dec.Format())
+				enc = msg.NewEncoder(conn)
 			}
 			if werr := enc.Encode(ack); werr == nil {
 				t.stats.acksSent.Add(1)
@@ -676,34 +616,6 @@ func (t *TCP) receiveLocked(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 	return msg.Envelope{}, false
 }
 
-// sinkLocked (ib.mu held) resolves the stream's lock-free delivery
-// sink, binding it on first use. A stream binds at its first sequenced
-// data frame: if the destination's handler provides sinks and no
-// observers are attached, every subsequent in-order frame of the
-// stream bypasses the dispatch mailbox. The nil verdict is memoized
-// too — a stream is either on the sink path or the mailbox path for
-// its whole life, never both, so the two can never reorder against
-// each other. Streams whose first frame targets a not-yet-registered
-// node stay unmemoized and retry the bind on the next frame.
-func (t *TCP) sinkLocked(ib *inbox, key streamKey, to NodeID) StreamSink {
-	if sink, resolved := ib.sinks[key]; resolved {
-		return sink
-	}
-	t.mu.Lock()
-	h := t.handlers[to]
-	observed := len(t.observers) > 0
-	t.mu.Unlock()
-	if h == nil {
-		return nil
-	}
-	var sink StreamSink
-	if sp, ok := h.(SinkProvider); ok && !observed {
-		sink = sp.BindStream()
-	}
-	ib.sinks[key] = sink
-	return sink
-}
-
 // deliverLocked (ib.mu held) is the single choke point every in-order
 // frame passes on its way out of the resequencer, and where the
 // delivery log sees it. Without a log the frame is handed on at once. A
@@ -717,7 +629,7 @@ func (t *TCP) deliverLocked(ib *inbox, key streamKey, d delivery) {
 	switch {
 	case ib.glg != nil:
 		if ib.glg.AppendDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m) {
-			ib.stage = append(ib.stage, stagedDelivery{key: key, d: d})
+			ib.stage = append(ib.stage, d)
 			if len(ib.stage) >= tcpGroupMax {
 				t.flushLocked(ib)
 			}
@@ -727,16 +639,6 @@ func (t *TCP) deliverLocked(ib *inbox, key streamKey, d delivery) {
 		ib.lg.LogDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m)
 	case ib.lg != nil:
 		ib.lg.LogDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m)
-	}
-	t.handOffLocked(ib, key, d)
-}
-
-// handOffLocked (ib.mu held) gives one frame to the stream's sink when
-// it has one, else to the dispatch mailbox; ownership of a pooled
-// message passes with it.
-func (t *TCP) handOffLocked(ib *inbox, key streamKey, d delivery) {
-	if sink := t.sinkLocked(ib, key, d.to); sink != nil && sink.DeliverStream(d.from, d.to, d.m) {
-		return
 	}
 	ib.box.put(d)
 }
@@ -751,9 +653,8 @@ func (t *TCP) flushLocked(ib *inbox) {
 	}
 	ib.glg.CommitDeliveries()
 	for i := range ib.stage {
-		sd := &ib.stage[i]
-		t.handOffLocked(ib, sd.key, sd.d)
-		*sd = stagedDelivery{} // the reused array must not pin the message
+		ib.box.put(ib.stage[i])
+		ib.stage[i] = delivery{} // the reused array must not pin the message
 	}
 	ib.stage = ib.stage[:0]
 }
@@ -963,9 +864,9 @@ func (t *TCP) event(ev ConnEvent) {
 	}
 }
 
-// peerAddr looks up the current directory entry for a link target —
-// the host directory for multiplexed links, the node directory for
-// legacy ones.
+// peerAddr looks up the current address of a link target — a local
+// host's own listener, else the resolver, for multiplexed links; the
+// node directory for legacy ones.
 func (t *TCP) peerAddr(id NodeID, host bool) (string, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

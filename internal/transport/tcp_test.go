@@ -236,7 +236,7 @@ func TestTCPReadErrorIsSurfacedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write([]byte("this is not a gob stream")); err != nil {
+	if _, err := raw.Write([]byte("this is not a binary envelope stream")); err != nil {
 		t.Fatal(err)
 	}
 	raw.Close()

@@ -157,16 +157,16 @@ func (b *envBatch) release() {
 // network; only this goroutine mutates conn, enc, the queue head and
 // sent, so the unlocked window is safe.
 //
-// On the binary codec a batch goes out as one gathered write: each
-// frame is appended to its own reusable segment and the segments are
-// handed to net.Buffers.WriteTo, which on a *net.TCPConn issues a
-// single writev(2) for the whole batch — one syscall per flush instead
-// of one buffered copy per frame plus a flush write. The segments are
-// owned by this goroutine and recycled across flushes, so the vector
-// path allocates nothing in steady state. Gob links (and the replay in
-// install, which is rare) keep the buffered encoder; a write error in
-// either path is handled identically, because the replay/dedup
-// protocol never trusts a failed flush to have written anything.
+// A batch goes out as one gathered write: each frame is appended to its
+// own reusable segment and the segments are handed to
+// net.Buffers.WriteTo, which on a *net.TCPConn issues a single writev(2)
+// for the whole batch — one syscall per flush instead of one buffered
+// copy per frame plus a flush write. The segments are owned by this
+// goroutine and recycled across flushes, so the path allocates nothing
+// in steady state. The replay in install, which is rare, keeps the
+// buffered encoder; a write error in either path is handled
+// identically, because the replay/dedup protocol never trusts a failed
+// flush to have written anything.
 func (l *outLink) run() {
 	defer l.t.wg.Done()
 	var (
@@ -213,11 +213,11 @@ func (l *outLink) run() {
 		}
 		ping := l.pingDue
 		l.pingDue = false
-		// Coalesce up to MaxBatch queued envelopes into one buffered
-		// encode + single flush. The pooled copy lets Send keep appending
-		// while the batch is on the wire, without allocating a fresh
-		// slice per flush. A due lease ping rides the same flush; it
-		// carries no sequence number, so it costs the stream nothing.
+		// Coalesce up to MaxBatch queued envelopes into one gathered
+		// write. The pooled copy lets Send keep appending while the
+		// batch is on the wire, without allocating a fresh slice per
+		// flush. A due lease ping rides the same flush; it carries no
+		// sequence number, so it costs the stream nothing.
 		k := len(l.queue)
 		if max := l.t.opts.MaxBatch; k > max {
 			k = max
@@ -230,50 +230,32 @@ func (l *outLink) run() {
 		l.mu.Unlock()
 
 		var err error
-		vectored := enc.Vectored()
-		if vectored {
-			frames := batch.envs
-			n := len(frames)
-			if ping {
-				n++
+		frames := batch.envs
+		n := len(frames)
+		if ping {
+			n++
+		}
+		for len(segs) < n {
+			segs = append(segs, nil)
+		}
+		vec = vec[:0]
+		for i, env := range frames {
+			if segs[i], err = enc.AppendFrame(segs[i][:0], env); err != nil {
+				break
 			}
-			for len(segs) < n {
-				segs = append(segs, nil)
-			}
-			vec = vec[:0]
-			for i, env := range frames {
-				if segs[i], err = enc.AppendFrame(segs[i][:0], env); err != nil {
-					break
-				}
+			vec = append(vec, segs[i])
+		}
+		if err == nil && ping {
+			i := n - 1
+			if segs[i], err = enc.AppendFrame(segs[i][:0], msg.Envelope{
+				From: int32(l.from), To: int32(l.to), SrcHost: l.srcHost,
+				Epoch: epoch, Ctl: msg.CtlPing,
+			}); err == nil {
 				vec = append(vec, segs[i])
 			}
-			if err == nil && ping {
-				i := n - 1
-				if segs[i], err = enc.AppendFrame(segs[i][:0], msg.Envelope{
-					From: int32(l.from), To: int32(l.to), SrcHost: l.srcHost,
-					Epoch: epoch, Ctl: msg.CtlPing,
-				}); err == nil {
-					vec = append(vec, segs[i])
-				}
-			}
-			if err == nil && len(vec) > 0 {
-				_, err = vec.WriteTo(conn)
-			}
-		} else {
-			for _, env := range batch.envs {
-				if err = enc.EncodeBuffered(env); err != nil {
-					break
-				}
-			}
-			if err == nil && ping {
-				err = enc.EncodeBuffered(msg.Envelope{
-					From: int32(l.from), To: int32(l.to), SrcHost: l.srcHost,
-					Epoch: epoch, Ctl: msg.CtlPing,
-				})
-			}
-			if err == nil {
-				err = enc.Flush()
-			}
+		}
+		if err == nil && len(vec) > 0 {
+			_, err = vec.WriteTo(conn)
 		}
 
 		l.mu.Lock()
@@ -293,7 +275,7 @@ func (l *outLink) run() {
 			l.t.stats.writeErrors.Add(1)
 			l.t.event(ConnEvent{Kind: ConnWriteError, From: l.from, To: l.to, Err: err.Error()})
 			l.t.report(fmt.Errorf("tcp: write %d->%d: %w", l.from, l.to, err))
-			// The whole batch is unconfirmed (the buffer may have spilled
+			// The whole batch is unconfirmed (writev may have written
 			// part of it): the reconnect replays sent and the run loop
 			// then re-batches the still-queued frames; the receiver drops
 			// whatever it already saw by sequence number. A swallowed
@@ -322,9 +304,7 @@ func (l *outLink) run() {
 			l.t.stats.heartbeats.Add(1)
 		}
 		l.t.stats.flushes.Add(1)
-		if vectored {
-			l.t.stats.vectorFlushes.Add(1)
-		}
+		l.t.stats.vectorFlushes.Add(1)
 	}
 }
 
@@ -414,7 +394,7 @@ func (l *outLink) install(conn net.Conn, addr string, attempt int) bool {
 	}
 	replay := copyBatch(l.sent)
 	defer replay.release()
-	enc := msg.NewEncoderFormat(conn, l.t.opts.Codec)
+	enc := msg.NewEncoder(conn)
 	l.conn = conn
 	l.enc = enc
 	l.broken = false

@@ -47,33 +47,8 @@ type MessageRetainer interface {
 	RetainsMessages()
 }
 
-// StreamSink accepts the in-order deliveries of one inbound frame
-// stream on a lock-free path, bypassing the dispatch mailbox. The
-// transport calls DeliverStream under its per-stream resequencing lock,
-// so calls for one sink are serialized and arrive in exact stream
-// order; the sink must preserve that order per destination.
-// DeliverStream takes ownership of m (the sink's consumer recycles
-// pooled frames); a false return means the sink does not own the
-// destination and the caller must deliver through its regular path —
-// the verdict must be stable per destination, or per-pair FIFO breaks.
-type StreamSink interface {
-	DeliverStream(from, to NodeID, m msg.Message) bool
-}
-
-// SinkProvider is implemented by handlers (the engine Host's inbound
-// shim) that can consume deliveries through a StreamSink. The TCP
-// transport binds one sink per inbound stream, lazily at the stream's
-// first sequenced frame, and keeps it for the stream's lifetime —
-// across reconnects and sender epoch changes, whose frames must not
-// race each other through different paths. Binding is skipped while
-// transport observers are attached: observer callbacks fire on the
-// dispatch path, and a sink would route around them.
-type SinkProvider interface {
-	BindStream() StreamSink
-}
-
-// SequencedHandler is an optional Handler extension for dispatch-path
-// deliveries that carry stream sequencing. When a delivered frame was
+// SequencedHandler is an optional Handler extension for deliveries that
+// carry stream sequencing. When a delivered frame was
 // resequenced (seq != 0) and the handler implements this interface, the
 // transport calls HandleSequenced instead of HandleMessage, so the
 // handler can account the delivery against the write-ahead log's
@@ -88,7 +63,7 @@ type SequencedHandler interface {
 // DeliveryLog is the durability hook of an inbox: when attached (see
 // TCP.SetDeliveryLog), every sequenced frame is journaled at the moment
 // the resequencer commits it for delivery — under the inbox lock, before
-// the frame reaches a sink or mailbox and, crucially, before the
+// the frame reaches the dispatch mailbox and, crucially, before the
 // acknowledgement covering it is written back to the sender. The
 // journal's durability barrier therefore gives two write-ahead
 // orderings: no frame is delivered before a barrier covering its record
@@ -113,7 +88,7 @@ type DeliveryLog interface {
 // reader calls AppendDelivery for every in-order frame it can decode
 // without blocking, parks the deliveries on the inbox's stage, and then
 // calls CommitDeliveries once; only after it returns are the staged
-// frames handed to their sinks or mailbox, in stage order, and only
+// frames handed to the dispatch mailbox, in stage order, and only
 // then is an acknowledgement written (DESIGN.md §11).
 //
 // AppendDelivery journals one frame without making it durable. It must
@@ -130,12 +105,11 @@ type GroupDeliveryLog interface {
 }
 
 // PlacementResolver maps process ids to the hosts that own them and
-// hosts to dialable addresses. The TCP transport consults it (see
-// TCP.SetResolver) whenever its static tables — AssignNode/SetHostPeer
-// wiring — have no answer, which is how the cluster layer's replicated
-// routing directory replaces hand-wired pair-by-pair topology: host
-// links are dialed on demand from whatever the member map currently
-// says. Implementations must be safe for concurrent use; the transport
+// hosts to dialable addresses. The TCP transport puts every placement
+// question to it (see TCP.SetResolver), which is how the cluster layer's
+// replicated routing directory replaces hand-wired pair-by-pair
+// topology: host links are dialed on demand from whatever the member
+// map currently says. Implementations must be safe for concurrent use; the transport
 // calls them under its own locks, so they must not call back into the
 // transport.
 type PlacementResolver interface {
@@ -149,10 +123,9 @@ type PlacementResolver interface {
 }
 
 // StaticPlacement is a fixed PlacementResolver for topologies known at
-// construction time. It is the directory-API replacement for per-pair
-// AssignNode/SetHostPeer wiring: build the two maps once, install with
-// SetResolver, and the transport resolves every node and dials every
-// host link from them on demand. The maps must not be mutated after the
+// construction time: build the two maps once, install with SetResolver,
+// and the transport resolves every node and dials every host link from
+// them on demand. The maps must not be mutated after the
 // resolver is installed.
 type StaticPlacement struct {
 	// Hosts maps node id → owning host id.
