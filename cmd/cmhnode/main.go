@@ -75,7 +75,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/id"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -190,12 +189,16 @@ func run(args []string, out io.Writer) error {
 		defer func() { fmt.Fprint(out, metrics.TCPStatsTable(net.Stats())) }()
 	}
 
+	// The node is its own host: its listener is the host listener, and
+	// Register (inside NewProcess) finds it already open.
+	if err := net.ListenHost(transport.NodeID(self), *listen); err != nil {
+		return err
+	}
 	detected := make(chan id.Tag, 1)
 	waitAborted := make(chan struct{}, 1)
-	shim := &addrShim{tcp: net, addr: *listen}
 	proc, err := core.NewProcess(core.Config{
 		ID:        self,
-		Transport: shim,
+		Transport: net,
 		Policy:    core.InitiateManually,
 		OnDeadlock: func(tag id.Tag) {
 			select {
@@ -219,9 +222,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if shim.err != nil {
-		return shim.err
-	}
 	wiring.set(proc)
 
 	if *faultPlan != "" {
@@ -236,7 +236,7 @@ func run(args []string, out io.Writer) error {
 		defer stop()
 		fmt.Fprintf(out, "node %v armed fault plan %q\n", self, plan)
 	}
-	fmt.Fprintf(out, "node %v listening on %s\n", self, net.Addr(transport.NodeID(self)))
+	fmt.Fprintf(out, "node %v listening on %s\n", self, net.HostAddr(transport.NodeID(self)))
 
 	if *peers != "" {
 		for _, spec := range strings.Split(*peers, ",") {
@@ -915,24 +915,3 @@ func (r *recoveryWiring) onConnEvent(ev transport.ConnEvent) {
 		p.Reannounce(peer)
 	}
 }
-
-// addrShim is a transport adapter that routes the process's
-// registration to RegisterAddr with an explicit listen address; sends
-// pass through unchanged.
-type addrShim struct {
-	tcp  *transport.TCP
-	addr string
-	err  error
-}
-
-// Register implements transport.Transport.
-func (s *addrShim) Register(node transport.NodeID, h transport.Handler) {
-	s.err = s.tcp.RegisterAddr(node, s.addr, h)
-}
-
-// Send implements transport.Transport.
-func (s *addrShim) Send(from, to transport.NodeID, m msg.Message) {
-	s.tcp.Send(from, to, m)
-}
-
-var _ transport.Transport = (*addrShim)(nil)

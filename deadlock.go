@@ -133,9 +133,10 @@ func NewController(cfg ControllerConfig) (*Controller, error) { return ddb.NewCo
 // Close it when done to stop the dispatchers.
 func NewLiveNetwork() *transport.Live { return transport.NewLive() }
 
-// NewTCPNetwork returns the TCP transport: one loopback listener per
-// registered node (or explicit addresses via RegisterAddr/SetPeer), one
-// connection per ordered pair. Close it when done.
+// NewTCPNetwork returns the TCP transport. Each registered node is its
+// own host: Register opens its loopback listener, SetPeer records the
+// address of a node listening elsewhere, and each ordered pair of nodes
+// gets one connection. Close it when done.
 func NewTCPNetwork() *transport.TCP { return transport.NewTCP() }
 
 // NewTCPNetworkWithOptions is NewTCPNetwork with explicit retry/backoff

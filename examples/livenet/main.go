@@ -1,9 +1,9 @@
-// Livenet: the probe computation over real TCP sockets. Four processes
-// each listen on a loopback port, exchange binary-framed requests and
-// probes over per-link TCP connections, form a request cycle, and the
-// Chandy–Misra algorithm detects it — demonstrating that the protocol
-// participants run unchanged over a real network stack (the transports
-// share one FIFO-per-pair contract).
+// Livenet: the probe computation over real TCP sockets. Four processes,
+// each its own host with one loopback listener, exchange binary-framed
+// requests and probes over one TCP connection per ordered host pair,
+// form a request cycle, and the Chandy–Misra algorithm detects it —
+// demonstrating that the protocol participants run unchanged over a
+// real network stack (the transports share one FIFO-per-pair contract).
 //
 // The run also exercises the transport's fault tolerance: transport
 // errors are reported instead of panicking, the delivery stream is
@@ -56,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 		procs[i] = p
-		fmt.Printf("process %d listening on %s\n", i, net.Addr(deadlock.NodeID(i)))
+		fmt.Printf("process %d listening on %s\n", i, net.HostAddr(deadlock.NodeID(i)))
 	}
 
 	// Form the request cycle over TCP.

@@ -197,19 +197,6 @@ func (d *Directory) MarkLeft(host transport.NodeID) {
 	d.setStatus(host, StatusLeft)
 }
 
-// MarkSuspect downgrades host to suspect (lease expiry feeds this).
-// Suspect members stay on the ring — the paper's model has no safe
-// failover for resource state, so suspicion informs operators and
-// lease handling, not placement.
-func (d *Directory) MarkSuspect(host transport.NodeID) {
-	d.setStatus(host, StatusSuspect)
-}
-
-// MarkAlive restores host to alive (lease re-established).
-func (d *Directory) MarkAlive(host transport.NodeID) {
-	d.setStatus(host, StatusAlive)
-}
-
 func (d *Directory) setStatus(host transport.NodeID, s Status) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

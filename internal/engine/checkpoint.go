@@ -101,9 +101,10 @@ func (h *Host) WAL() *wal.Log { return h.walLog.Load() }
 // It blocks while a checkpoint cut holds the gate. The transport itself
 // drives a Host through the batched face below; this entry point is what
 // a decorator around the Host calls, and the transport's fallback when
-// AppendDelivery declines.
+// AppendDelivery declines. stream is the source host the record is
+// stamped with; streamIsHost is always true and is ignored.
 func (h *Host) LogDelivery(stream transport.NodeID, streamIsHost bool, epoch, seq uint64, from, to transport.NodeID, m msg.Message) {
-	h.journal(true, stream, streamIsHost, epoch, seq, from, to, m)
+	h.journal(true, stream, epoch, seq, from, to, m)
 	h.CommitDeliveries()
 }
 
@@ -115,7 +116,7 @@ func (h *Host) LogDelivery(stream transport.NodeID, streamIsHost bool, epoch, se
 // nothing and returns false: the caller delivers its stage and comes
 // back through LogDelivery, which does wait.
 func (h *Host) AppendDelivery(stream transport.NodeID, streamIsHost bool, epoch, seq uint64, from, to transport.NodeID, m msg.Message) bool {
-	return h.journal(false, stream, streamIsHost, epoch, seq, from, to, m)
+	return h.journal(false, stream, epoch, seq, from, to, m)
 }
 
 // journal appends one delivery record, unsynced, under the checkpoint
@@ -124,7 +125,7 @@ func (h *Host) AppendDelivery(stream transport.NodeID, streamIsHost bool, epoch,
 // destinations not hosted here are not journaled (and report true):
 // they will not be stepped by these shards, and the log is this Host's
 // delivery journal, not the wire's.
-func (h *Host) journal(wait bool, stream transport.NodeID, streamIsHost bool, epoch, seq uint64, from, to transport.NodeID, m msg.Message) bool {
+func (h *Host) journal(wait bool, stream transport.NodeID, epoch, seq uint64, from, to transport.NodeID, m msg.Message) bool {
 	w := h.walLog.Load()
 	if w == nil || h.proc(to) == nil {
 		return true
@@ -135,10 +136,7 @@ func (h *Host) journal(wait bool, stream transport.NodeID, streamIsHost bool, ep
 		return false
 	}
 	defer h.walGate.RUnlock()
-	env := msg.Envelope{From: int32(from), To: int32(to), Seq: seq, Epoch: epoch, Msg: m}
-	if streamIsHost {
-		env.SrcHost = int32(stream)
-	}
+	env := msg.Envelope{From: int32(from), To: int32(to), SrcHost: int32(stream), Seq: seq, Epoch: epoch, Msg: m}
 	h.walMu.Lock()
 	buf, err := msg.AppendEnvelopeFrame(h.walScratch[:0], env)
 	if err == nil {
@@ -335,11 +333,7 @@ func (h *Host) Restore() (RestoreStats, error) {
 	// cursors (last epoch/seq per stream over the whole log — scan
 	// order is delivery order per stream), the maximum generation seen
 	// (to mint the new one), and the re-deliveries themselves.
-	type ckey struct {
-		id   transport.NodeID
-		host bool
-	}
-	cursors := make(map[ckey]transport.StreamCursor)
+	cursors := make(map[transport.NodeID]transport.StreamCursor)
 	maxGen := ckptGen
 	h.replaying.Store(true)
 	scanErr := w.Scan(func(lsn uint64, kind byte, gen uint64, rec []byte) error {
@@ -354,13 +348,8 @@ func (h *Host) Restore() (RestoreStats, error) {
 			st.DecodeErrors++
 			return nil
 		}
-		key := ckey{id: transport.NodeID(env.From)}
-		if env.SrcHost != 0 {
-			key = ckey{id: transport.NodeID(env.SrcHost), host: true}
-		}
-		cursors[key] = transport.StreamCursor{
-			Stream: key.id, Host: key.host, Epoch: env.Epoch, Next: env.Seq + 1,
-		}
+		stream := transport.NodeID(env.SrcHost)
+		cursors[stream] = transport.StreamCursor{Stream: stream, Epoch: env.Epoch, Next: env.Seq + 1}
 		if lsn <= frontier {
 			return nil // already reflected in the checkpointed state
 		}
@@ -406,13 +395,7 @@ func (h *Host) Restore() (RestoreStats, error) {
 	for _, c := range cursors {
 		st.Cursors = append(st.Cursors, c)
 	}
-	sort.Slice(st.Cursors, func(i, j int) bool {
-		a, b := st.Cursors[i], st.Cursors[j]
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		return !a.Host && b.Host
-	})
+	sort.Slice(st.Cursors, func(i, j int) bool { return st.Cursors[i].Stream < st.Cursors[j].Stream })
 	ok = true // keep the gate held until FinishRestore
 	return st, nil
 }

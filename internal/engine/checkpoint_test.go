@@ -87,9 +87,9 @@ func (r *walRig) close() {
 
 // deliver journals and delivers one sequenced frame, mirroring the
 // transport's deliverLocked ordering (journal first, then hand off).
-func (r *walRig) deliver(stream transport.NodeID, host bool, from, to transport.NodeID, seq, n uint64) {
+func (r *walRig) deliver(stream, from, to transport.NodeID, seq, n uint64) {
 	m := msg.Probe{Tag: id.Tag{Initiator: 1, N: n}}
-	r.h.LogDelivery(stream, host, 1, seq, from, to, m)
+	r.h.LogDelivery(stream, true, 1, seq, from, to, m)
 	r.handOff(from, to, m)
 }
 
@@ -108,21 +108,21 @@ func (r *walRig) sums() map[transport.NodeID][2]uint64 {
 // TestCheckpointRestoreTailReplay is the core recovery round trip:
 // checkpointed frames come back through RestoreState, post-checkpoint
 // frames come back through WAL tail replay, and the primed cursors
-// cover both streams (a direct node stream and a host-mux stream).
+// cover both host streams.
 func TestCheckpointRestoreTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	r := newWALRig(t, dir, 7)
 
-	// Two streams: node stream 900 -> proc 1, host stream 500 -> proc 2.
+	// Two host streams: 900 -> proc 1, 500 -> proc 2.
 	for seq := uint64(1); seq <= 5; seq++ {
-		r.deliver(900, false, 900, 1, seq, seq)
-		r.deliver(500, true, 901, 2, seq, 10*seq)
+		r.deliver(900, 900, 1, seq, seq)
+		r.deliver(500, 901, 2, seq, 10*seq)
 	}
 	if err := r.h.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	for seq := uint64(6); seq <= 8; seq++ { // the tail
-		r.deliver(900, false, 900, 1, seq, seq)
+		r.deliver(900, 900, 1, seq, seq)
 	}
 	want := r.sums()
 	r.close()
@@ -147,8 +147,8 @@ func TestCheckpointRestoreTailReplay(t *testing.T) {
 		t.Fatalf("Gen = %d, want 2", st.Gen)
 	}
 	wantCursors := []transport.StreamCursor{
-		{Stream: 500, Host: true, Epoch: 1, Next: 6},
-		{Stream: 900, Host: false, Epoch: 1, Next: 9},
+		{Stream: 500, Epoch: 1, Next: 6},
+		{Stream: 900, Epoch: 1, Next: 9},
 	}
 	if len(st.Cursors) != len(wantCursors) {
 		t.Fatalf("cursors = %+v, want %+v", st.Cursors, wantCursors)
@@ -171,7 +171,7 @@ func TestCheckpointRestoreTailReplay(t *testing.T) {
 
 	// Traffic resumes under the new generation and the next restore
 	// carries it: the FinishRestore checkpoint anchored gen 2.
-	r2.deliver(900, false, 900, 1, 9, 100)
+	r2.deliver(900, 900, 1, 9, 100)
 	r2.h.Drain()
 }
 
@@ -183,19 +183,19 @@ func TestRestoreFencesStaleGeneration(t *testing.T) {
 	dir := t.TempDir()
 	r := newWALRig(t, dir, 1)
 	for seq := uint64(1); seq <= 4; seq++ {
-		r.deliver(900, false, 900, 1, seq, seq)
+		r.deliver(900, 900, 1, seq, seq)
 	}
 	if err := r.h.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	// Two legitimate tail frames under the live generation...
-	r.deliver(900, false, 900, 1, 5, 5)
-	r.deliver(900, false, 900, 1, 6, 6)
+	r.deliver(900, 900, 1, 5, 5)
+	r.deliver(900, 900, 1, 6, 6)
 	// ...and three stale-generation records appended directly, as a
 	// superseded instance would have (same stream, later seqs).
 	for seq := uint64(7); seq <= 9; seq++ {
 		frame, err := msg.AppendEnvelopeFrame(nil, msg.Envelope{
-			From: 900, To: 1, Seq: seq, Epoch: 1,
+			From: 900, To: 1, SrcHost: 900, Seq: seq, Epoch: 1,
 			Msg: msg.Probe{Tag: id.Tag{Initiator: 1, N: 1000}},
 		})
 		if err != nil {
@@ -244,7 +244,7 @@ func TestRestoreBlankDirectory(t *testing.T) {
 	if err := r.h.FinishRestore(); err != nil {
 		t.Fatalf("FinishRestore: %v", err)
 	}
-	r.deliver(900, false, 900, 1, 1, 42)
+	r.deliver(900, 900, 1, 1, 42)
 	r.h.Drain()
 	r.close()
 
@@ -272,12 +272,12 @@ func TestRestoreSurvivesSecondCrash(t *testing.T) {
 	dir := t.TempDir()
 	r := newWALRig(t, dir, 1)
 	for seq := uint64(1); seq <= 4; seq++ {
-		r.deliver(900, false, 900, 1, seq, seq)
+		r.deliver(900, 900, 1, seq, seq)
 	}
 	if err := r.h.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	r.deliver(900, false, 900, 1, 5, 5)
+	r.deliver(900, 900, 1, 5, 5)
 	r.close()
 
 	r2 := newWALRig(t, dir, 1)
@@ -288,7 +288,7 @@ func TestRestoreSurvivesSecondCrash(t *testing.T) {
 		t.Fatalf("first FinishRestore: %v", err)
 	}
 	for seq := uint64(6); seq <= 8; seq++ { // gen-2 traffic, never checkpointed
-		r2.deliver(900, false, 900, 1, seq, seq)
+		r2.deliver(900, 900, 1, seq, seq)
 	}
 	r2.h.Drain()
 	r2.close()
@@ -327,7 +327,7 @@ func TestCheckpointCutUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for seq := uint64(1); seq <= frames; seq++ {
-			r.deliver(900, false, 900, 1, seq, seq)
+			r.deliver(900, 900, 1, seq, seq)
 		}
 	}()
 	for i := 0; i < 8; i++ {

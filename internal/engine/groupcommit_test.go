@@ -29,13 +29,13 @@ type groupReader struct {
 
 func (g *groupReader) receive(stream transport.NodeID, from, to transport.NodeID, seq, n uint64) {
 	m := msg.Probe{Tag: id.Tag{Initiator: 1, N: n}}
-	if g.r.h.AppendDelivery(stream, false, 1, seq, from, to, m) {
+	if g.r.h.AppendDelivery(stream, true, 1, seq, from, to, m) {
 		g.stage = append(g.stage, stagedFrame{from: from, to: to, m: m})
 		return
 	}
 	g.declined++
 	g.flush()
-	g.r.h.LogDelivery(stream, false, 1, seq, from, to, m)
+	g.r.h.LogDelivery(stream, true, 1, seq, from, to, m)
 	g.handOff(stagedFrame{from: from, to: to, m: m})
 }
 
@@ -212,13 +212,13 @@ func TestLogDeliveryBareIsDurableOnReturn(t *testing.T) {
 	defer r.close()
 	m := msg.Probe{Tag: id.Tag{Initiator: 1, N: 1}}
 	for seq := uint64(1); seq <= 3; seq++ {
-		r.h.LogDelivery(900, false, 1, seq, 900, 1, m)
+		r.h.LogDelivery(900, true, 1, seq, 900, 1, m)
 		if got := r.w.Stats().Syncs; got != seq {
 			t.Fatalf("after %d bare LogDelivery calls the log had synced %d times", seq, got)
 		}
 	}
 	for seq := uint64(4); seq <= 9; seq++ {
-		if !r.h.AppendDelivery(900, false, 1, seq, 900, 1, m) {
+		if !r.h.AppendDelivery(900, true, 1, seq, 900, 1, m) {
 			t.Fatal("AppendDelivery declined with no checkpoint in progress")
 		}
 	}

@@ -28,10 +28,10 @@ func TestWALAppendSteadyStateAllocFree(t *testing.T) {
 	m := msg.Probe{}
 	seq := uint64(1)
 	// Warm the scratch buffers, then measure the steady state.
-	h.LogDelivery(5, false, 1, seq, 5, 4, m)
+	h.LogDelivery(5, true, 1, seq, 5, 4, m)
 	allocs := testing.AllocsPerRun(200, func() {
 		seq++
-		h.LogDelivery(5, false, 1, seq, 5, 4, m)
+		h.LogDelivery(5, true, 1, seq, 5, 4, m)
 	})
 	if allocs != 0 {
 		t.Fatalf("WAL append allocated %.1f times per frame, want 0", allocs)
@@ -41,7 +41,7 @@ func TestWALAppendSteadyStateAllocFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(50, func() {
 		for i := 0; i < 8; i++ {
 			seq++
-			h.AppendDelivery(5, false, 1, seq, 5, 4, m)
+			h.AppendDelivery(5, true, 1, seq, 5, 4, m)
 		}
 		h.CommitDeliveries()
 	})

@@ -38,16 +38,14 @@ import (
 //     receiver (fresh incarnation, protocol state gone) from one that
 //     merely lost a connection.
 //
-// SrcHost is the host-level multiplexed addressing extension: when
-// nonzero, the frame belongs to a *host* stream — one TCP link carries
-// the traffic of every node co-hosted at SrcHost toward the receiving
-// host, and Seq/Epoch sequence that shared stream rather than the
-// (From,To) pair. From/To still name the node endpoints, so the
+// SrcHost names the frame's stream: the sending host. One TCP link
+// carries the traffic of every node co-hosted at SrcHost toward the
+// receiving host, and Seq/Epoch sequence that shared stream rather than
+// the (From,To) pair. From/To still name the node endpoints, so the
 // receiving host demultiplexes by To after resequencing by (SrcHost,
-// Epoch, Seq). SrcHost == 0 is the legacy per-node stream addressing;
-// the two coexist on one transport, which is what lets the conformance
-// harness replay identical schedules through either path. Host
-// identifiers are therefore required to be positive.
+// Epoch, Seq). Every TCP endpoint is a host — a node that runs alone
+// is the host whose id is its node id — so SrcHost is always set, and
+// 0 is an ordinary host id.
 type Envelope struct {
 	From    int32
 	To      int32

@@ -22,20 +22,15 @@ import "fmt"
 // captured at a checkpoint cut and re-derived from the WAL tail on
 // restore.
 type StreamCursor struct {
-	Stream NodeID
-	Host   bool
+	Stream NodeID // the source host
 	Epoch  uint64
 	Next   uint64
 }
 
-// inboxOf resolves the inbox of a locally registered owner: a host
-// (ListenHost) or a legacy per-node endpoint (RegisterAddr).
+// inboxOf resolves the inbox of a local host (see ListenHost).
 func (t *TCP) inboxOf(owner NodeID) *inbox {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ib := t.hostBoxes[owner]; ib != nil {
-		return ib
-	}
 	return t.inboxes[owner]
 }
 
@@ -70,24 +65,6 @@ func (t *TCP) Incarnation(owner NodeID) (uint64, bool) {
 	return ib.inc, true
 }
 
-// InboxState captures the resequencer state of owner's inbox: its
-// incarnation and the delivery frontier of every inbound stream. Call
-// it at a quiescent cut (the engine's checkpoint does, with deliveries
-// gated) — the snapshot is internally consistent but says nothing
-// about frames still in flight.
-func (t *TCP) InboxState(owner NodeID) (inc uint64, cursors []StreamCursor, ok bool) {
-	ib := t.inboxOf(owner)
-	if ib == nil {
-		return 0, nil, false
-	}
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for key, ps := range ib.pairs {
-		cursors = append(cursors, StreamCursor{Stream: key.id, Host: key.host, Epoch: ps.epoch, Next: ps.next})
-	}
-	return ib.inc, cursors, true
-}
-
 // PrimeInbox restores a fresh inbox to a pre-crash identity: the
 // incarnation it advertises in acks and the per-stream resequencing
 // frontiers. Frames a surviving sender replays at or below a primed
@@ -102,11 +79,10 @@ func (t *TCP) PrimeInbox(owner NodeID, inc uint64, cursors []StreamCursor) error
 	defer ib.mu.Unlock()
 	ib.inc = inc
 	for _, c := range cursors {
-		key := streamKey{id: c.Stream, host: c.Host}
-		if ps := ib.pairs[key]; ps != nil && ps.epoch == c.Epoch && ps.next >= c.Next {
+		if ps := ib.pairs[c.Stream]; ps != nil && ps.epoch == c.Epoch && ps.next >= c.Next {
 			continue // already at or past the primed frontier
 		}
-		ib.pairs[key] = &pairState{epoch: c.Epoch, next: c.Next, acked: c.Next - 1, held: make(map[uint64]heldFrame)}
+		ib.pairs[c.Stream] = &pairState{epoch: c.Epoch, next: c.Next, acked: c.Next - 1, held: make(map[uint64]heldFrame)}
 	}
 	return nil
 }

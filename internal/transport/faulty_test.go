@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -48,38 +49,69 @@ func TestFaultyNetPanicsOnUnregistered(t *testing.T) {
 	sched.Run()
 }
 
+// sequencedRecorder reports each delivery's sender and stream sequence
+// number.
+type sequencedRecorder chan [2]uint64
+
+func (r sequencedRecorder) HandleMessage(from transport.NodeID, _ msg.Message) {
+	r <- [2]uint64{uint64(from), 0}
+}
+
+func (r sequencedRecorder) HandleSequenced(from transport.NodeID, _ msg.Message, _, seq uint64) {
+	r <- [2]uint64{uint64(from), seq}
+}
+
+// TestTCPAddrAndSetPeer pins the identity placement: with no resolver,
+// node n is host n. Each node opens exactly one listener, its host
+// address is recorded, and node 0 — host 0, whose stream is SrcHost 0 —
+// reaches a node on another transport once SetPeer names it.
 func TestTCPAddrAndSetPeer(t *testing.T) {
 	a := transport.NewTCP()
 	defer a.Close()
 	b := transport.NewTCP()
 	defer b.Close()
 
-	got := make(chan msg.Message, 1)
-	a.Register(1, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
-	// Deref before retaining: pooled frames are recycled once the
-	// handler returns.
-	b.Register(2, transport.HandlerFunc(func(_ transport.NodeID, m msg.Message) { got <- msg.Deref(m) }))
-	if addr := b.Addr(2); addr == "" {
-		t.Fatal("no listen address for node 2")
+	got := make(sequencedRecorder, 1)
+	a.Register(0, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
+	b.Register(1, got)
+	if addr := a.HostAddr(0); addr == "" {
+		t.Fatal("no listen address for host 0")
 	}
-	// Cross-transport: a learns node 2's address explicitly — the
+	if addr := b.HostAddr(1); addr == "" {
+		t.Fatal("no listen address for host 1")
+	}
+	for name, tr := range map[string]*transport.TCP{"a": a, "b": b} {
+		if n := tr.ListenerCount(); n != 1 {
+			t.Fatalf("transport %s holds %d listeners, want 1", name, n)
+		}
+	}
+	// Cross-transport: a learns node 1's address explicitly — the
 	// genuinely distributed configuration.
-	a.SetPeer(2, b.Addr(2))
-	a.Send(1, 2, msg.Probe{})
-	m := <-got
-	if m.Kind() != msg.KindProbe {
-		t.Fatalf("got %v", m.Kind())
+	a.SetPeer(1, b.HostAddr(1))
+	a.Send(0, 1, msg.Probe{})
+	select {
+	case d := <-got:
+		if d != [2]uint64{0, 1} {
+			t.Fatalf("delivery (from, seq) = %v, want [0 1]: the first frame of host 0's stream", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("frame from node 0 never delivered")
+	}
+
+	if err := a.ListenHost(-1, "127.0.0.1:0"); err == nil {
+		t.Fatal("ListenHost(-1) succeeded; host ids must be non-negative")
 	}
 }
 
-func TestTCPRegisterAddrConflict(t *testing.T) {
+// TestTCPListenHostConflict: binding a concrete port another host
+// already listens on must fail.
+func TestTCPListenHostConflict(t *testing.T) {
 	a := transport.NewTCP()
 	defer a.Close()
-	if err := a.RegisterAddr(1, "127.0.0.1:0", transport.HandlerFunc(func(transport.NodeID, msg.Message) {})); err != nil {
+	if err := a.ListenHost(1, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	// Binding the same concrete port must fail.
-	if err := a.RegisterAddr(2, a.Addr(1), transport.HandlerFunc(func(transport.NodeID, msg.Message) {})); err == nil {
+	if err := a.ListenHost(2, a.HostAddr(1)); err == nil {
 		t.Fatal("duplicate bind succeeded")
 	}
 }

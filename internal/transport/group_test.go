@@ -97,19 +97,19 @@ func (h deliveryRecorder) HandleMessage(_ NodeID, m msg.Message) {
 // groupEnv builds frame seq of the test stream; the probe's tag repeats
 // the sequence number so deliveries identify themselves.
 func groupEnv(seq uint64) msg.Envelope {
-	return msg.Envelope{From: 1, To: 2, Seq: seq, Epoch: 7,
+	return msg.Envelope{From: 1, To: 2, SrcHost: 1, Seq: seq, Epoch: 7,
 		Msg: &msg.Probe{Tag: id.Tag{Initiator: 1, N: seq}}}
 }
 
-func groupPing() msg.Envelope { return msg.Envelope{From: 1, To: 2, Epoch: 7, Ctl: msg.CtlPing} }
+func groupPing() msg.Envelope {
+	return msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Ctl: msg.CtlPing}
+}
 
 // newGroupInbox registers node 2 with h and attaches lg.
 func newGroupInbox(t *testing.T, h Handler, lg DeliveryLog) (*TCP, *inbox) {
 	t.Helper()
 	tr := NewTCP()
-	if err := tr.RegisterAddr(2, "127.0.0.1:0", h); err != nil {
-		t.Fatal(err)
-	}
+	tr.Register(2, h)
 	if err := tr.SetDeliveryLog(2, lg); err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +432,11 @@ func TestGroupCommitBypasses(t *testing.T) {
 	defer tr.Close()
 	tr.receive(ib, groupEnv(1), true)
 	tr.receive(ib, groupEnv(2), true) // staged
-	tr.receive(ib, msg.Envelope{From: 1, To: 2, Epoch: 7, Ctl: msg.CtlAck, Ack: 9}, true)
+	tr.receive(ib, msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Ctl: msg.CtlAck, Ack: 9}, true)
 	awaitEvents(t, log, "a1", "commit", "d1", "a2")
 	// Seq 0, and the read is drained: the unsequenced frame (tag 0) is
 	// handed on at once, then the group in front of it closes.
-	tr.receive(ib, msg.Envelope{From: 5, To: 2, Msg: msg.Probe{}}, false)
+	tr.receive(ib, msg.Envelope{From: 5, To: 2, SrcHost: 5, Msg: msg.Probe{}}, false)
 	awaitEvents(t, log, "a1", "commit", "d1", "a2", "d0", "commit", "d2")
 
 	tr.receive(ib, groupEnv(3), true) // staged

@@ -22,7 +22,7 @@ func TestResequencerHeldCap(t *testing.T) {
 	defer tr.Close()
 	var mu sync.Mutex
 	var got []delivery
-	ib := &inbox{node: 2, inc: newEpoch(), pairs: make(map[streamKey]*pairState)}
+	ib := &inbox{host: 2, inc: newEpoch(), pairs: make(map[NodeID]*pairState)}
 	ib.box = newMailbox(nil, func(d delivery) {
 		mu.Lock()
 		got = append(got, d)
@@ -33,10 +33,10 @@ func TestResequencerHeldCap(t *testing.T) {
 	const hostile = 100
 	for i := 0; i < hostile; i++ {
 		tr.receive(ib, msg.Envelope{
-			From: 1, To: 2, Epoch: 7, Seq: 1<<40 + uint64(i), Msg: msg.Request{},
+			From: 1, To: 2, SrcHost: 1, Epoch: 7, Seq: 1<<40 + uint64(i), Msg: msg.Request{},
 		}, false)
 	}
-	ps := ib.pairs[streamKey{id: 1}]
+	ps := ib.pairs[1]
 	if ps == nil {
 		t.Fatal("no pair state created")
 	}
@@ -47,13 +47,13 @@ func TestResequencerHeldCap(t *testing.T) {
 		t.Fatalf("HeldFramesDropped = %d, want %d", dropped, hostile-cap)
 	}
 	// A duplicate of an already-held frame is not a second drop.
-	tr.receive(ib, msg.Envelope{From: 1, To: 2, Epoch: 7, Seq: 1 << 40, Msg: msg.Request{}}, false)
+	tr.receive(ib, msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Seq: 1 << 40, Msg: msg.Request{}}, false)
 	if dropped := tr.Stats().HeldFramesDropped; dropped != hostile-cap {
 		t.Fatalf("HeldFramesDropped = %d after held-frame duplicate, want %d", dropped, hostile-cap)
 	}
 	// The stream itself is still healthy: the next in-order frame
 	// delivers immediately.
-	tr.receive(ib, msg.Envelope{From: 1, To: 2, Epoch: 7, Seq: 1, Msg: msg.Request{}}, false)
+	tr.receive(ib, msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Seq: 1, Msg: msg.Request{}}, false)
 	waitFor(t, "in-order frame to deliver", func() bool {
 		mu.Lock()
 		defer mu.Unlock()

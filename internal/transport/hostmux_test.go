@@ -206,40 +206,50 @@ func TestHostMuxPerPairFIFO(t *testing.T) {
 	}
 }
 
-// TestHostMuxCoexistsWithLegacyNodes pins the compatibility contract:
-// nodes the placement resolver does not know keep the per-node listener
-// and per-pair links, and can converse with hosted nodes over the same
-// transport instance.
-func TestHostMuxCoexistsWithLegacyNodes(t *testing.T) {
+// TestHostMuxRejectsUnplacedNodes pins what a resolver's silence
+// means: a node it does not place has no host, so registering it is a
+// programming error and a frame for it is reported and dropped at once
+// — no per-node listener, and no link that could never dial.
+func TestHostMuxRejectsUnplacedNodes(t *testing.T) {
 	host := NodeID(3001)
-	tr := NewTCP()
+	var mu sync.Mutex
+	var errs []error
+	tr := NewTCPWithOptions(TCPOptions{OnError: func(err error) {
+		mu.Lock()
+		errs = append(errs, err)
+		mu.Unlock()
+	}})
 	defer tr.Close()
 	if err := tr.ListenHost(host, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	tr.SetResolver(StaticPlacement{
-		Hosts: map[NodeID]NodeID{10: host}, // node 20 unplaced: legacy path
+		Hosts: map[NodeID]NodeID{10: host}, // node 20 unplaced
 		Addrs: map[NodeID]string{host: tr.HostAddr(host)},
 	})
+	tr.Register(10, &recordingHandler{})
 
-	hosted := &recordingHandler{}
-	legacy := &recordingHandler{}
-	tr.Register(10, hosted) // no listener
-	tr.Register(20, legacy) // legacy loopback listener
-
-	if got := tr.ListenerCount(); got != 2 {
-		t.Fatalf("listeners = %d, want 2 (one host, one legacy)", got)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Register of an unplaced node did not panic")
+			}
+		}()
+		tr.Register(20, &recordingHandler{})
+	}()
+	if got := tr.ListenerCount(); got != 1 {
+		t.Fatalf("listeners = %d, want 1 (the host's)", got)
 	}
 
-	tr.Send(20, 10, msg.Request{}) // legacy sender -> hosted receiver
-	tr.Send(10, 20, msg.Reply{})   // hosted sender -> legacy receiver
-	waitDeadline(t, 5*time.Second, func() bool { return hosted.count() == 1 && legacy.count() == 1 }, "cross-path deliveries")
-
-	hosted.mu.Lock()
-	from := hosted.from[0]
-	hosted.mu.Unlock()
-	if from != 20 {
-		t.Fatalf("hosted node saw sender %d, want 20 (node identity must survive the mux)", from)
+	tr.Send(10, 20, msg.Request{})
+	mu.Lock()
+	n := len(errs)
+	mu.Unlock()
+	if n != 1 {
+		t.Fatalf("send to an unplaced node reported %d errors, want 1", n)
+	}
+	if got := tr.LinkCount(); got != 0 {
+		t.Fatalf("links = %d, want 0 (no link toward an unplaced node)", got)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestTCPLeaseDetectsPeerDownAndUp(t *testing.T) {
 	receiver := transport.NewTCPWithOptions(fastRetry(&errs))
 	col := newCollector(1)
 	receiver.Register(9, col)
-	sender.SetPeer(9, receiver.Addr(9))
+	sender.SetPeer(9, receiver.HostAddr(9))
 
 	sender.Send(1, 9, probeSeq(1))
 	select {
@@ -115,7 +115,7 @@ func TestTCPLeaseDetectsPeerDownAndUp(t *testing.T) {
 	restarted := transport.NewTCPWithOptions(fastRetry(&errs))
 	defer restarted.Close()
 	restarted.Register(9, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
-	sender.SetPeer(9, restarted.Addr(9))
+	sender.SetPeer(9, restarted.HostAddr(9))
 	waitFor(t, 10*time.Second, func() bool { return log.count(transport.ConnPeerUp) >= 1 })
 
 	if down := log.count(transport.ConnPeerDown); down != 1 {

@@ -9,9 +9,9 @@ import (
 // delivery is one queued message awaiting dispatch. seq and epoch are
 // the sender-assigned frame sequencing of the TCP transport (zero on
 // the unsequenced transports); they let sequence-aware observers audit
-// the reconnect protocol. to is the destination node — per-node
-// mailboxes ignore it (their node is fixed), but a host mailbox fed by
-// a multiplexed link demultiplexes deliveries by it.
+// the reconnect protocol. to is the destination node — the live
+// transport's per-node mailboxes ignore it (their node is fixed), but a
+// TCP host mailbox demultiplexes deliveries by it.
 type delivery struct {
 	from  NodeID
 	to    NodeID

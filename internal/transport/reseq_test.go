@@ -21,18 +21,16 @@ func TestEpochChangePurgesHeldFrames(t *testing.T) {
 
 	var mu sync.Mutex
 	var seen []uint64
-	if err := tr.RegisterAddr(2, "127.0.0.1:0", HandlerFunc(func(_ NodeID, m msg.Message) {
+	tr.Register(2, HandlerFunc(func(_ NodeID, m msg.Message) {
 		mu.Lock()
 		seen = append(seen, msg.Deref(m).(msg.Probe).Tag.N)
 		mu.Unlock()
-	})); err != nil {
-		t.Fatal(err)
-	}
-	ib := tr.inboxes[2]
+	}))
+	ib := tr.inboxOf(2)
 
 	probe := func(n uint64) msg.Message { return &msg.Probe{Tag: id.Tag{Initiator: 1, N: n}} }
 	env := func(epoch, seq, n uint64) msg.Envelope {
-		return msg.Envelope{From: 1, To: 2, Seq: seq, Epoch: epoch, Msg: probe(n)}
+		return msg.Envelope{From: 1, To: 2, SrcHost: 1, Seq: seq, Epoch: epoch, Msg: probe(n)}
 	}
 
 	// Epoch 7: seq 1 delivers; seq 3 and 4 park behind the gap at 2.
@@ -43,7 +41,7 @@ func TestEpochChangePurgesHeldFrames(t *testing.T) {
 		t.Fatalf("Resequenced = %d, want 2", got)
 	}
 	ib.mu.Lock()
-	held := len(ib.pairs[streamKey{id: 1}].held)
+	held := len(ib.pairs[1].held)
 	ib.mu.Unlock()
 	if held != 2 {
 		t.Fatalf("held = %d frames, want 2", held)
@@ -60,7 +58,7 @@ func TestEpochChangePurgesHeldFrames(t *testing.T) {
 		t.Fatalf("HeldFramesDropped = %d, want 0 — purges must not count as drops", s.HeldFramesDropped)
 	}
 	ib.mu.Lock()
-	ps := ib.pairs[streamKey{id: 1}]
+	ps := ib.pairs[1]
 	held = len(ps.held)
 	epoch := ps.epoch
 	ib.mu.Unlock()

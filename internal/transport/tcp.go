@@ -11,15 +11,18 @@ import (
 	"repro/internal/msg"
 )
 
-// TCP is a transport over real TCP sockets. Each registered node gets
-// its own listener; a sender keeps one outbound link per ordered
-// (from,to) pair, each with its own goroutine, queue, mutex and
-// encoder, so a slow or unreachable peer stalls only its own link.
-// Frames are binary-encoded, sequence-numbered envelopes (see
-// msg.Envelope and DESIGN.md §9): the sequence numbers let the receiver
-// drop duplicates and resequence frames replayed across a re-dialed
-// connection, which preserves the per-ordered-pair FIFO guarantee the
-// algorithm's proofs require even when connections fail.
+// TCP is a transport over real TCP sockets. Every endpoint is a host:
+// a host owns one listener and one inbox, and a sender keeps one
+// outbound link per ordered (source host, destination host) pair, each
+// with its own goroutine, queue, mutex and encoder, so a slow or
+// unreachable peer stalls only its own link. Frames are binary-encoded,
+// sequence-numbered envelopes (see msg.Envelope and DESIGN.md §9):
+// Envelope.SrcHost names the stream, the sequence numbers let the
+// receiver drop duplicates and resequence frames replayed across a
+// re-dialed connection, which preserves the per-ordered-pair FIFO
+// guarantee the algorithm's proofs require even when connections fail.
+// From/To still name the node endpoints; the receiving host
+// demultiplexes by Envelope.To.
 //
 // Failure handling: dials retry with exponential backoff; write and
 // read failures tear down only the affected connection and are
@@ -29,41 +32,37 @@ import (
 // (its previous incarnation's state is gone) while a peer that merely
 // lost the connection dedups the replay by sequence number.
 //
-// All nodes may live in one process (the default, used by the livenet
-// example and the integration tests) or the directory can be primed
-// with remote addresses via SetPeer for genuinely distributed runs.
-// SetPeer may also update an address: re-dial cycles re-read the
-// directory, so a peer that restarts on a new port is reachable again
-// once SetPeer records it.
+// Placement: with no PlacementResolver installed, node n is its own
+// host n — Register opens the node's loopback listener through
+// ListenHost, and SetPeer records where a remote node listens. All
+// nodes may live in one process (the livenet example and the
+// integration tests) or on separate machines. SetPeer may also update
+// an address: re-dial cycles re-read it, so a peer that restarts on a
+// new port is reachable again once SetPeer records it.
 //
-// Host-level multiplexing: a deployment hosting many nodes per OS
-// process calls ListenHost once (one listener for the whole host) and
-// installs a PlacementResolver (SetResolver) that maps nodes to hosts
-// and hosts to addresses. Register then skips the per-node loopback
-// listener for placed nodes, Send routes their traffic over one shared
-// link per ordered host pair (Envelope.SrcHost names the stream;
-// From/To still name the node endpoints), and the receiving host
-// demultiplexes by Envelope.To. Nodes the resolver does not place keep
-// the legacy per-node addressing; both coexist on one transport.
+// A deployment hosting many nodes per OS process calls ListenHost once
+// (one listener for the whole host) and installs a PlacementResolver
+// (SetResolver) that maps nodes to hosts and hosts to addresses.
+// Register then only records the handler of a node placed on a local
+// host, and every co-hosted node's traffic shares its host's links.
+// Under a resolver a node it does not place is a configuration error:
+// Register panics and Send reports it through OnError.
 type TCP struct {
 	opts TCPOptions
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// listeners, addrs and inboxes are keyed by host: the local hosts'
+	// listeners and inboxes, and the dial address of every host known
+	// here — local listen addresses and SetPeer entries alike.
 	listeners map[NodeID]net.Listener
 	addrs     map[NodeID]string
+	inboxes   map[NodeID]*inbox
+	// handlers is the node directory the host inboxes demultiplex into.
+	handlers  map[NodeID]Handler
 	links     map[link]*outLink
 	inConns   []net.Conn
-	inboxes   map[NodeID]*inbox
 	observers []Observer
 	closed    bool
-
-	// Host-multiplexing state: one listener+inbox per local host, the
-	// local hosts' listen addresses and the handler directory the host
-	// inboxes demultiplex into.
-	hostLns   map[NodeID]net.Listener
-	hostAddrs map[NodeID]string
-	handlers  map[NodeID]Handler
-	hostBoxes map[NodeID]*inbox
 
 	// resolver, when set, answers every placement question: node→host
 	// from a routing directory, host→addr from a member map.
@@ -75,8 +74,8 @@ type TCP struct {
 	stats tcpCounters
 }
 
-// inbox is the receive side of one registered node: the dispatch
-// mailbox plus the per-sender resequencing state that survives
+// inbox is the receive side of one local host: the dispatch mailbox
+// plus the per-source-host resequencing state that survives
 // connection drops (it must outlive any single inbound connection).
 //
 // inc is the inbox's incarnation, drawn at registration and stamped on
@@ -85,12 +84,12 @@ type TCP struct {
 // gone — the link must rebase its stream) from one that merely lost a
 // connection (same inc — replay + dedup suffice).
 type inbox struct {
-	node NodeID
+	host NodeID
 	box  *mailbox
 	inc  uint64
 
 	mu    sync.Mutex
-	pairs map[streamKey]*pairState
+	pairs map[NodeID]*pairState
 	// lg, when non-nil, journals every committed in-order delivery
 	// before it leaves the resequencer (write-ahead of the delivery and
 	// of the ack — see DeliveryLog). Set before traffic via
@@ -117,16 +116,7 @@ type inbox struct {
 // cumulative ack falls due anyway.
 const tcpGroupMax = tcpAckStride
 
-// streamKey identifies one inbound frame stream: a sending host (host
-// true — every co-hosted node shares the stream) or a single legacy
-// sender node. The flag keeps a host id and a node id that happen to
-// be numerically equal from aliasing each other's resequencing state.
-type streamKey struct {
-	id   NodeID
-	host bool
-}
-
-// pairState resequences one sender's frame stream. Within an epoch,
+// pairState resequences one source host's frame stream. Within an epoch,
 // sequence numbers start at 1 and increase by 1 per frame; a frame
 // below next is a duplicate from a replay, a frame above it is held
 // until the gap fills. A new epoch (sender restarted) resets the
@@ -164,12 +154,9 @@ func NewTCPWithOptions(o TCPOptions) *TCP {
 		opts:      o.withDefaults(),
 		listeners: make(map[NodeID]net.Listener),
 		addrs:     make(map[NodeID]string),
-		links:     make(map[link]*outLink),
 		inboxes:   make(map[NodeID]*inbox),
-		hostLns:   make(map[NodeID]net.Listener),
-		hostAddrs: make(map[NodeID]string),
 		handlers:  make(map[NodeID]Handler),
-		hostBoxes: make(map[NodeID]*inbox),
+		links:     make(map[link]*outLink),
 		done:      make(chan struct{}),
 	}
 }
@@ -185,18 +172,13 @@ func (t *TCP) Observe(o Observer) {
 	t.observers = append(t.observers, o)
 }
 
-// SetPeer records (or updates) the address of a node hosted elsewhere.
-func (t *TCP) SetPeer(id NodeID, addr string) {
+// SetPeer records (or updates) the dial address of a host elsewhere —
+// with no resolver installed, the address of a remote node, which is
+// its own host.
+func (t *TCP) SetPeer(host NodeID, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addrs[id] = addr
-}
-
-// Addr returns the listen address of a locally registered node.
-func (t *TCP) Addr(id NodeID) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.addrs[id]
+	t.addrs[host] = addr
 }
 
 // Stats returns a snapshot of the failure-handling counters.
@@ -208,120 +190,65 @@ func (t *TCP) Stats() TCPStats {
 			s.MailboxPeak = p
 		}
 	}
-	for _, ib := range t.hostBoxes {
-		if p := int64(ib.box.peakDepth()); p > s.MailboxPeak {
-			s.MailboxPeak = p
-		}
-	}
 	t.mu.Unlock()
 	return s
 }
 
-// Register implements Transport. A node the resolver places on a local
-// host (see SetResolver/ListenHost) only records its handler — the
-// host's single listener already carries its ingress, so co-hosted
-// nodes do not each open a loopback listener. A node the resolver does
-// not place keeps the legacy behaviour: its own listener and accept
-// loop.
+// Register implements Transport. It records the node's handler; the
+// node's host listener carries its ingress. With no resolver installed
+// the node is its own host, and Register opens that host's loopback
+// listener unless ListenHost already did. Under a resolver, a node
+// placed on a local host shares that host's listener, and a node the
+// resolver does not place, or places on a host with no local listener,
+// is a programming error and panics — except while this transport
+// listens for some host: then a migration target may register a node
+// the resolver still places elsewhere.
 func (t *TCP) Register(id NodeID, h Handler) {
 	t.mu.Lock()
-	if host, hosted := t.resolveHostLocked(id); hosted {
-		if _, local := t.hostLns[host]; !local {
-			if len(t.hostLns) > 0 {
-				// Dynamic placement: a migration target registers its
-				// shell process while the resolver still maps the node to
-				// the old host (routes flip only after the cut). Inbound
-				// frames dispatch by destination id, so the handler works
-				// regardless of which placement outbound resolution
-				// reports; record it and let the routing catch up.
-				t.handlers[id] = h
-				t.mu.Unlock()
-				return
-			}
-			t.mu.Unlock()
-			panic(fmt.Sprintf("tcp: register node %d: placed on host %d, which has no local listener (ListenHost first, or the node belongs on the remote host)", id, host))
-		}
+	host, placed := t.hostOfLocked(id)
+	if !placed {
+		t.mu.Unlock()
+		panic(fmt.Sprintf("tcp: register node %d: the placement resolver does not place it", id))
+	}
+	_, local := t.listeners[host]
+	switch {
+	case local:
+	case t.resolver == nil:
+		// Identity placement: the node opens its own host's listener.
+		// The handler goes in first so no frame finds the host without it.
 		t.handlers[id] = h
 		t.mu.Unlock()
+		if err := t.ListenHost(host, "127.0.0.1:0"); err != nil {
+			panic(fmt.Sprintf("tcp: register node %d: %v", id, err))
+		}
 		return
-	}
-	t.mu.Unlock()
-	if err := t.RegisterAddr(id, "127.0.0.1:0", h); err != nil {
-		panic(fmt.Sprintf("tcp: register node %d: %v", id, err))
-	}
-}
-
-// RegisterAddr registers a node listening on an explicit address.
-func (t *TCP) RegisterAddr(id NodeID, addr string, h Handler) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", addr, err)
-	}
-	ib := &inbox{node: id, inc: newEpoch(), pairs: make(map[streamKey]*pairState)}
-	_, retains := h.(MessageRetainer)
-	seqh, _ := h.(SequencedHandler)
-	ib.box = newMailbox(h, func(d delivery) {
-		t.mu.Lock()
-		obs := t.observers
+	case len(t.listeners) > 0:
+		// Dynamic placement: a migration target registers its shell
+		// process while the resolver still maps the node to the old host
+		// (routes flip only after the cut). Inbound frames dispatch by
+		// destination id, so the handler works regardless of which
+		// placement outbound resolution reports; record it and let the
+		// routing catch up.
+	default:
 		t.mu.Unlock()
-		for _, o := range obs {
-			o.OnDeliver(d.from, id, d.m)
-			if so, ok := o.(SeqObserver); ok && d.seq != 0 {
-				so.OnSequencedDeliver(d.from, id, d.epoch, d.seq, d.m)
-			}
-		}
-		if seqh != nil && d.seq != 0 {
-			seqh.HandleSequenced(d.from, d.m, d.epoch, d.seq)
-		} else {
-			h.HandleMessage(d.from, d.m)
-		}
-		if !retains {
-			msg.Recycle(d.m)
-		}
-	}, mailboxConfig{
-		highWater: t.opts.MailboxHighWater,
-		onPressure: func(engaged bool, depth int) {
-			kind := ConnBackpressureOff
-			if engaged {
-				kind = ConnBackpressureOn
-				t.stats.backpressure.Add(1)
-			}
-			t.event(ConnEvent{Kind: kind, To: id, Depth: depth})
-		},
-	})
-
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		ln.Close()
-		ib.box.close()
-		return errors.New("transport closed")
+		panic(fmt.Sprintf("tcp: register node %d: placed on host %d, which has no local listener (ListenHost first, or the node belongs on the remote host)", id, host))
 	}
-	t.listeners[id] = ln
-	t.addrs[id] = ln.Addr().String()
-	t.inboxes[id] = ib
 	t.handlers[id] = h
 	t.mu.Unlock()
-
-	t.wg.Add(1)
-	go t.acceptLoop(ln, ib)
-	return nil
 }
 
 // ListenHost starts the single listener for a local host: one accept
-// loop and one inbox carry the ingress of every node the resolver
-// places on the host. Host ids must be positive (0 is the wire's
-// legacy-addressing sentinel) and live in a namespace of their own —
-// a host id never collides with a node id even when numerically equal.
+// loop and one inbox carry the ingress of every node placed on the
+// host. Host ids are non-negative.
 func (t *TCP) ListenHost(host NodeID, addr string) error {
-	if host <= 0 {
-		return fmt.Errorf("listen host %d: host ids must be positive", host)
+	if host < 0 {
+		return fmt.Errorf("listen host %d: host ids must be non-negative", host)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	ib := &inbox{node: host, inc: newEpoch(), pairs: make(map[streamKey]*pairState)}
+	ib := &inbox{host: host, inc: newEpoch(), pairs: make(map[NodeID]*pairState)}
 	ib.box = newMailbox(nil, func(d delivery) {
 		t.mu.Lock()
 		h := t.handlers[d.to]
@@ -368,15 +295,15 @@ func (t *TCP) ListenHost(host NodeID, addr string) error {
 		ib.box.close()
 		return errors.New("transport closed")
 	}
-	if _, dup := t.hostLns[host]; dup {
+	if _, dup := t.listeners[host]; dup {
 		t.mu.Unlock()
 		ln.Close()
 		ib.box.close()
 		return fmt.Errorf("listen host %d: already listening", host)
 	}
-	t.hostLns[host] = ln
-	t.hostAddrs[host] = ln.Addr().String()
-	t.hostBoxes[host] = ib
+	t.listeners[host] = ln
+	t.addrs[host] = ln.Addr().String()
+	t.inboxes[host] = ib
 	t.mu.Unlock()
 
 	t.wg.Add(1)
@@ -395,30 +322,29 @@ func (t *TCP) SetResolver(r PlacementResolver) {
 	t.resolver = r
 }
 
-// resolveHostLocked (t.mu held) maps a node to its owning host through
-// the placement resolver. ok=false means the node uses legacy per-node
-// addressing.
-func (t *TCP) resolveHostLocked(node NodeID) (NodeID, bool) {
+// hostOfLocked (t.mu held) maps a node to its owning host: the
+// resolver's answer when one is installed, else the node itself.
+func (t *TCP) hostOfLocked(node NodeID) (NodeID, bool) {
 	if t.resolver != nil {
 		return t.resolver.HostOf(node)
 	}
-	return 0, false
+	return node, true
 }
 
-// HostAddr returns the listen address of a local host (see ListenHost).
+// HostAddr returns the address recorded for a host: a local host's
+// listen address (see ListenHost), or one SetPeer recorded.
 func (t *TCP) HostAddr(host NodeID) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.hostAddrs[host]
+	return t.addrs[host]
 }
 
-// ListenerCount reports how many TCP listeners the transport holds open
-// (per-node legacy listeners plus per-host multiplexed ones). The
-// co-hosting regression tests pin this to one per host.
+// ListenerCount reports how many TCP listeners the transport holds
+// open: one per local host. The co-hosting regression tests pin it.
 func (t *TCP) ListenerCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.listeners) + len(t.hostLns)
+	return len(t.listeners)
 }
 
 // LinkCount reports how many outbound links exist. Co-hosted traffic
@@ -430,7 +356,7 @@ func (t *TCP) LinkCount() int {
 	return len(t.links)
 }
 
-// acceptLoop accepts inbound connections for one node and spawns a
+// acceptLoop accepts inbound connections for one host and spawns a
 // reader per connection.
 func (t *TCP) acceptLoop(ln net.Listener, ib *inbox) {
 	defer t.wg.Done()
@@ -452,7 +378,7 @@ func (t *TCP) acceptLoop(ln net.Listener, ib *inbox) {
 	}
 }
 
-// readLoop decodes envelopes from one connection into the node's
+// readLoop decodes envelopes from one connection into the host's
 // resequencer and writes acknowledgements back on the same connection
 // (the return path of the sender's stream — its watch goroutine
 // consumes them). A decode failure (peer crash, TCP reset, corrupt
@@ -479,9 +405,9 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 			t.flush(ib)
 			if err != io.EOF && !t.isClosed() {
 				t.stats.readErrors.Add(1)
-				t.event(ConnEvent{Kind: ConnReadError, To: ib.node,
+				t.event(ConnEvent{Kind: ConnReadError, To: ib.host,
 					Addr: conn.RemoteAddr().String(), Err: err.Error()})
-				t.report(fmt.Errorf("tcp: read for node %d from %s: %w", ib.node, conn.RemoteAddr(), err))
+				t.report(fmt.Errorf("tcp: read for node %d from %s: %w", ib.host, conn.RemoteAddr(), err))
 			}
 			conn.Close()
 			return
@@ -533,12 +459,9 @@ func (t *TCP) receive(ib *inbox, env msg.Envelope, more bool) (msg.Envelope, boo
 func (t *TCP) receiveLocked(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 	from := NodeID(env.From)
 	to := NodeID(env.To)
-	// A nonzero SrcHost marks a host stream: every co-hosted sender
-	// shares it, so the resequencer keys on the host, not the node.
-	key := streamKey{id: from}
-	if env.SrcHost != 0 {
-		key = streamKey{id: NodeID(env.SrcHost), host: true}
-	}
+	// Every co-hosted sender shares its host's stream, so the
+	// resequencer keys on the source host, not the node.
+	key := NodeID(env.SrcHost)
 	switch env.Ctl {
 	case msg.CtlPing:
 		return t.ackLocked(ib, key, env.Epoch), true
@@ -625,10 +548,10 @@ func (t *TCP) receiveLocked(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 // deferred append, everything already staged is committed and delivered
 // first and this frame falls back to the per-frame contract, so stage
 // order is still resequencer order.
-func (t *TCP) deliverLocked(ib *inbox, key streamKey, d delivery) {
+func (t *TCP) deliverLocked(ib *inbox, key NodeID, d delivery) {
 	switch {
 	case ib.glg != nil:
-		if ib.glg.AppendDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m) {
+		if ib.glg.AppendDelivery(key, true, d.epoch, d.seq, d.from, d.to, d.m) {
 			ib.stage = append(ib.stage, d)
 			if len(ib.stage) >= tcpGroupMax {
 				t.flushLocked(ib)
@@ -636,9 +559,9 @@ func (t *TCP) deliverLocked(ib *inbox, key streamKey, d delivery) {
 			return
 		}
 		t.flushLocked(ib)
-		ib.lg.LogDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m)
+		ib.lg.LogDelivery(key, true, d.epoch, d.seq, d.from, d.to, d.m)
 	case ib.lg != nil:
-		ib.lg.LogDelivery(key.id, key.host, d.epoch, d.seq, d.from, d.to, d.m)
+		ib.lg.LogDelivery(key, true, d.epoch, d.seq, d.from, d.to, d.m)
 	}
 	ib.box.put(d)
 }
@@ -672,7 +595,7 @@ func (t *TCP) flush(ib *inbox) {
 // inbox incarnation. The stage is flushed first, whichever reader
 // staged it: ps.next counts staged frames, and the ack must cover only
 // committed ones.
-func (t *TCP) ackLocked(ib *inbox, key streamKey, epoch uint64) msg.Envelope {
+func (t *TCP) ackLocked(ib *inbox, key NodeID, epoch uint64) msg.Envelope {
 	t.flushLocked(ib)
 	var ackTo uint64
 	if ps := ib.pairs[key]; ps != nil && ps.epoch == epoch {
@@ -680,7 +603,7 @@ func (t *TCP) ackLocked(ib *inbox, key streamKey, epoch uint64) msg.Envelope {
 		ps.acked = ackTo
 	}
 	return msg.Envelope{
-		From: int32(ib.node), To: int32(key.id),
+		From: int32(ib.host), To: int32(key),
 		Epoch: epoch, Ctl: msg.CtlAck, Ack: ackTo, Inc: ib.inc,
 	}
 }
@@ -689,7 +612,7 @@ func (t *TCP) ackLocked(ib *inbox, key streamKey, epoch uint64) msg.Envelope {
 // next sequence number and enqueues it on the link's sender goroutine;
 // it never blocks on the network and never panics on peer failure
 // (dial and write errors are retried and surfaced through OnError).
-// The first send on an ordered pair creates the link.
+// The first send on an ordered host pair creates the link.
 func (t *TCP) Send(from, to NodeID, m msg.Message) {
 	t.send(0, from, to, m)
 }
@@ -699,7 +622,8 @@ func (t *TCP) Send(from, to NodeID, m msg.Message) {
 // the nominal sender resolves to. Migration forwarding is the one
 // caller: host A relays frames for a moved process on A's own stream so
 // they can never interleave with the original sender's future direct
-// stream to the new host.
+// stream to the new host. Only cluster hosts call it, and their ids
+// are positive.
 func (t *TCP) SendFromHost(srcHost, from, to NodeID, m msg.Message) {
 	if srcHost <= 0 {
 		panic(fmt.Sprintf("tcp: send from host %d: host ids must be positive", srcHost))
@@ -709,7 +633,8 @@ func (t *TCP) SendFromHost(srcHost, from, to NodeID, m msg.Message) {
 
 // send stamps the message with the link's next sequence number and
 // enqueues it; pinnedSrc, when nonzero, overrides the sender-side host
-// resolution (see SendFromHost).
+// resolution (see SendFromHost). A frame whose endpoint the resolver
+// does not place is reported and dropped: no link could ever dial it.
 func (t *TCP) send(pinnedSrc, from, to NodeID, m msg.Message) {
 	if m == nil {
 		panic("tcp: send of nil message")
@@ -720,24 +645,21 @@ func (t *TCP) send(pinnedSrc, from, to NodeID, m msg.Message) {
 		return
 	}
 	obs := t.observers
-	// Resolve the link endpoints through the host assignment: traffic
-	// from/to a hosted node rides the per-host-pair link (one shared
-	// stream, stamped with SrcHost), everything else keeps the legacy
-	// per-node-pair link.
-	srcKey, srcHost := from, int32(0)
-	if pinnedSrc != 0 {
-		srcKey, srcHost = pinnedSrc, int32(pinnedSrc)
-	} else if h, hosted := t.resolveHostLocked(from); hosted {
-		srcKey, srcHost = h, int32(h)
+	src, srcPlaced := pinnedSrc, true
+	if pinnedSrc == 0 {
+		src, srcPlaced = t.hostOfLocked(from)
 	}
-	dstKey, dstIsHost := to, false
-	if h, hosted := t.resolveHostLocked(to); hosted {
-		dstKey, dstIsHost = h, true
+	dst, dstPlaced := t.hostOfLocked(to)
+	if !srcPlaced || !dstPlaced {
+		t.mu.Unlock()
+		msg.Recycle(m)
+		t.report(fmt.Errorf("tcp: send %d->%d: the placement resolver does not place both nodes", from, to))
+		return
 	}
-	k := link{from: srcKey, to: dstKey}
+	k := link{from: src, to: dst}
 	l, ok := t.links[k]
 	if !ok {
-		l = newOutLink(t, srcKey, dstKey, srcHost, dstIsHost)
+		l = newOutLink(t, src, dst)
 		t.links[k] = l
 		t.wg.Add(1)
 		go l.run()
@@ -757,7 +679,7 @@ func (t *TCP) send(pinnedSrc, from, to NodeID, m msg.Message) {
 	}
 	l.seq++
 	l.queue = append(l.queue, msg.Envelope{
-		From: int32(from), To: int32(to), SrcHost: srcHost, Seq: l.seq, Epoch: l.epoch, Msg: m,
+		From: int32(from), To: int32(to), SrcHost: int32(src), Seq: l.seq, Epoch: l.epoch, Msg: m,
 	})
 	for _, o := range obs {
 		o.OnSend(from, to, m)
@@ -767,8 +689,8 @@ func (t *TCP) send(pinnedSrc, from, to NodeID, m msg.Message) {
 }
 
 // ReplayBufferLen reports how many written-but-unacknowledged frames
-// the (from,to) link currently retains for replay (0 if the link does
-// not exist). The acceptance bound for the ack protocol — history
+// the (from,to) host link currently retains for replay (0 if the link
+// does not exist). The acceptance bound for the ack protocol — history
 // length never exceeds the unacked window after an ack exchange — is
 // asserted against this.
 func (t *TCP) ReplayBufferLen(from, to NodeID) int {
@@ -864,23 +786,18 @@ func (t *TCP) event(ev ConnEvent) {
 	}
 }
 
-// peerAddr looks up the current address of a link target — a local
-// host's own listener, else the resolver, for multiplexed links; the
-// node directory for legacy ones.
-func (t *TCP) peerAddr(id NodeID, host bool) (string, bool) {
+// peerAddr looks up the current dial address of a host: a local
+// listener or a SetPeer entry, else the resolver's member map.
+func (t *TCP) peerAddr(host NodeID) (string, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if host {
-		if addr, ok := t.hostAddrs[id]; ok {
-			return addr, ok
-		}
-		if t.resolver != nil {
-			return t.resolver.AddrOf(id)
-		}
-		return "", false
+	if addr, ok := t.addrs[host]; ok {
+		return addr, true
 	}
-	addr, ok := t.addrs[id]
-	return addr, ok
+	if t.resolver != nil {
+		return t.resolver.AddrOf(host)
+	}
+	return "", false
 }
 
 // isClosed reports whether Close has begun.
@@ -900,11 +817,8 @@ func (t *TCP) Close() {
 	}
 	t.closed = true
 	close(t.done)
-	lns := make([]net.Listener, 0, len(t.listeners)+len(t.hostLns))
+	lns := make([]net.Listener, 0, len(t.listeners))
 	for _, ln := range t.listeners {
-		lns = append(lns, ln)
-	}
-	for _, ln := range t.hostLns {
 		lns = append(lns, ln)
 	}
 	conns := t.inConns
@@ -912,11 +826,8 @@ func (t *TCP) Close() {
 	for _, l := range t.links {
 		links = append(links, l)
 	}
-	boxes := make([]*mailbox, 0, len(t.inboxes)+len(t.hostBoxes))
+	boxes := make([]*mailbox, 0, len(t.inboxes))
 	for _, ib := range t.inboxes {
-		boxes = append(boxes, ib.box)
-	}
-	for _, ib := range t.hostBoxes {
 		boxes = append(boxes, ib.box)
 	}
 	t.mu.Unlock()

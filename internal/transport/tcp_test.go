@@ -205,9 +205,10 @@ func TestTCPDialRetriesUntilPeerAppears(t *testing.T) {
 	receiver := transport.NewTCPWithOptions(fastRetry(&errs))
 	defer receiver.Close()
 	col := newCollector(per)
-	if err := receiver.RegisterAddr(5, addr, col); err != nil {
+	if err := receiver.ListenHost(5, addr); err != nil {
 		t.Skipf("reserved address vanished: %v", err)
 	}
+	receiver.Register(5, col)
 	select {
 	case <-col.done:
 	case <-time.After(15 * time.Second):
@@ -232,7 +233,7 @@ func TestTCPReadErrorIsSurfacedNotFatal(t *testing.T) {
 	net_.Register(9, col)
 	net_.Register(1, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
 
-	raw, err := net.Dial("tcp", net_.Addr(9))
+	raw, err := net.Dial("tcp", net_.HostAddr(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestTCPRingSurvivesPeerRestart(t *testing.T) {
 		}
 	}
 	addrs := map[transport.NodeID]string{
-		0: n0.tcp.Addr(0), 1: n1.tcp.Addr(1), 2: n2.tcp.Addr(2),
+		0: n0.tcp.HostAddr(0), 1: n1.tcp.HostAddr(1), 2: n2.tcp.HostAddr(2),
 	}
 	wire(n0.tcp, 0, addrs)
 	wire(n1.tcp, 1, addrs)
@@ -405,8 +406,8 @@ func TestTCPRingSurvivesPeerRestart(t *testing.T) {
 	if err := n1b.proc.Request(2); err != nil {
 		t.Fatal(err)
 	}
-	n0.tcp.SetPeer(1, n1b.tcp.Addr(1))
-	n2.tcp.SetPeer(1, n1b.tcp.Addr(1))
+	n0.tcp.SetPeer(1, n1b.tcp.HostAddr(1))
+	n2.tcp.SetPeer(1, n1b.tcp.HostAddr(1))
 
 	// The pending probe now flows through the restarted node; its
 	// first ack carries a fresh incarnation, which triggers the rebase

@@ -14,8 +14,10 @@ import (
 	"repro/internal/msg"
 )
 
-// outLink is the sender side of one ordered (from,to) pair: a
+// outLink is the sender side of one ordered (from,to) host pair: a
 // dedicated goroutine owning the pair's connection, encoder and queue.
+// from is the source host, so it also names the link's stream on the
+// wire (Envelope.SrcHost).
 // Per-link ownership is what keeps one slow or blocked peer (full
 // kernel send buffer, unreachable host) from stalling any other link
 // in the process — Send only appends to the queue under the link's own
@@ -36,12 +38,7 @@ import (
 type outLink struct {
 	t        *TCP
 	from, to NodeID
-	// srcHost stamps the frames of a multiplexed per-host-pair link
-	// (0 on legacy per-node links); dstIsHost selects which address
-	// directory connect consults for the target.
-	srcHost   int32
-	dstIsHost bool
-	epoch     uint64
+	epoch    uint64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -78,12 +75,8 @@ type outLink struct {
 // newOutLink creates the link; the caller starts run() (and, when the
 // lease detector is armed, leaseLoop()) and owns the t.wg accounting
 // for them.
-func newOutLink(t *TCP, from, to NodeID, srcHost int32, dstIsHost bool) *outLink {
-	l := &outLink{
-		t: t, from: from, to: to,
-		srcHost: srcHost, dstIsHost: dstIsHost,
-		epoch: newEpoch(), lastAck: time.Now(),
-	}
+func newOutLink(t *TCP, from, to NodeID) *outLink {
+	l := &outLink{t: t, from: from, to: to, epoch: newEpoch(), lastAck: time.Now()}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -248,7 +241,7 @@ func (l *outLink) run() {
 		if err == nil && ping {
 			i := n - 1
 			if segs[i], err = enc.AppendFrame(segs[i][:0], msg.Envelope{
-				From: int32(l.from), To: int32(l.to), SrcHost: l.srcHost,
+				From: int32(l.from), To: int32(l.to), SrcHost: int32(l.from),
 				Epoch: epoch, Ctl: msg.CtlPing,
 			}); err == nil {
 				vec = append(vec, segs[i])
@@ -329,7 +322,7 @@ func (l *outLink) connect() bool {
 			return false
 		}
 		attempt++
-		addr, known := l.t.peerAddr(l.to, l.dstIsHost)
+		addr, known := l.t.peerAddr(l.to)
 		var conn net.Conn
 		var err error
 		if !known {

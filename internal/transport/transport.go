@@ -79,6 +79,10 @@ type SequencedHandler interface {
 // instead. LogDelivery may block (the checkpoint cut does, briefly); it
 // must not call back into the transport. The message is only borrowed
 // for the duration of the call.
+//
+// stream is the frame's source host. streamIsHost is always true: every
+// TCP stream is a host stream. The parameter stays because the
+// benchmark harness's traced log implements this exact signature.
 type DeliveryLog interface {
 	LogDelivery(stream NodeID, streamIsHost bool, epoch, seq uint64, from, to NodeID, m msg.Message)
 }
@@ -114,8 +118,8 @@ type GroupDeliveryLog interface {
 // transport.
 type PlacementResolver interface {
 	// HostOf returns the host that owns node, or ok=false when the
-	// node's placement is unknown (the transport then falls back to
-	// per-node addressing).
+	// node's placement is unknown (the transport then refuses to
+	// register or send to it).
 	HostOf(node NodeID) (host NodeID, ok bool)
 	// AddrOf returns the dial address of a host listener, or ok=false
 	// when the host is not (or no longer) a member.

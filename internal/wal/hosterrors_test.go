@@ -46,7 +46,7 @@ func TestFailedGroupCommitCountsEveryFrame(t *testing.T) {
 			group := func(n int) {
 				for i := 0; i < n; i++ {
 					seq++
-					if !h.AppendDelivery(5, false, 1, seq, 5, 4, msg.Probe{}) {
+					if !h.AppendDelivery(5, true, 1, seq, 5, 4, msg.Probe{}) {
 						t.Fatal("AppendDelivery declined with no checkpoint in progress")
 					}
 				}
@@ -70,7 +70,7 @@ func TestFailedGroupCommitCountsEveryFrame(t *testing.T) {
 				t.Fatalf("WALErrors = %d after 3 more frames on the latched log, want 8", got)
 			}
 			seq++
-			h.LogDelivery(5, false, 1, seq, 5, 4, msg.Probe{}) // the per-frame face counts the same way
+			h.LogDelivery(5, true, 1, seq, 5, 4, msg.Probe{}) // the per-frame face counts the same way
 			if st := h.Stats(); st.WALErrors != 9 || st.RecordsAppended != 13 {
 				t.Fatalf("WALErrors = %d, RecordsAppended = %d; want 9 and 13", st.WALErrors, st.RecordsAppended)
 			}
