@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-smoke check fuzz-smoke chaos-smoke crash-smoke host-smoke load-smoke cluster-smoke cover experiments examples clean
+.PHONY: all build vet lint test race gates bench bench-smoke check fuzz-smoke chaos-smoke crash-smoke host-smoke load-smoke cluster-smoke cover experiments examples clean
 
 all: build vet test
 
@@ -32,6 +32,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation and live-heap gates, ten times each and WITHOUT the race
+# detector: under -race the instrumented runtime shrinks the heap gate's
+# readings several-fold, so the race-only test job can never see it
+# fail (CI runs this as the gates job).
+gates:
+	$(GO) test -count=10 -run 'TestTxnAllocGates|TestHeapFlatInCommitCount|TestTimerArmSteadyStateAllocs' ./internal/ddb ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -109,6 +109,7 @@ type compState struct {
 type Process struct {
 	cfg      Config
 	run      engine.Runner
+	fx       engine.Effects
 	ingress  engine.Ingress
 	recovery engine.Recovery
 
@@ -229,66 +230,62 @@ func (p *Process) startDetectionStep() (uint64, bool) {
 // HandleMessage implements transport.Handler: serialize through the
 // Runner, then run deferred callbacks outside the step.
 func (p *Process) HandleMessage(from transport.NodeID, m msg.Message) {
-	var after []func()
-	p.run.Exec(func() { after = p.step(id.Proc(from), m) })
-	runAfter(after)
+	p.fx.Exec(p.run, func() { p.step(id.Proc(from), m) })
 }
 
 // Step implements engine.Logic: the Host invokes it on the owning
 // shard, already serialized, so only the deferred callbacks remain.
 func (p *Process) Step(from transport.NodeID, m msg.Message) {
-	runAfter(p.step(id.Proc(from), m))
+	p.fx.Run(func() { p.step(id.Proc(from), m) })
 }
 
-// step is the validated ingress switch; it runs within the serialized
-// step and returns callbacks to fire after it.
-func (p *Process) step(sender id.Proc, m msg.Message) []func() {
-	var after []func()
+// step is the validated ingress switch, run within the serialized step.
+func (p *Process) step(sender id.Proc, m msg.Message) {
 	if sender == p.cfg.ID {
-		return p.ingress.Reject(transport.NodeID(sender), engine.KindOf(m),
-			engine.ReasonSelfAddressed, "frame names the receiver as sender", after)
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), engine.KindOf(m),
+			engine.ReasonSelfAddressed, "frame names the receiver as sender")
+		return
 	}
 	if msg.IsNilPtr(m) {
-		return p.ingress.Reject(transport.NodeID(sender), engine.KindOf(m),
-			engine.ReasonUnknownType, fmt.Sprintf("nil %T frame", m), after)
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), engine.KindOf(m),
+			engine.ReasonUnknownType, fmt.Sprintf("nil %T frame", m))
+		return
 	}
 	switch mm := m.(type) {
 	case msg.CommWork:
-		after = p.handleWorkStep(sender, after)
+		p.handleWorkStep(sender)
 	case msg.CommQuery:
-		after = p.handleQueryStep(sender, mm, after)
+		p.handleQueryStep(sender, mm)
 	case *msg.CommQuery:
 		// Pooled pointer form from a zero-allocation transport decode;
 		// dereferenced here so the handler copies the fields it needs
 		// before the frame is recycled.
-		after = p.handleQueryStep(sender, *mm, after)
+		p.handleQueryStep(sender, *mm)
 	case msg.CommReply:
-		after = p.handleReplyStep(sender, mm, after)
+		p.handleReplyStep(sender, mm)
 	case *msg.CommReply:
-		after = p.handleReplyStep(sender, *mm, after)
+		p.handleReplyStep(sender, *mm)
 	default:
-		after = p.ingress.Reject(transport.NodeID(sender), engine.KindOf(m),
-			engine.ReasonUnknownType, fmt.Sprintf("%T is not a communication-model message", m), after)
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), engine.KindOf(m),
+			engine.ReasonUnknownType, fmt.Sprintf("%T is not a communication-model message", m))
 	}
-	return after
 }
 
 // handleWorkStep processes an application message: if it comes from a
 // dependent while blocked, the process resumes and abandons every
 // engagement (its wait flags clear, so stale queries and replies die
 // here).
-func (p *Process) handleWorkStep(sender id.Proc, after []func()) []func() {
+func (p *Process) handleWorkStep(sender id.Proc) {
 	if !p.blocked {
-		return after
+		return
 	}
 	if _, ok := p.dependents[sender]; !ok {
-		return after
+		return
 	}
 	p.unblockStep()
 	if cb := p.cfg.OnUnblocked; cb != nil {
-		after = append(after, func() { cb(sender) })
+		p.fx.Defer(func() { cb(sender) })
 	}
-	return after
 }
 
 // unblockStep ends the current blocking episode: the process becomes
@@ -304,16 +301,17 @@ func (p *Process) unblockStep() {
 }
 
 // handleQueryStep implements the query rule.
-func (p *Process) handleQueryStep(sender id.Proc, q msg.CommQuery, after []func()) []func() {
+func (p *Process) handleQueryStep(sender id.Proc, q msg.CommQuery) {
 	if q.Init == p.cfg.ID && q.Seq > p.nextSeq {
 		// Only a forged frame can carry our initiator id with a sequence
 		// number ahead of any we issued.
-		return p.ingress.Reject(transport.NodeID(sender), msg.KindCommQuery,
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), msg.KindCommQuery,
 			engine.ReasonForgedQueryTag,
-			fmt.Sprintf("query seq %d ahead of initiator's own %d", q.Seq, p.nextSeq), after)
+			fmt.Sprintf("query seq %d ahead of initiator's own %d", q.Seq, p.nextSeq))
+		return
 	}
 	if !p.blocked {
-		return after // active processes discard queries
+		return // active processes discard queries
 	}
 	cs, seen := p.comps[q.Init]
 	if !seen || q.Seq > cs.latest {
@@ -328,7 +326,7 @@ func (p *Process) handleQueryStep(sender id.Proc, q msg.CommQuery, after []func(
 			p.send(d, msg.CommQuery{Init: q.Init, Seq: q.Seq})
 			p.queriesSent++
 		}
-		return after
+		return
 	}
 	if cs.wait && q.Seq == cs.latest {
 		// Re-visit within the same computation: reply immediately (this
@@ -338,23 +336,23 @@ func (p *Process) handleQueryStep(sender id.Proc, q msg.CommQuery, after []func(
 	}
 	// Older sequence numbers are superseded and dropped (§4.3's rule
 	// carries over unchanged).
-	return after
 }
 
 // handleReplyStep implements the reply rule.
-func (p *Process) handleReplyStep(sender id.Proc, r msg.CommReply, after []func()) []func() {
+func (p *Process) handleReplyStep(sender id.Proc, r msg.CommReply) {
 	if r.Init == p.cfg.ID && r.Seq > p.nextSeq {
-		return p.ingress.Reject(transport.NodeID(sender), msg.KindCommReply,
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), msg.KindCommReply,
 			engine.ReasonForgedQueryTag,
-			fmt.Sprintf("reply seq %d ahead of initiator's own %d", r.Seq, p.nextSeq), after)
+			fmt.Sprintf("reply seq %d ahead of initiator's own %d", r.Seq, p.nextSeq))
+		return
 	}
 	cs, seen := p.comps[r.Init]
 	if !seen || !cs.wait || r.Seq != cs.latest || cs.num == 0 {
-		return after
+		return
 	}
 	cs.num--
 	if cs.num > 0 {
-		return after
+		return
 	}
 	if r.Init == p.cfg.ID {
 		// Every query of our own computation was answered: the entire
@@ -363,14 +361,13 @@ func (p *Process) handleReplyStep(sender id.Proc, r msg.CommReply, after []func(
 			p.declared = true
 			if cb := p.cfg.OnDeadlock; cb != nil {
 				seq := r.Seq
-				after = append(after, func() { cb(seq) })
+				p.fx.Defer(func() { cb(seq) })
 			}
 		}
-		return after
+		return
 	}
 	p.send(cs.engager, msg.CommReply{Init: r.Init, Seq: r.Seq})
 	p.repliesSent++
-	return after
 }
 
 // PeerDown tells the process that peer is presumed dead. The OR-model
@@ -388,26 +385,23 @@ func (p *Process) handleReplyStep(sender id.Proc, r msg.CommReply, after []func(
 // PeerDown is idempotent and safe to call for peers this process never
 // interacted with.
 func (p *Process) PeerDown(peer id.Proc) {
-	var after []func()
-	p.run.Exec(func() { after = p.peerDownStep(peer) })
-	runAfter(after)
+	p.fx.Exec(p.run, func() { p.peerDownStep(peer) })
 }
 
 // StepPeerDown implements engine.RecoveryLogic: the Host invokes it on
 // the owning shard, already serialized.
 func (p *Process) StepPeerDown(peer transport.NodeID) {
-	runAfter(p.peerDownStep(id.Proc(peer)))
+	p.fx.Run(func() { p.peerDownStep(id.Proc(peer)) })
 }
 
-func (p *Process) peerDownStep(peer id.Proc) []func() {
-	var after []func()
+func (p *Process) peerDownStep(peer id.Proc) {
 	if _, dep := p.dependents[peer]; dep && p.blocked {
 		delete(p.dependents, peer)
-		after = p.recovery.Abort(transport.NodeID(peer), after)
+		p.recovery.Abort(&p.fx, transport.NodeID(peer))
 		if len(p.dependents) == 0 {
 			p.unblockStep()
 			if cb := p.cfg.OnWaitEmptied; cb != nil {
-				after = append(after, func() { cb() })
+				p.fx.Defer(cb)
 			}
 		}
 	}
@@ -421,7 +415,6 @@ func (p *Process) peerDownStep(peer id.Proc) []func() {
 			cs.wait = false
 		}
 	}
-	return after
 }
 
 // PeerUp tells the process that peer is reachable again — either an
@@ -446,13 +439,6 @@ func (p *Process) peerUpStep(peer id.Proc) {
 // never deliver synchronously.
 func (p *Process) send(to id.Proc, m msg.Message) {
 	p.cfg.Transport.Send(transport.NodeID(p.cfg.ID), transport.NodeID(to), m)
-}
-
-// runAfter fires callbacks deferred out of the serialized step.
-func runAfter(after []func()) {
-	for _, fn := range after {
-		fn()
-	}
 }
 
 // Blocked reports whether the process is in an OR-wait.

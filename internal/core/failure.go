@@ -58,29 +58,26 @@ type WaitAborted = engine.WaitAborted
 // PeerDown is idempotent and safe to call for peers this process never
 // interacted with.
 func (p *Process) PeerDown(peer id.Proc) {
-	var after []func()
-	p.run.Exec(func() { after = p.peerDownStep(peer) })
-	runAfter(after)
+	p.fx.Exec(p.run, func() { p.peerDownStep(peer) })
 }
 
 // StepPeerDown implements engine.RecoveryLogic: the Host invokes it on
 // the owning shard, already serialized.
 func (p *Process) StepPeerDown(peer transport.NodeID) {
-	runAfter(p.peerDownStep(id.Proc(peer)))
+	p.fx.Run(func() { p.peerDownStep(id.Proc(peer)) })
 }
 
-func (p *Process) peerDownStep(peer id.Proc) []func() {
-	var after []func()
+func (p *Process) peerDownStep(peer id.Proc) {
 	if _, waiting := p.waitingFor[peer]; waiting {
 		delete(p.waitingFor, peer)
 		// Invalidate §4.3 delay timers armed for the severed edge: the
 		// instance check in Request's timer closure fails against the
 		// bumped counter.
 		p.edgeInstance[peer]++
-		after = p.recovery.Abort(transport.NodeID(peer), after)
+		p.recovery.Abort(&p.fx, transport.NodeID(peer))
 		if len(p.waitingFor) == 0 {
 			if cb := p.cfg.OnActive; cb != nil {
-				after = append(after, func() { cb() })
+				p.fx.Defer(cb)
 			}
 		}
 	}
@@ -108,7 +105,6 @@ func (p *Process) peerDownStep(peer id.Proc) []func() {
 			p.startProbeStep()
 		}
 	}
-	return after
 }
 
 // PeerUp tells the process that peer is reachable again — either an

@@ -89,8 +89,10 @@ type Config struct {
 type Process struct {
 	cfg Config
 
-	// run serializes every step of this process (see package comment).
+	// run serializes every step of this process (see package comment);
+	// fx holds the callbacks a step defers until it is over.
 	run engine.Runner
+	fx  engine.Effects
 	// ingress and recovery are the runtime's shared rejection and
 	// crash-recovery accounting; both are touched only inside steps.
 	ingress  engine.Ingress
@@ -308,24 +310,21 @@ func (p *Process) startProbeStep() (id.Tag, bool) {
 // reported through OnProtocolError; it never panics and never mutates
 // state, so a remote peer cannot crash or corrupt the detection plane.
 func (p *Process) HandleMessage(from transport.NodeID, m msg.Message) {
-	var after []func() // callbacks deferred past the critical section
-	p.run.Exec(func() { after = p.step(id.Proc(from), m) })
-	runAfter(after)
+	p.fx.Exec(p.run, func() { p.step(id.Proc(from), m) })
 }
 
 // Step implements engine.Logic: one atomic protocol step, invoked by
 // the runtime already serialized (the Host shard's loop goroutine).
 func (p *Process) Step(from transport.NodeID, m msg.Message) {
-	runAfter(p.step(id.Proc(from), m))
+	p.fx.Run(func() { p.step(id.Proc(from), m) })
 }
 
-// step applies one delivered message and returns the callbacks to run
-// after the step.
-func (p *Process) step(sender id.Proc, m msg.Message) []func() {
-	var after []func()
+// step applies one delivered message.
+func (p *Process) step(sender id.Proc, m msg.Message) {
 	if sender == p.cfg.ID {
-		return p.ingress.Reject(transport.NodeID(sender), engine.KindOf(m), engine.ReasonSelfAddressed,
-			fmt.Sprintf("frame of type %T claims this process as its sender", m), after)
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), engine.KindOf(m), engine.ReasonSelfAddressed,
+			fmt.Sprintf("frame of type %T claims this process as its sender", m))
+		return
 	}
 	switch mm := m.(type) {
 	case msg.Request:
@@ -339,8 +338,8 @@ func (p *Process) step(sender id.Proc, m msg.Message) []func() {
 			}
 			// G1 forbids re-requesting an existing edge, so a second
 			// request before our reply is duplicated or forged.
-			after = p.ingress.Reject(transport.NodeID(sender), mm.Kind(), engine.ReasonDuplicateRequest,
-				"request while the previous one is still unanswered", after)
+			p.ingress.Reject(&p.fx, transport.NodeID(sender), mm.Kind(), engine.ReasonDuplicateRequest,
+				"request while the previous one is still unanswered")
 			break
 		}
 		// The incoming edge (sender, me) just turned black (G2).
@@ -350,28 +349,28 @@ func (p *Process) step(sender id.Proc, m msg.Message) []func() {
 		// propagation re-runs when a new incoming edge turns black.
 		// The per-target duplicate suppression keeps this idempotent.
 		if p.deadlocked || len(p.blackPaths) > 0 {
-			after = p.propagateWFGDStep(after)
+			p.propagateWFGDStep()
 		}
 		if cb := p.cfg.OnRequest; cb != nil {
-			after = append(after, func() { cb(sender) })
+			p.fx.Defer(func() { cb(sender) })
 		}
 
 	case msg.Reply:
 		if _, ok := p.waitingFor[sender]; !ok {
-			after = p.ingress.Reject(transport.NodeID(sender), mm.Kind(), engine.ReasonStrayReply,
-				"reply without an outstanding request", after)
+			p.ingress.Reject(&p.fx, transport.NodeID(sender), mm.Kind(), engine.ReasonStrayReply,
+				"reply without an outstanding request")
 			break
 		}
 		// The outgoing edge (me, sender) just disappeared (G4).
 		delete(p.waitingFor, sender)
 		if len(p.waitingFor) == 0 {
 			if cb := p.cfg.OnActive; cb != nil {
-				after = append(after, func() { cb() })
+				p.fx.Defer(cb)
 			}
 		}
 
 	case msg.Probe:
-		after = p.handleProbeStep(sender, mm.Tag, after)
+		p.handleProbeStep(sender, mm.Tag)
 
 	case *msg.Probe:
 		// Pooled pointer form from a zero-allocation transport decode;
@@ -379,43 +378,36 @@ func (p *Process) step(sender id.Proc, m msg.Message) []func() {
 		// moment this step returns. A typed nil (a decoder bug's
 		// worst-case product) is rejected like any alien frame.
 		if mm == nil {
-			after = p.ingress.Reject(transport.NodeID(sender), engine.KindOf(m), engine.ReasonUnknownType,
-				"nil probe frame", after)
+			p.ingress.Reject(&p.fx, transport.NodeID(sender), engine.KindOf(m), engine.ReasonUnknownType,
+				"nil probe frame")
 			break
 		}
-		after = p.handleProbeStep(sender, mm.Tag, after)
+		p.handleProbeStep(sender, mm.Tag)
 
 	case msg.WFGD:
-		after = p.handleWFGDStep(sender, mm, after)
+		p.handleWFGDStep(sender, mm)
 
 	default:
-		after = p.ingress.Reject(transport.NodeID(sender), engine.KindOf(m), engine.ReasonUnknownType,
-			fmt.Sprintf("message type %T is not part of the basic model", m), after)
-	}
-	return after
-}
-
-// runAfter executes callbacks deferred past a critical section.
-func runAfter(fns []func()) {
-	for _, fn := range fns {
-		fn()
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), engine.KindOf(m), engine.ReasonUnknownType,
+			fmt.Sprintf("message type %T is not part of the basic model", m))
 	}
 }
 
 // handleProbeStep implements steps A1 and A2.
-func (p *Process) handleProbeStep(sender id.Proc, tag id.Tag, after []func()) []func() {
+func (p *Process) handleProbeStep(sender id.Proc, tag id.Tag) {
 	// A probe is meaningful iff the edge (sender, me) exists and is
 	// black at receipt — locally: I hold an unanswered request from the
 	// sender (P3, §3.2).
 	if _, black := p.pendingIn[sender]; !black {
 		p.probesDiscarded++
-		return after
+		return
 	}
 	if tag.Initiator == p.cfg.ID && tag.N > p.nextN {
 		// Only a forged frame can carry our initiator id with a
 		// computation number we never issued.
-		return p.ingress.Reject(transport.NodeID(sender), msg.Probe{}.Kind(), engine.ReasonForgedProbeTag,
-			fmt.Sprintf("probe for computation %v never initiated here", tag), after)
+		p.ingress.Reject(&p.fx, transport.NodeID(sender), msg.Probe{}.Kind(), engine.ReasonForgedProbeTag,
+			fmt.Sprintf("probe for computation %v never initiated here", tag))
+		return
 	}
 	p.probesMeaningful++
 
@@ -426,14 +418,14 @@ func (p *Process) handleProbeStep(sender id.Proc, tag id.Tag, after []func()) []
 			p.deadlocked = true
 			p.declaredTag = tag
 			if cb := p.cfg.OnDeadlock; cb != nil {
-				after = append(after, func() { cb(tag) })
+				p.fx.Defer(func() { cb(tag) })
 			}
 			// §5: after declaring, send M = {(vj, vi)} to every vj with
 			// a black incoming edge (vj, vi) — those edges are
 			// permanently black because a deadlocked vi never replies.
-			after = p.propagateWFGDStep(after)
+			p.propagateWFGDStep()
 		}
-		return after
+		return
 	}
 
 	// Step A2: a non-initiator forwards probes on all outgoing edges
@@ -441,18 +433,17 @@ func (p *Process) handleProbeStep(sender id.Proc, tag id.Tag, after []func()) []
 	// the latest computation number per initiator both implements the
 	// first-probe rule and the §4.3 supersession of stale computations.
 	if last, seen := p.latest[tag.Initiator]; seen && last >= tag.N {
-		return after
+		return
 	}
 	p.latest[tag.Initiator] = tag.N
 	for _, t := range sortedProcs(p.waitingFor) {
 		p.send(t, msg.Probe{Tag: tag})
 		p.probesSent++
 	}
-	return after
 }
 
 // handleWFGDStep implements the receive rule of §5's WFGD computation.
-func (p *Process) handleWFGDStep(_ id.Proc, m msg.WFGD, after []func()) []func() {
+func (p *Process) handleWFGDStep(_ id.Proc, m msg.WFGD) {
 	grew := false
 	for _, e := range m.Edges {
 		if _, dup := p.blackPaths[e]; !dup {
@@ -464,18 +455,18 @@ func (p *Process) handleWFGDStep(_ id.Proc, m msg.WFGD, after []func()) []func()
 		// S_j unchanged: every message we could send now has been sent
 		// already (send-set is a function of S_j), so stop here. This
 		// is what makes the computation terminate.
-		return after
+		return
 	}
 	if cb := p.cfg.OnWFGD; cb != nil {
 		edges := p.blackPathEdgesStep()
-		after = append(after, func() { cb(edges) })
+		p.fx.Defer(func() { cb(edges) })
 	}
-	return p.propagateWFGDStep(after)
+	p.propagateWFGDStep()
 }
 
 // propagateWFGDStep sends M' = {(vk, vj)} ∪ S_j to every vk with a
 // black incoming edge (vk, vj), suppressing duplicates.
-func (p *Process) propagateWFGDStep(after []func()) []func() {
+func (p *Process) propagateWFGDStep() {
 	for _, k := range sortedProcs(p.pendingIn) {
 		out := msg.WFGD{Edges: append(p.blackPathEdgesStep(), id.Edge{From: k, To: p.cfg.ID})}
 		canon, key := out.Canonical()
@@ -490,7 +481,6 @@ func (p *Process) propagateWFGDStep(after []func()) []func() {
 		sent[key] = struct{}{}
 		p.send(k, canon)
 	}
-	return after
 }
 
 // blackPathEdgesStep returns S_j as a slice, sorted by (From, To) so

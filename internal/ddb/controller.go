@@ -194,9 +194,11 @@ type Controller struct {
 	cfg Config
 
 	// run serializes every step of this controller (message delivery,
-	// public API call, timer firing, recovery verdict); ingress is the
-	// runtime's shared rejection accounting. See internal/engine.
+	// public API call, timer firing, recovery verdict); fx holds the
+	// callbacks a step defers until it is over; ingress is the runtime's
+	// shared rejection accounting. See internal/engine.
 	run     engine.Runner
+	fx      engine.Effects
 	ingress engine.Ingress
 	// wheel is the owning shard's timer wheel when the transport is a
 	// Host, nil otherwise; waits numbers the waits the detection timers
@@ -215,8 +217,8 @@ type Controller struct {
 	freeAgents []*agentState
 	freeTxns   []*txnState
 	// ready lists the transactions whose next lock point is due now: a
-	// zero StepDelay is not a timer. drainReadyStep empties it before the
-	// step that filled it returns.
+	// zero StepDelay is not a timer. drainReadyStep, the Settle of fx,
+	// empties it before the step that filled it returns.
 	ready []*txnState
 
 	// Probe-computation state; see probe.go.
@@ -267,6 +269,7 @@ func NewController(cfg Config) (*Controller, error) {
 		comps:    make(map[compKey]*probeComp),
 		latestBy: make(map[id.Site]uint64),
 	}
+	c.fx.Settle = c.drainReadyStep
 	cfg.Transport.Register(node, c)
 	return c, nil
 }
@@ -278,10 +281,10 @@ func (c *Controller) Site() id.Site { return c.cfg.Site }
 // executing it. inc distinguishes incarnations across abort/retry.
 func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
 	var err error
-	c.exec(func() []func() {
+	c.fx.Exec(c.run, func() {
 		if old, exists := c.txns[txn]; exists && old.status == TxnRunning {
 			err = fmt.Errorf("controller %v: txn %v already running", c.cfg.Site, txn)
-			return nil
+			return
 		}
 		ts := take(&c.freeTxns)
 		*ts = txnState{
@@ -295,7 +298,7 @@ func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
 		}
 		c.txns[txn] = ts
 		c.newAgentStep(txn, c.cfg.Site, inc)
-		return c.advanceStep(ts, nil)
+		c.advanceStep(ts)
 	})
 	return err
 }
@@ -317,30 +320,19 @@ func (c *Controller) dropAgentStep(a *agentState) {
 	c.freeAgents = append(c.freeAgents, a)
 }
 
-// exec runs one serialized step of the controller from outside the
-// runtime's delivery path (public API call, timer firing): fn, then
-// every continuation fn made ready, then — the step over — the
-// callbacks fn returned and the continuations added.
-func (c *Controller) exec(fn func() []func()) {
-	var after []func()
-	c.run.Exec(func() { after = c.drainReadyStep(fn()) })
-	runAll(after)
-}
-
 // drainReadyStep runs the ready transactions' next lock points, in the
-// order they became ready, until none is left. Every step entry ends
-// here (exec, Step, StepPeerDown), so a continuation reached from a
-// grant cascade runs after the cascade, never inside it, and
+// order they became ready, until none is left. It is fx's Settle, so
+// every step ends here before its callbacks run: a continuation reached
+// from a grant cascade runs after the cascade, never inside it, and
 // consecutive uncontended lock points are one atomic step.
-func (c *Controller) drainReadyStep(after []func()) []func() {
+func (c *Controller) drainReadyStep() {
 	for i := 0; i < len(c.ready); i++ {
-		after = c.advanceStep(c.ready[i], after)
+		c.advanceStep(c.ready[i])
 	}
 	// Cleared, not just truncated: a finished transaction's state is on
 	// the free list by now and must be neither pinned nor revisited here.
 	clear(c.ready)
 	c.ready = c.ready[:0]
-	return after
 }
 
 // immediate reports whether a pacing delay of d is no delay at all: the
@@ -353,47 +345,48 @@ func (c *Controller) immediate(d int64) bool {
 // afterDelay continues a running transaction with next after d
 // nanoseconds, unless it was aborted (and perhaps resubmitted under a
 // new incarnation) in the meantime.
-func (c *Controller) afterDelay(ts *txnState, d int64, next func(*txnState, []func()) []func()) {
+func (c *Controller) afterDelay(ts *txnState, d int64, next func(*txnState)) {
 	txn, inc := ts.txn, ts.inc
 	c.cfg.Timers.After(d, func() {
-		c.exec(func() []func() {
+		c.fx.Exec(c.run, func() {
 			if cur, ok := c.txns[txn]; ok && cur.inc == inc && cur.status == TxnRunning {
-				return next(cur, nil)
+				next(cur)
 			}
-			return nil
 		})
 	})
 }
 
 // advanceStep executes the transaction's next script step, or commits
 // it (after HoldTime, if there is one) when the script is done.
-func (c *Controller) advanceStep(ts *txnState, after []func()) []func() {
+func (c *Controller) advanceStep(ts *txnState) {
 	if ts.status != TxnRunning {
-		return after
+		return
 	}
 	if ts.next >= len(ts.steps) {
 		if c.immediate(ts.holdTime) {
-			return c.commitStep(ts, after)
+			c.commitStep(ts)
+		} else {
+			c.afterDelay(ts, ts.holdTime, c.commitStep)
 		}
-		c.afterDelay(ts, ts.holdTime, c.commitStep)
-		return after
+		return
 	}
 	step := ts.steps[ts.next]
 	ts.next++
 	home := c.cfg.ResourceHome(step.Resource)
 	if home == c.cfg.Site {
-		return c.acquireLocalStep(ts, step, after)
+		c.acquireLocalStep(ts, step)
+		return
 	}
 	// Remote resource: create the grey inter-controller edge (G3 of the
 	// DDB axioms) by sending the acquisition to the managing site.
 	ts.pendingRemote.put(step.Resource, home)
 	c.send(home, msg.CtrlAcquire{Txn: ts.txn, Resource: step.Resource, Mode: step.Mode, Inc: ts.inc})
-	return c.waitStartStep(c.agents[ts.txn], after)
+	c.waitStartStep(c.agents[ts.txn])
 }
 
 // acquireLocalStep requests a locally managed resource for the home
 // agent.
-func (c *Controller) acquireLocalStep(ts *txnState, step LockStep, after []func()) []func() {
+func (c *Controller) acquireLocalStep(ts *txnState, step LockStep) {
 	a := c.agents[ts.txn]
 	granted, err := c.locks.acquire(step.Resource, ts.txn, step.Mode)
 	if err != nil {
@@ -401,61 +394,58 @@ func (c *Controller) acquireLocalStep(ts *txnState, step LockStep, after []func(
 	}
 	if granted {
 		a.held.put(step.Resource, step.Mode)
-		return c.scheduleNextStepStep(ts, after)
+		c.scheduleNextStepStep(ts)
+		return
 	}
 	a.waiting = step.Resource
 	a.waitingMode = step.Mode
 	a.hasWaiting = true
-	return c.waitStartStep(a, after)
+	c.waitStartStep(a)
 }
 
 // scheduleNextStepStep arranges the next script step after StepDelay;
 // with none, the transaction goes on the ready list and advances before
 // the current step returns.
-func (c *Controller) scheduleNextStepStep(ts *txnState, after []func()) []func() {
+func (c *Controller) scheduleNextStepStep(ts *txnState) {
 	if c.immediate(c.cfg.StepDelay) {
 		c.ready = append(c.ready, ts)
 	} else {
 		c.afterDelay(ts, c.cfg.StepDelay, c.advanceStep)
 	}
-	return after
 }
 
 // commitStep releases everything the transaction holds and marks it
 // committed.
-func (c *Controller) commitStep(ts *txnState, after []func()) []func() {
+func (c *Controller) commitStep(ts *txnState) {
 	ts.status = TxnCommitted
 	c.commits++
-	after = c.releaseAllStep(ts, after)
+	c.releaseAllStep(ts)
 	if cb := c.cfg.OnCommit; cb != nil {
 		txn := ts.txn
-		after = append(after, func() { cb(txn) })
+		c.fx.Defer(func() { cb(txn) })
 	}
-	return after
 }
 
 // AbortLocal aborts a home transaction (victim resolution or caller
 // decision). It is a no-op if the transaction is not running.
 func (c *Controller) AbortLocal(txn id.Txn) {
-	c.exec(func() []func() {
+	c.fx.Exec(c.run, func() {
 		if ts, ok := c.txns[txn]; ok && ts.status == TxnRunning {
-			return c.abortStep(ts, nil)
+			c.abortStep(ts)
 		}
-		return nil
 	})
 }
 
 // abortStep cancels waits, releases holds and marks the transaction
 // aborted.
-func (c *Controller) abortStep(ts *txnState, after []func()) []func() {
+func (c *Controller) abortStep(ts *txnState) {
 	ts.status = TxnAborted
 	c.aborts++
-	after = c.releaseAllStep(ts, after)
+	c.releaseAllStep(ts)
 	if cb := c.cfg.OnAbort; cb != nil {
 		txn := ts.txn
-		after = append(after, func() { cb(txn) })
+		c.fx.Defer(func() { cb(txn) })
 	}
-	return after
 }
 
 // releaseAllStep tears down every hold and wait of a finished home
@@ -463,17 +453,17 @@ func (c *Controller) abortStep(ts *txnState, after []func()) []func() {
 // remote holds and pending acquisitions via CtrlRelease — and forgets
 // it: a frame that names it from here on finds no entry, which every
 // handler already answers as it answers "not running".
-func (c *Controller) releaseAllStep(ts *txnState, after []func()) []func() {
+func (c *Controller) releaseAllStep(ts *txnState) {
 	// Release in resource order (the collections are kept sorted): it
 	// determines the grant-cascade and message order, and replay-based
 	// exploration (and seeded reproducibility) need that to be a pure
 	// function of state.
 	if a := c.agents[ts.txn]; a != nil {
 		if a.hasWaiting {
-			after = c.cancelLocalWaitStep(a, after)
+			c.cancelLocalWaitStep(a)
 		}
 		for _, h := range a.held {
-			after = c.releaseLocalStep(h.key, ts.txn, after)
+			c.releaseLocalStep(h.key, ts.txn)
 		}
 		c.dropAgentStep(a)
 	}
@@ -485,31 +475,28 @@ func (c *Controller) releaseAllStep(ts *txnState, after []func()) []func() {
 	}
 	delete(c.txns, ts.txn)
 	c.freeTxns = append(c.freeTxns, ts)
-	return after
 }
 
 // cancelLocalWaitStep removes an agent's queued lock request.
-func (c *Controller) cancelLocalWaitStep(a *agentState, after []func()) []func() {
+func (c *Controller) cancelLocalWaitStep(a *agentState) {
 	r := a.waiting
 	a.hasWaiting = false
 	a.hasPendingAck = false
-	after = c.waitEndStep(a, after)
+	c.waitEndStep(a)
 	// Removing a queued entry can unblock compatible requests behind it.
-	granted := c.locks.release(r, a.txn)
-	return c.grantCascadeStep(r, granted, after)
+	c.grantCascadeStep(r, c.locks.release(r, a.txn))
 }
 
 // releaseLocalStep releases a held local lock and processes the
 // resulting grants.
-func (c *Controller) releaseLocalStep(r id.Resource, txn id.Txn, after []func()) []func() {
-	granted := c.locks.release(r, txn)
-	return c.grantCascadeStep(r, granted, after)
+func (c *Controller) releaseLocalStep(r id.Resource, txn id.Txn) {
+	c.grantCascadeStep(r, c.locks.release(r, txn))
 }
 
 // grantCascadeStep delivers lock grants produced by a release: remote
 // agents acknowledge to their home controller (whitening the
 // inter-controller edge, G5), home agents advance their scripts.
-func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry, after []func()) []func() {
+func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry) {
 	for _, w := range granted {
 		a, ok := c.agents[w.txn]
 		if !ok {
@@ -517,7 +504,7 @@ func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry, after 
 		}
 		a.held.put(r, w.mode)
 		a.hasWaiting = false
-		after = c.waitEndStep(a, after)
+		c.waitEndStep(a)
 		if a.hasPendingAck && a.pendingAck == r {
 			// Remote agent: tell home the resource is acquired.
 			a.hasPendingAck = false
@@ -525,27 +512,25 @@ func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry, after 
 			continue
 		}
 		if ts, home := c.txns[a.txn]; home && ts.status == TxnRunning {
-			after = c.scheduleNextStepStep(ts, after)
+			c.scheduleNextStepStep(ts)
 		}
 	}
-	return after
 }
 
 // waitStartStep opens a wait of the agent: it emits the wait-start
 // event and, under InitiateOnWaitDelay, arms the §4.3 timer for this
 // wait.
-func (c *Controller) waitStartStep(a *agentState, after []func()) []func() {
+func (c *Controller) waitStartStep(a *agentState) {
 	if a == nil {
-		return after
+		return
 	}
 	if cb := c.cfg.OnWaitStart; cb != nil {
 		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
-		after = append(after, func() { cb(ag) })
+		c.fx.Defer(func() { cb(ag) })
 	}
 	if c.cfg.Mode == InitiateOnWaitDelay {
 		c.armDetectionStep(a)
 	}
-	return after
 }
 
 // armDetectionStep gives the agent's wait a number no other wait of
@@ -566,37 +551,35 @@ func (c *Controller) armDetectionStep(a *agentState) {
 	}
 	txn, wait := a.txn, a.wait
 	c.cfg.Timers.After(c.cfg.Delay, func() {
-		c.exec(func() []func() { return c.detectStep(txn, wait, nil) })
+		c.fx.Exec(c.run, func() { c.detectStep(txn, wait) })
 	})
 }
 
 // StepTimer implements engine.TimerLogic: the wheel entry armed for
 // wait number wait of txn's agent fell due.
 func (c *Controller) StepTimer(txn, wait uint64) {
-	runAll(c.drainReadyStep(c.detectStep(id.Txn(txn), wait, nil)))
+	c.fx.Run(func() { c.detectStep(id.Txn(txn), wait) })
 }
 
 // detectStep initiates a computation for txn's agent if its current
 // wait is the one numbered wait, which has then lasted T.
-func (c *Controller) detectStep(txn id.Txn, wait uint64, after []func()) []func() {
+func (c *Controller) detectStep(txn id.Txn, wait uint64) {
 	if a, ok := c.agents[txn]; ok && a.wait == wait {
-		_, _, after = c.checkAgentStep(txn, after)
+		c.checkAgentStep(txn)
 	}
-	return after
 }
 
 // waitEndStep closes the agent's current wait and emits the wait-end
 // event.
-func (c *Controller) waitEndStep(a *agentState, after []func()) []func() {
+func (c *Controller) waitEndStep(a *agentState) {
 	if a == nil {
-		return after
+		return
 	}
 	a.wait = 0
 	if cb := c.cfg.OnWaitEnd; cb != nil {
 		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
-		after = append(after, func() { cb(ag) })
+		c.fx.Defer(func() { cb(ag) })
 	}
-	return after
 }
 
 // send hands a message to another controller; transports never call
@@ -610,23 +593,22 @@ func (c *Controller) send(to id.Site, m msg.Message) {
 // Hosted controllers skip this path — the shard loop calls Step
 // directly, already serialized.
 func (c *Controller) HandleMessage(from transport.NodeID, m msg.Message) {
-	c.exec(func() []func() { return c.step(id.Site(from), m) })
+	c.fx.Exec(c.run, func() { c.step(id.Site(from), m) })
 }
 
 // Step implements engine.Logic: one atomic protocol step, invoked by
 // the runtime already serialized (the Host shard's loop goroutine).
 func (c *Controller) Step(from transport.NodeID, m msg.Message) {
-	runAll(c.drainReadyStep(c.step(id.Site(from), m)))
+	c.fx.Run(func() { c.step(id.Site(from), m) })
 }
 
-// step applies one delivered frame and returns the callbacks to run
-// after the step.
-func (c *Controller) step(sender id.Site, m msg.Message) []func() {
-	var after []func()
+// step applies one delivered frame.
+func (c *Controller) step(sender id.Site, m msg.Message) {
 	if sender == c.cfg.Site {
 		// Controllers never message themselves: local work stays local.
-		return c.rejectStep(sender, engine.KindOf(m), ReasonSelfAddressed,
-			fmt.Sprintf("frame of type %T claims this controller as its sender", m), after)
+		c.rejectStep(sender, engine.KindOf(m), ReasonSelfAddressed,
+			fmt.Sprintf("frame of type %T claims this controller as its sender", m))
+		return
 	}
 	// The pooled pointer forms (a zero-allocation transport decode) are
 	// dereferenced at the call so the handlers see the same value types
@@ -634,44 +616,44 @@ func (c *Controller) step(sender id.Site, m msg.Message) []func() {
 	// may be recycled the moment the step returns. Typed nils reject
 	// like any alien frame rather than dereferencing.
 	if msg.IsNilPtr(m) {
-		return c.rejectStep(sender, engine.KindOf(m), ReasonUnknownType,
-			fmt.Sprintf("nil %T frame", m), after)
+		c.rejectStep(sender, engine.KindOf(m), ReasonUnknownType,
+			fmt.Sprintf("nil %T frame", m))
+		return
 	}
 	switch mm := m.(type) {
 	case msg.CtrlAcquire:
-		after = c.handleAcquireStep(sender, mm, after)
+		c.handleAcquireStep(sender, mm)
 	case *msg.CtrlAcquire:
-		after = c.handleAcquireStep(sender, *mm, after)
+		c.handleAcquireStep(sender, *mm)
 	case msg.CtrlGranted:
-		after = c.handleGrantedStep(sender, mm, after)
+		c.handleGrantedStep(sender, mm)
 	case *msg.CtrlGranted:
-		after = c.handleGrantedStep(sender, *mm, after)
+		c.handleGrantedStep(sender, *mm)
 	case msg.CtrlRelease:
-		after = c.handleReleaseStep(sender, mm, after)
+		c.handleReleaseStep(sender, mm)
 	case *msg.CtrlRelease:
-		after = c.handleReleaseStep(sender, *mm, after)
+		c.handleReleaseStep(sender, *mm)
 	case msg.CtrlProbe:
-		after = c.handleProbeStep(sender, mm, after)
+		c.handleProbeStep(sender, mm)
 	case *msg.CtrlProbe:
-		after = c.handleProbeStep(sender, *mm, after)
+		c.handleProbeStep(sender, *mm)
 	case msg.CtrlAbort:
-		after = c.handleAbortStep(mm, after)
+		c.handleAbortStep(mm)
 	case *msg.CtrlAbort:
-		after = c.handleAbortStep(*mm, after)
+		c.handleAbortStep(*mm)
 	default:
-		after = c.rejectStep(sender, engine.KindOf(m), ReasonUnknownType,
-			fmt.Sprintf("message of type %T is not part of the DDB protocol", m), after)
+		c.rejectStep(sender, engine.KindOf(m), ReasonUnknownType,
+			fmt.Sprintf("message of type %T is not part of the DDB protocol", m))
 	}
-	return after
 }
 
 // handleAbortStep processes an abort verdict for one of this site's
 // transactions. It takes the frame by value: a forward must re-send a
 // fresh copy, never the (possibly pooled) frame that was delivered.
-func (c *Controller) handleAbortStep(m msg.CtrlAbort, after []func()) []func() {
+func (c *Controller) handleAbortStep(m msg.CtrlAbort) {
 	if ts, ok := c.txns[m.Txn]; ok {
 		if ts.status == TxnRunning {
-			after = c.abortStep(ts, after)
+			c.abortStep(ts)
 		}
 	} else if a, ok := c.agents[m.Txn]; ok && a.home != c.cfg.Site {
 		// A declaring controller may only know the site a victim's
@@ -679,12 +661,11 @@ func (c *Controller) handleAbortStep(m msg.CtrlAbort, after []func()) []func() {
 		// (a.home is authoritative, so this cannot loop).
 		c.send(a.home, m)
 	}
-	return after
 }
 
 // handleAcquireStep processes a remote acquisition: the grey
 // inter-controller edge turns black on receipt (G4 of the DDB axioms).
-func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire, after []func()) []func() {
+func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire) {
 	// Validate the frame against local state before touching anything, so
 	// a rejected frame leaves the controller exactly as it was.
 	a, ok := c.agents[m.Txn]
@@ -696,23 +677,26 @@ func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire, after []
 		// a transaction homed at this very site — is a duplicated or
 		// forged frame.
 		if len(a.held) != 0 || a.hasWaiting || a.home == c.cfg.Site {
-			return c.rejectStep(from, m.Kind(), ReasonIncarnationClash,
+			c.rejectStep(from, m.Kind(), ReasonIncarnationClash,
 				fmt.Sprintf("acquire of %v for %v inc %d clashes with live agent (home %v, inc %d)",
-					m.Resource, m.Txn, m.Inc, a.home, a.inc), after)
+					m.Resource, m.Txn, m.Inc, a.home, a.inc))
+			return
 		}
 	}
 	if ok && a.hasWaiting {
 		// §6.2 transactions request one resource at a time; the home
 		// controller never sends a second acquire while one is pending.
-		return c.rejectStep(from, m.Kind(), ReasonDuplicateAcquire,
+		c.rejectStep(from, m.Kind(), ReasonDuplicateAcquire,
 			fmt.Sprintf("acquire of %v for %v while its agent still waits for %v",
-				m.Resource, m.Txn, a.waiting), after)
+				m.Resource, m.Txn, a.waiting))
+		return
 	}
 	granted, err := c.locks.acquire(m.Resource, m.Txn, m.Mode)
 	if err != nil {
 		// Re-entrant acquire of a held resource, or a double queue entry.
-		return c.rejectStep(from, m.Kind(), ReasonDuplicateAcquire,
-			fmt.Sprintf("acquire of %v for %v: %v", m.Resource, m.Txn, err), after)
+		c.rejectStep(from, m.Kind(), ReasonDuplicateAcquire,
+			fmt.Sprintf("acquire of %v for %v: %v", m.Resource, m.Txn, err))
+		return
 	}
 	if !ok {
 		a = c.newAgentStep(m.Txn, from, m.Inc)
@@ -722,54 +706,52 @@ func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire, after []
 	if granted {
 		a.held.put(m.Resource, m.Mode)
 		c.send(from, msg.CtrlGranted{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
-		return after
+		return
 	}
 	a.pendingAck = m.Resource
 	a.hasPendingAck = true
 	a.waiting = m.Resource
 	a.waitingMode = m.Mode
 	a.hasWaiting = true
-	return c.waitStartStep(a, after)
+	c.waitStartStep(a)
 }
 
 // handleGrantedStep completes a remote acquisition at the home site:
-// the white inter-controller edge disappears on receipt (G6). Caller
-// holds c.mu.
-func (c *Controller) handleGrantedStep(from id.Site, m msg.CtrlGranted, after []func()) []func() {
+// the white inter-controller edge disappears on receipt (G6).
+func (c *Controller) handleGrantedStep(from id.Site, m msg.CtrlGranted) {
 	ts, ok := c.txns[m.Txn]
 	if !ok || ts.inc != m.Inc || ts.status != TxnRunning {
 		// Stale grant for an aborted incarnation: hand the resource
 		// straight back.
 		c.send(from, msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
-		return after
+		return
 	}
 	site, pending := ts.pendingRemote.get(m.Resource)
 	if !pending || site != from {
 		c.send(from, msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
-		return after
+		return
 	}
 	ts.pendingRemote.del(m.Resource)
 	ts.heldRemote.put(m.Resource, from)
-	after = c.waitEndStep(c.agents[m.Txn], after)
-	return c.scheduleNextStepStep(ts, after)
+	c.waitEndStep(c.agents[m.Txn])
+	c.scheduleNextStepStep(ts)
 }
 
 // handleReleaseStep processes a release (commit, abort, or stale
 // grant) for a remote agent.
-func (c *Controller) handleReleaseStep(from id.Site, m msg.CtrlRelease, after []func()) []func() {
+func (c *Controller) handleReleaseStep(from id.Site, m msg.CtrlRelease) {
 	a, ok := c.agents[m.Txn]
 	if !ok || a.inc != m.Inc || a.home != from {
-		return after // already cleaned up
+		return // already cleaned up
 	}
 	if a.hasWaiting && a.waiting == m.Resource {
-		after = c.cancelLocalWaitStep(a, after)
+		c.cancelLocalWaitStep(a)
 	} else if a.held.del(m.Resource) {
-		after = c.releaseLocalStep(m.Resource, m.Txn, after)
+		c.releaseLocalStep(m.Resource, m.Txn)
 	}
 	if len(a.held) == 0 && !a.hasWaiting {
 		c.dropAgentStep(a)
 	}
-	return after
 }
 
 // AgentBlocked reports whether the given transaction's agent at this
@@ -798,15 +780,14 @@ func (c *Controller) HomeOf(txn id.Txn) (id.Site, bool) {
 // Abort requests the abort of a transaction: locally if this is its
 // home site, otherwise by message to its home controller.
 func (c *Controller) Abort(txn id.Txn) {
-	c.exec(func() []func() {
+	c.fx.Exec(c.run, func() {
 		if ts, home := c.txns[txn]; home {
 			if ts.status == TxnRunning {
-				return c.abortStep(ts, nil)
+				c.abortStep(ts)
 			}
 		} else if a, ok := c.agents[txn]; ok {
 			c.send(a.home, msg.CtrlAbort{Txn: txn})
 		}
-		return nil
 	})
 }
 
@@ -847,12 +828,6 @@ type ControllerStats struct {
 	// pending remote acquisition's site crashed (see failure.go).
 	AgentsPurged uint64
 	PeerAborts   uint64
-}
-
-func runAll(fns []func()) {
-	for _, fn := range fns {
-		fn()
-	}
 }
 
 var (

@@ -34,18 +34,16 @@ import (
 // PeerDown severs every dependency on a crashed site. Safe to call for
 // sites the controller never interacted with; idempotent for repeats.
 func (c *Controller) PeerDown(dead id.Site) {
-	c.exec(func() []func() { return c.peerDownStep(dead) })
+	c.fx.Exec(c.run, func() { c.peerDownStep(dead) })
 }
 
 // StepPeerDown implements engine.RecoveryLogic: the Host invokes it on
 // the owning shard, already serialized.
 func (c *Controller) StepPeerDown(peer transport.NodeID) {
-	runAll(c.drainReadyStep(c.peerDownStep(id.Site(peer))))
+	c.fx.Run(func() { c.peerDownStep(id.Site(peer)) })
 }
 
-func (c *Controller) peerDownStep(dead id.Site) []func() {
-	var after []func()
-
+func (c *Controller) peerDownStep(dead id.Site) {
 	// Remote agents homed at the dead site: release holds, cancel waits.
 	// Sorted iteration — the grant cascade order must be a pure function
 	// of state, exactly as in releaseAllStep.
@@ -59,10 +57,10 @@ func (c *Controller) peerDownStep(dead id.Site) []func() {
 	for _, txn := range orphans {
 		a := c.agents[txn]
 		if a.hasWaiting {
-			after = c.cancelLocalWaitStep(a, after)
+			c.cancelLocalWaitStep(a)
 		}
 		for _, h := range a.held {
-			after = c.releaseLocalStep(h.key, txn, after)
+			c.releaseLocalStep(h.key, txn)
 		}
 		c.dropAgentStep(a)
 		c.agentsPurged++
@@ -83,8 +81,8 @@ func (c *Controller) peerDownStep(dead id.Site) []func() {
 	}
 	sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
 	for _, txn := range stuck {
-		after = c.waitEndStep(c.agents[txn], after)
-		after = c.abortStep(c.txns[txn], after)
+		c.waitEndStep(c.agents[txn])
+		c.abortStep(c.txns[txn])
 		c.peerAborts++
 	}
 
@@ -99,7 +97,6 @@ func (c *Controller) peerDownStep(dead id.Site) []func() {
 		}
 		delete(c.latestBy, dead)
 	}
-	return after
 }
 
 // dropSite removes a transaction's entries at the dead site and reports

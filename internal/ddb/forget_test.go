@@ -215,11 +215,11 @@ func TestAbortedOnReadyIsNotRevisited(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stale *txnState
-	c.exec(func() []func() {
+	c.fx.Exec(c.run, func() {
 		stale = c.txns[1]
 		stale.next = 0 // were it revisited, it would lock r0 again
 		c.ready = append(c.ready, stale)
-		return c.abortStep(stale, nil)
+		c.abortStep(stale)
 	})
 	if resubmitErr != nil {
 		t.Fatal(resubmitErr)

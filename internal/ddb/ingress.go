@@ -55,6 +55,6 @@ type ProtocolError = engine.ProtocolError
 // rejectStep drops one ingress frame: count it and defer the report
 // callback past the critical section. Caller is on the controller's
 // serialized step.
-func (c *Controller) rejectStep(from id.Site, kind msg.Kind, reason ProtocolErrorReason, detail string, after []func()) []func() {
-	return c.ingress.Reject(transport.NodeID(from), kind, reason, detail, after)
+func (c *Controller) rejectStep(from id.Site, kind msg.Kind, reason ProtocolErrorReason, detail string) {
+	c.ingress.Reject(&c.fx, transport.NodeID(from), kind, reason, detail)
 }

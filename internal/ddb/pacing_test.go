@@ -275,10 +275,13 @@ func benchTxns(b *testing.B, runTxn func(i int)) {
 
 // TestTxnAllocGates holds the allocations of a whole transaction to what
 // they were measured at once finished transactions were recycled (27 for
-// the local one before that) and detection timers moved onto the shard
+// the local one before that), detection timers moved onto the shard
 // wheel (22 for the remote one before that: a token and a closure per
-// remote wait). What is left is the Exec (its closures and done
-// channel), the after-step callback list, and on the remote path the
+// remote wait) and deferred callbacks went onto the controller's reused
+// effect buffer (16 for the remote one before that: a fresh callback
+// list per step). What is left is the Submit's Exec (its closures, the
+// done channel, and the copy of the step's callbacks it runs after the
+// shard lets go), the OnCommit closure, and on the remote path the
 // frames boxed into msg.Message and the hop between shards.
 func TestTxnAllocGates(t *testing.T) {
 	_, local := localTxnRig(t)
@@ -287,8 +290,8 @@ func TestTxnAllocGates(t *testing.T) {
 		runTxn func(int)
 		max    float64
 	}{
-		{"local", local, 8},
-		{"remote", remoteTxnRig(t), 16},
+		{"local", local, 7},
+		{"remote", remoteTxnRig(t), 15},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			i := 0

@@ -52,18 +52,15 @@ func (c *Controller) CheckAgent(txn id.Txn) (id.CtrlTag, bool) {
 		tag      id.CtrlTag
 		declared bool
 	)
-	c.exec(func() (after []func()) {
-		tag, declared, after = c.checkAgentStep(txn, nil)
-		return after
-	})
+	c.fx.Exec(c.run, func() { tag, declared = c.checkAgentStep(txn) })
 	return tag, declared
 }
 
 // checkAgentStep implements step A0.
-func (c *Controller) checkAgentStep(txn id.Txn, after []func()) (id.CtrlTag, bool, []func()) {
+func (c *Controller) checkAgentStep(txn id.Txn) (id.CtrlTag, bool) {
 	agent, present := c.agents[txn]
 	if !present {
-		return id.CtrlTag{}, false, after
+		return id.CtrlTag{}, false
 	}
 	c.nextN++
 	c.computations++
@@ -85,11 +82,11 @@ func (c *Controller) checkAgentStep(txn id.Txn, after []func()) (id.CtrlTag, boo
 	if localCycle {
 		// "If (Ti,Sj) is labelled, declare that it is on a black cycle
 		// of intra-controller edges."
-		after = c.declareStep(comp, nil, after)
-		return tag, true, after
+		c.declareStep(comp, nil)
+		return tag, true
 	}
 	c.sendProbesStep(comp, newly)
-	return tag, false, after
+	return tag, false
 }
 
 // CheckAll implements the §6.7 optimization: first look for purely
@@ -99,7 +96,7 @@ func (c *Controller) checkAgentStep(txn id.Txn, after []func()) (id.CtrlTag, boo
 // computations initiated.
 func (c *Controller) CheckAll() int {
 	q := 0
-	c.exec(func() (after []func()) {
+	c.fx.Exec(c.run, func() {
 		// Sorted iteration: initiation order assigns computation numbers
 		// and emits probes, so it must be a pure function of state for
 		// replay-based exploration and seeded reproducibility.
@@ -112,16 +109,14 @@ func (c *Controller) CheckAll() int {
 		sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
 		for _, txn := range txns {
 			q++
-			_, _, after = c.checkAgentStep(txn, after)
+			c.checkAgentStep(txn)
 		}
-		return after
 	})
 	return q
 }
 
 // sendProbesStep sends probes along every not-yet-probed
-// inter-controller edge leaving the newly labeled agents. Caller holds
-// c.mu.
+// inter-controller edge leaving the newly labeled agents.
 func (c *Controller) sendProbesStep(comp *probeComp, newly []id.Txn) {
 	for _, txn := range newly {
 		for _, e := range c.interEdgesStep(txn) {
@@ -136,22 +131,23 @@ func (c *Controller) sendProbesStep(comp *probeComp, newly []id.Txn) {
 }
 
 // handleProbeStep implements steps A1 and A2.
-func (c *Controller) handleProbeStep(from id.Site, m msg.CtrlProbe, after []func()) []func() {
+func (c *Controller) handleProbeStep(from id.Site, m msg.CtrlProbe) {
 	if m.Edge.To.Site != c.cfg.Site {
 		// A conforming controller sends a probe only along an edge to the
 		// edge's destination site (sendProbesStep), so this frame was
 		// forged or misrouted.
-		return c.rejectStep(from, m.Kind(), ReasonMisroutedProbe,
-			fmt.Sprintf("probe along %v -> %v does not end at this site", m.Edge.From, m.Edge.To), after)
+		c.rejectStep(from, m.Kind(), ReasonMisroutedProbe,
+			fmt.Sprintf("probe along %v -> %v does not end at this site", m.Edge.From, m.Edge.To))
+		return
 	}
 	if !c.meaningfulStep(m.Edge) {
 		c.probesDropped++
-		return after
+		return
 	}
 	comp, ok := c.compForStep(m.Tag)
 	if !ok {
 		c.probesDropped++
-		return after
+		return
 	}
 	// A1/A2 labeling pass: a fresh walk from the probe's entry process.
 	// At the initiator, declaration requires this walk to reach the
@@ -160,13 +156,12 @@ func (c *Controller) handleProbeStep(from id.Site, m msg.CtrlProbe, after []func
 	if comp.own && !comp.declared && reached {
 		// Step A1: the returning probe chain closes on the target — it
 		// is on a black cycle (Theorem 2 carries over, §6.6).
-		after = c.declareStep(comp, &m.Edge, after)
-		return after
+		c.declareStep(comp, &m.Edge)
+		return
 	}
 	// Step A2 (and the initiator's continued A0 sending rule): forward
 	// along unprobed inter-controller edges of the newly labeled set.
 	c.sendProbesStep(comp, newly)
-	return after
 }
 
 // meaningfulStep decides whether a probe along the given edge is
@@ -238,16 +233,16 @@ func (c *Controller) pruneCompsStep(initiator id.Site, n uint64) {
 // on — aborts the victim (the detected process's transaction), routing
 // the abort to the transaction's home site if the process here is a
 // remote agent.
-func (c *Controller) declareStep(comp *probeComp, closing *id.AgentEdge, after []func()) []func() {
+func (c *Controller) declareStep(comp *probeComp, closing *id.AgentEdge) {
 	if comp.declared {
-		return after
+		return
 	}
 	// Discard verdicts about a target that no longer exists in the
 	// incarnation the computation was initiated for: the deadlock it
 	// found was already broken by an abort.
 	if a, ok := c.agents[comp.target.Txn]; !ok || a.inc != comp.targetInc {
 		comp.declared = true
-		return after
+		return
 	}
 	comp.declared = true
 	if comp.target.Site == c.cfg.Site {
@@ -257,10 +252,10 @@ func (c *Controller) declareStep(comp *probeComp, closing *id.AgentEdge, after [
 	}
 	if cb := c.cfg.OnDeadlock; cb != nil {
 		target, tag := comp.target, comp.tag
-		after = append(after, func() { cb(target, tag) })
+		c.fx.Defer(func() { cb(target, tag) })
 	}
 	if !c.cfg.Resolve {
-		return after
+		return
 	}
 	// The abort is deferred behind the OnDeadlock callback so observers
 	// (the oracle audit in particular) see the system state at the
@@ -276,8 +271,7 @@ func (c *Controller) declareStep(comp *probeComp, closing *id.AgentEdge, after [
 			victim = closing.From
 		}
 	}
-	after = append(after, func() { c.abortVictim(victim) })
-	return after
+	c.fx.Defer(func() { c.abortVictim(victim) })
 }
 
 // abortVictim routes a declaration's abort. The detected target always

@@ -1,0 +1,148 @@
+package engine
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/msg"
+	"repro/internal/transport"
+)
+
+// TestEffectsDispatchInOrder: a step's callbacks run after the step, in
+// the order it deferred them, then Settle's after the step's own, and
+// the buffer is empty again once the entry returns.
+func TestEffectsDispatchInOrder(t *testing.T) {
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+	var fx Effects
+	fx.Settle = func() {
+		got = append(got, "settle")
+		fx.Defer(note("settled"))
+	}
+	fx.Run(func() {
+		fx.Defer(note("a"))
+		fx.Defer(note("b"))
+		fx.Defer(note("c"))
+		if len(got) != 0 {
+			t.Fatalf("callbacks ran inside the step: %v", got)
+		}
+	})
+	if want := []string{"settle", "a", "b", "c", "settled"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run dispatched %v, want %v", got, want)
+	}
+	got = nil
+	fx.Exec(NewInlineRunner(), func() { fx.Defer(note("x")) })
+	if want := []string{"settle", "x", "settled"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Exec dispatched %v, want %v", got, want)
+	}
+	if len(fx.fns) != 0 {
+		t.Fatalf("%d callbacks left in the buffer", len(fx.fns))
+	}
+}
+
+// TestEffectsNestedStepRunsFirst: a callback that re-enters its process
+// has its own step's callbacks run before the outer step's remaining
+// ones, whichever entry the outer step came through — the order each
+// step owning its own callback list gave.
+func TestEffectsNestedStepRunsFirst(t *testing.T) {
+	for _, entry := range []string{"Run", "Exec"} {
+		t.Run(entry, func(t *testing.T) {
+			r := NewInlineRunner()
+			var fx Effects
+			var got []string
+			note := func(s string) func() { return func() { got = append(got, s) } }
+			outer := func() {
+				fx.Defer(func() {
+					got = append(got, "a")
+					fx.Exec(r, func() {
+						fx.Defer(note("a.1"))
+						fx.Defer(func() {
+							got = append(got, "a.2")
+							fx.Exec(r, func() { fx.Defer(note("a.2.1")) })
+						})
+					})
+				})
+				fx.Defer(note("b"))
+			}
+			if entry == "Run" {
+				// A runtime-serialized entry: the callbacks run inside the
+				// serialization, so the nested Exec runs inline.
+				r.Exec(func() { fx.Run(outer) })
+			} else {
+				fx.Exec(r, outer)
+			}
+			if want := []string{"a", "a.1", "a.2", "a.2.1", "b"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("dispatched %v, want %v", got, want)
+			}
+			if len(fx.fns) != 0 {
+				t.Fatalf("%d callbacks left in the buffer", len(fx.fns))
+			}
+		})
+	}
+}
+
+// TestEffectsExecRunsAfterRelease: Exec's callbacks run once the Runner
+// has let go, so a callback that waits for another goroutine's Exec on
+// the same Runner completes instead of deadlocking.
+func TestEffectsExecRunsAfterRelease(t *testing.T) {
+	r := NewInlineRunner()
+	var fx Effects
+	done := make(chan struct{})
+	fx.Exec(r, func() {
+		fx.Defer(func() {
+			go fx.Exec(r, func() { fx.Defer(func() { close(done) }) })
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Error("another goroutine's Exec never ran: the callback ran inside the Runner")
+			}
+		})
+	})
+}
+
+// TestEffectsRunDoesNotAllocate: the runtime-serialized entry reuses the
+// buffer's array, so a steady stream of steps that defer costs nothing.
+func TestEffectsRunDoesNotAllocate(t *testing.T) {
+	var fx Effects
+	n := 0
+	cb := func() { n++ }
+	step := func() { fx.Defer(cb); fx.Defer(cb) }
+	if a := testing.AllocsPerRun(1000, func() { fx.Run(step) }); a != 0 {
+		t.Fatalf("%v allocs per Run, want 0", a)
+	}
+	if n != 2002 {
+		t.Fatalf("%d callbacks ran, want 2002", n)
+	}
+}
+
+// fxLogic is a hosted process whose steps defer a callback recording
+// the goroutine it runs on.
+type fxLogic struct {
+	fx  Effects
+	gid chan uint64
+}
+
+func (l *fxLogic) HandleMessage(from transport.NodeID, m msg.Message) { l.Step(from, m) }
+func (l *fxLogic) Step(transport.NodeID, msg.Message) {
+	l.fx.Run(func() { l.fx.Defer(func() { l.gid <- curGID() }) })
+}
+
+// TestEffectsGoroutinePerEntry: on a Host, a delivered step's callbacks
+// run on the shard's loop goroutine, and an Exec's on the goroutine
+// that called it.
+func TestEffectsGoroutinePerEntry(t *testing.T) {
+	h := NewHost(Options{Shards: 1})
+	defer h.Close()
+	l := &fxLogic{gid: make(chan uint64, 1)}
+	h.Register(1, l)
+	h.Send(2, 1, msg.Probe{})
+	if got, want := <-l.gid, h.shards[0].gid.Load(); got != want {
+		t.Fatalf("Step's callback ran on goroutine %d, want the shard's %d", got, want)
+	}
+	var got uint64
+	l.fx.Exec(h.Runner(1), func() { l.fx.Defer(func() { got = curGID() }) })
+	if want := curGID(); got != want {
+		t.Fatalf("Exec's callback ran on goroutine %d, want the caller's %d", got, want)
+	}
+}

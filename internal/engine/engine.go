@@ -5,7 +5,7 @@
 // and the crash-recovery fencing that PRs 3–4 grew separately inside
 // each engine.
 //
-// The runtime has two layers:
+// The runtime has three parts:
 //
 //   - Runner (runner.go) is the minimal serialization contract an
 //     engine needs: Exec(fn) runs fn mutually exclusive with every
@@ -13,6 +13,13 @@
 //     inline mutex-backed Runner; engines registered on a Host get the
 //     owning shard's single-writer loop. Either way the engine itself
 //     carries no sync.Mutex on its message path.
+//
+//   - Effects (effects.go) is the per-process buffer a step defers its
+//     user callbacks on. Effects.Run (steps the runtime serialized) runs
+//     them in order on the same goroutine right after the step;
+//     Effects.Exec (API calls, HandleMessage, Timers continuations) on
+//     the caller's, after the Runner lets go. A re-entering callback's
+//     own step's callbacks run before the outer step's remaining ones.
 //
 //   - Host (host.go) owns N shards, each a single goroutine draining a
 //     batch queue. Processes are pinned to shards by id, messages

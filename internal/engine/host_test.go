@@ -232,23 +232,22 @@ func TestHostSendUnhostedPanics(t *testing.T) {
 }
 
 // TestIngressAccounting exercises the shared rejection bookkeeping:
-// counts increment inside the step, callbacks are deferred to the
-// after-list, and reasons render by name.
+// counts increment inside the step, callbacks are deferred on the
+// effect buffer until the step is over, and reasons render by name.
 func TestIngressAccounting(t *testing.T) {
 	var reported []ProtocolError
 	in := NewIngress(4, func(pe ProtocolError) { reported = append(reported, pe) })
-	var after []func()
-	after = in.Reject(9, msg.KindReply, ReasonStrayReply, "no outstanding request", after)
-	after = in.Reject(9, msg.KindRequest, ReasonDuplicateRequest, "edge exists", after)
-	if in.Errors() != 2 {
-		t.Fatalf("Errors() = %d, want 2", in.Errors())
-	}
-	if len(reported) != 0 {
-		t.Fatal("callback fired inside the critical section")
-	}
-	for _, fn := range after {
-		fn()
-	}
+	var fx Effects
+	fx.Run(func() {
+		in.Reject(&fx, 9, msg.KindReply, ReasonStrayReply, "no outstanding request")
+		in.Reject(&fx, 9, msg.KindRequest, ReasonDuplicateRequest, "edge exists")
+		if in.Errors() != 2 {
+			t.Fatalf("Errors() = %d, want 2", in.Errors())
+		}
+		if len(reported) != 0 {
+			t.Fatal("callback fired inside the step")
+		}
+	})
 	if len(reported) != 2 {
 		t.Fatalf("reported %d errors, want 2", len(reported))
 	}
@@ -271,13 +270,16 @@ func TestIngressAccounting(t *testing.T) {
 func TestRecoveryAccounting(t *testing.T) {
 	var reported []WaitAborted
 	rec := NewRecovery(3, func(w WaitAborted) { reported = append(reported, w) })
-	after := rec.Abort(8, nil)
-	if rec.WaitsAborted() != 1 {
-		t.Fatalf("WaitsAborted() = %d, want 1", rec.WaitsAborted())
-	}
-	for _, fn := range after {
-		fn()
-	}
+	var fx Effects
+	fx.Exec(NewInlineRunner(), func() {
+		rec.Abort(&fx, 8)
+		if rec.WaitsAborted() != 1 {
+			t.Fatalf("WaitsAborted() = %d, want 1", rec.WaitsAborted())
+		}
+		if len(reported) != 0 {
+			t.Fatal("callback fired inside the step")
+		}
+	})
 	if len(reported) != 1 || reported[0] != (WaitAborted{Waiter: 3, Peer: 8}) {
 		t.Fatalf("reported %+v", reported)
 	}

@@ -116,14 +116,13 @@ func NewIngress(node transport.NodeID, onError func(ProtocolError)) Ingress {
 }
 
 // Reject drops one ingress frame: count it and defer the report
-// callback past the critical section by appending it to after.
-func (in *Ingress) Reject(from transport.NodeID, kind msg.Kind, reason Reason, detail string, after []func()) []func() {
+// callback on fx past the end of the step.
+func (in *Ingress) Reject(fx *Effects, from transport.NodeID, kind msg.Kind, reason Reason, detail string) {
 	in.errors++
 	if cb := in.onError; cb != nil {
 		pe := ProtocolError{Node: in.node, From: from, Kind: kind, Reason: reason, Detail: detail}
-		after = append(after, func() { cb(pe) })
+		fx.Defer(func() { cb(pe) })
 	}
-	return after
 }
 
 // Errors returns how many frames this process has rejected. Like

@@ -48,14 +48,13 @@ func NewRecovery(node transport.NodeID, onWaitAborted func(WaitAborted)) Recover
 }
 
 // Abort records one severed wait edge to peer and defers the report
-// callback past the critical section by appending it to after.
-func (r *Recovery) Abort(peer transport.NodeID, after []func()) []func() {
+// callback on fx past the end of the step.
+func (r *Recovery) Abort(fx *Effects, peer transport.NodeID) {
 	r.waitsAborted++
 	if cb := r.onWaitAborted; cb != nil {
 		ev := WaitAborted{Waiter: r.node, Peer: peer}
-		after = append(after, func() { cb(ev) })
+		fx.Defer(func() { cb(ev) })
 	}
-	return after
 }
 
 // WaitsAborted returns how many wait edges this process has severed.

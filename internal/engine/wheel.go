@@ -24,6 +24,8 @@ import (
 const (
 	wheelTick  = int64(time.Millisecond)
 	wheelSlots = 64 // a power of two: tick t lives in slot t & (wheelSlots-1)
+	// wheelSlotKeep caps the array a drained slot keeps; a burst's is dropped.
+	wheelSlotKeep = 256
 )
 
 // TimerLogic is the timer face of a hosted process: StepTimer runs one
@@ -138,6 +140,9 @@ func (w *timerWheel) expire(now int64) []timerEntry {
 			}
 		}
 		clear(slot[len(kept):])
+		if len(kept) == 0 && cap(kept) > wheelSlotKeep {
+			kept = nil
+		}
 		w.slots[i] = kept
 	}
 	w.n -= len(due)

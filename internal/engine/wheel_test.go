@@ -199,27 +199,76 @@ func TestTimerCloseStopsTickTimer(t *testing.T) {
 	}
 }
 
-// TestTimerArmSteadyStateAllocs: once the slots have grown, arming is an
-// append into capacity an expired round left behind — no allocation.
+// keptFill is the most entries a slot can grow to by appending and
+// still keep its array once drained: append's growth steps are the
+// runtime's, so the capacity a count leads to is measured, not assumed.
+func keptFill() int {
+	var s []timerEntry
+	for cap(append(s, timerEntry{})) <= wheelSlotKeep {
+		s = append(s, timerEntry{})
+	}
+	return len(s)
+}
+
+// TestTimerArmSteadyStateAllocs drives the bare wheel on a synthetic
+// clock: once every slot has grown within the size a drained slot keeps
+// and drained, arming as many entries into a slot is an append into the
+// capacity the expired round left behind. Every arm is measured on its
+// own, so one growth fails the test instead of being averaged away.
 func TestTimerArmSteadyStateAllocs(t *testing.T) {
-	h := NewHost(Options{Shards: 1})
-	defer h.Close()
-	h.Register(1, newTimerLogic(h))
-	w := h.Wheel(1)
-	const perSlot = 1100 // more than one measured run arms into any slot
-	h.Runner(1).Exec(func() {
-		for k := int64(0); k < wheelSlots; k++ {
-			for i := 0; i < perSlot; i++ {
-				w.Arm(k*wheelTick, 0, 0)
-			}
+	fill := keptFill()
+	var w timerWheel
+	for k := int64(1); k <= wheelSlots; k++ { // delay k ticks: slot k mod wheelSlots
+		for i := 0; i < fill; i++ {
+			w.add(0, k*wheelTick, nil, 0, 0)
 		}
-	})
-	waitWheelEmpty(t, h, 1)
-	var allocs float64
-	h.Runner(1).Exec(func() {
-		allocs = testing.AllocsPerRun(perSlot-100, func() { w.Arm(wheelTick, 0, 0) })
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocs per Arm, want 0", allocs)
+	}
+	now := wheelSlots * wheelTick
+	if n := len(w.expire(now)); n != wheelSlots*fill || w.n != 0 {
+		t.Fatalf("%d entries expired, %d left; want %d and 0", n, w.n, wheelSlots*fill)
+	}
+	arm := func() { w.add(now, wheelTick, nil, 0, 0) } // all into one slot
+	for i := 0; i < fill/2; i++ {                      // AllocsPerRun(1) arms twice, measuring the second
+		if allocs := testing.AllocsPerRun(1, arm); allocs != 0 {
+			t.Fatalf("arm %d into a drained slot allocated %v times", 2*i+2, allocs)
+		}
+	}
+}
+
+// TestTimerBurstArraysReleased: a slot that grew past what a drained slot
+// keeps gives its array back once every entry in it has run, so a burst
+// of waits does not pin its high-water memory for the life of the Host.
+// A slot within the kept size keeps its array, and so does a burst slot
+// still holding an entry of a later round.
+func TestTimerBurstArraysReleased(t *testing.T) {
+	const burst = 4 * wheelSlotKeep
+	fill := keptFill()
+	var w timerWheel
+	for k := int64(1); k <= wheelSlots; k++ { // delay k ticks: slot k mod wheelSlots
+		n := fill
+		if k%2 == 0 {
+			n = burst
+		}
+		for i := 0; i < n; i++ {
+			w.add(0, k*wheelTick, nil, 0, 0)
+		}
+	}
+	// One entry a full turn later shares slot 2 with a burst.
+	w.add(0, (2+wheelSlots)*wheelTick, nil, 0, 0)
+	now := wheelSlots * wheelTick
+	if n, want := len(w.expire(now)), wheelSlots/2*(burst+fill); n != want {
+		t.Fatalf("%d entries expired, want %d", n, want)
+	}
+	for i, slot := range w.slots {
+		switch {
+		case i == 2:
+			if len(slot) != 1 || cap(slot) < burst {
+				t.Fatalf("slot 2 holds %d entries in %d of capacity, want 1 kept in its burst array", len(slot), cap(slot))
+			}
+		case i%2 == 0 && cap(slot) != 0:
+			t.Fatalf("drained burst slot %d still holds an array of %d entries", i, cap(slot))
+		case i%2 == 1 && (cap(slot) < fill || cap(slot) > wheelSlotKeep):
+			t.Fatalf("drained slot %d holds an array of %d entries, want the one it grew to for %d", i, cap(slot), fill)
+		}
 	}
 }

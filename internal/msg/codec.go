@@ -19,8 +19,8 @@ import (
 // delivery). Epoch identifies one sender incarnation of the pair: a
 // sender that restarts (losing its sequence counter) picks a fresh
 // Epoch, telling the receiver to reset its expected sequence to 1.
-// Seq == 0 marks an unsequenced frame from a sender predating this
-// protocol; such frames are delivered as-is.
+// A data frame always carries Seq >= 1: the receiver reports one with
+// Seq == 0 as an error and drops it.
 //
 // Ctl distinguishes transport control frames from data frames. Control
 // frames carry no Message and are consumed by the transport itself —

@@ -429,22 +429,45 @@ func TestPlainDeliveryLogPerFrame(t *testing.T) {
 func TestGroupCommitBypasses(t *testing.T) {
 	log := &eventLog{}
 	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
+	tr.opts.OnError = func(err error) { log.add("error") }
 	defer tr.Close()
 	tr.receive(ib, groupEnv(1), true)
 	tr.receive(ib, groupEnv(2), true) // staged
 	tr.receive(ib, msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Ctl: msg.CtlAck, Ack: 9}, true)
 	awaitEvents(t, log, "a1", "commit", "d1", "a2")
-	// Seq 0, and the read is drained: the unsequenced frame (tag 0) is
-	// handed on at once, then the group in front of it closes.
+	// Seq 0, and the read is drained: the group in front of the
+	// unsequenced frame closes, and the frame itself is reported and
+	// dropped, never delivered.
 	tr.receive(ib, msg.Envelope{From: 5, To: 2, SrcHost: 5, Msg: msg.Probe{}}, false)
-	awaitEvents(t, log, "a1", "commit", "d1", "a2", "d0", "commit", "d2")
+	awaitEvents(t, log, "a1", "commit", "d1", "a2", "commit", "d2", "error")
 
 	tr.receive(ib, groupEnv(3), true) // staged
 	if err := tr.SetDeliveryLog(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.receive(ib, groupEnv(4), true)
-	awaitEvents(t, log, "a1", "commit", "d1", "a2", "d0", "commit", "d2", "a3", "commit", "d3", "d4")
+	awaitEvents(t, log, "a1", "commit", "d1", "a2", "commit", "d2", "error", "a3", "commit", "d3", "d4")
+}
+
+// TestUnsequencedDataFrameRejected: a data frame with Seq 0 read off a
+// real connection is reported through OnError and dropped — neither
+// journaled nor delivered — and the sequenced frames around it flow on.
+func TestUnsequencedDataFrameRejected(t *testing.T) {
+	log := &eventLog{}
+	tr, ib := newGroupInbox(t, deliveryRecorder{log}, &groupLog{log: log})
+	var errs []error
+	var mu sync.Mutex
+	tr.opts.OnError = func(err error) { mu.Lock(); errs = append(errs, err); mu.Unlock() }
+	p := startPipeReader(t, tr, ib, log)
+	unsequenced := msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Msg: &msg.Probe{Tag: id.Tag{Initiator: 1}}}
+	p.write(t, nil, groupEnv(1), unsequenced, groupEnv(2), groupPing())
+	// The mailbox is FIFO: a delivered unsequenced frame would land before d2.
+	awaitEvents(t, log, "a1", "commit", "d1", "ack1", "a2", "commit", "d2", "ack2")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(errs) != 1 {
+		t.Fatalf("OnError saw %d errors, want 1: %v", len(errs), errs)
+	}
 }
 
 // blockedCommit runs frames 1..3 plus a ping through a real reader whose

@@ -445,12 +445,24 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 // contiguous deliveries. Every acknowledgement is built by ackLocked,
 // which commits and delivers the stage first: an ack never covers a
 // frame whose journal record is not yet behind a barrier.
-func (t *TCP) receive(ib *inbox, env msg.Envelope, more bool) (msg.Envelope, bool) {
+//
+// A data frame with Seq 0 is not part of the protocol (every link stamps
+// from 1). Delivered, it would bypass deliverLocked — no journal record,
+// no dedup — so it is dropped and reported through OnError, outside the
+// lock; the group in front of it still closes if it ends the read.
+func (t *TCP) receive(ib *inbox, env msg.Envelope, more bool) (ack msg.Envelope, due bool) {
+	unsequenced := env.Ctl == msg.CtlData && env.Seq == 0
 	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	ack, due := t.receiveLocked(ib, env)
+	if !unsequenced {
+		ack, due = t.receiveLocked(ib, env)
+	}
 	if !more {
 		t.flushLocked(ib)
+	}
+	ib.mu.Unlock()
+	if unsequenced {
+		msg.Recycle(env.Msg)
+		t.report(fmt.Errorf("tcp: host %d dropped an unsequenced data frame %d->%d", ib.host, env.From, env.To))
 	}
 	return ack, due
 }
@@ -467,10 +479,6 @@ func (t *TCP) receiveLocked(ib *inbox, env msg.Envelope) (msg.Envelope, bool) {
 		return t.ackLocked(ib, key, env.Epoch), true
 	case msg.CtlAck:
 		return msg.Envelope{}, false // acks belong on outbound return paths; ignore
-	}
-	if env.Seq == 0 { // unsequenced sender: deliver as-is, nothing to journal or ack
-		ib.box.put(delivery{from: from, to: to, m: env.Msg})
-		return msg.Envelope{}, false
 	}
 	ps := ib.pairs[key]
 	fresh := ps == nil || ps.epoch != env.Epoch
