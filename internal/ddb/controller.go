@@ -22,7 +22,10 @@ const (
 	// pacing to whoever owns the Timers: every lock point is handed to
 	// Timers.After even at zero delay, so a caller can hold transactions
 	// between lock points (the handler tests and the benchmark's
-	// probe-cost rung build their standing deadlocks that way).
+	// probe-cost rung build their standing deadlocks that way). For the
+	// same reason Submit waits for its step on a Host in this mode
+	// instead of posting it: when it returns, the first lock point has
+	// been taken and the next one is parked in the Timers.
 	InitiateManual
 	// InitiateDisabled turns the CMH detector off entirely (used when a
 	// baseline detector owns the cluster).
@@ -130,6 +133,15 @@ type Config struct {
 	// before committing.
 	HoldTime int64
 
+	// The callbacks below run after the step that caused them, never
+	// inside it, and may call back into the controller. Under a Host
+	// they run on the controller's shard goroutine, except those of a
+	// step some caller waits for (a query such as CheckAgent or
+	// CheckAll, or Submit under InitiateManual), which run on that
+	// caller's goroutine. Off a Host they run on the goroutine that
+	// delivered the message, called the method or fired the timer.
+	// A callback that blocks stalls its shard.
+
 	// OnDeadlock fires when this controller declares a process
 	// deadlocked.
 	OnDeadlock func(target id.Agent, tag id.CtrlTag)
@@ -143,9 +155,10 @@ type Config struct {
 	// timeout baseline hangs off these.
 	OnWaitStart func(agent id.Agent)
 	OnWaitEnd   func(agent id.Agent)
-	// OnProtocolError fires (outside the controller lock) for every
-	// ingress frame the controller rejected as invalid against its local
-	// protocol state. The frame has already been dropped and counted.
+	// OnProtocolError fires for every ingress frame the controller
+	// rejected as invalid against its local protocol state, and for
+	// every Submit of a transaction already running. The frame or
+	// command has already been dropped and counted.
 	OnProtocolError func(ProtocolError)
 }
 
@@ -279,28 +292,47 @@ func (c *Controller) Site() id.Site { return c.cfg.Site }
 
 // Submit registers a home transaction with the given script and starts
 // executing it. inc distinguishes incarnations across abort/retry.
+//
+// On a Host, Submit posts the step to the controller's shard and
+// returns nil at once; a txn that is already running is rejected there,
+// counted in ProtocolErrors and reported to OnProtocolError with
+// ReasonDuplicateTxn. Off a Host the step has run by the time Submit
+// returns, which then also returns that rejection as its error. Under
+// InitiateManual, Submit waits for its step on a Host too (see
+// InitiateManual).
 func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
 	var err error
-	c.fx.Exec(c.run, func() {
-		if old, exists := c.txns[txn]; exists && old.status == TxnRunning {
-			err = fmt.Errorf("controller %v: txn %v already running", c.cfg.Site, txn)
-			return
-		}
-		ts := take(&c.freeTxns)
-		*ts = txnState{
-			txn:           txn,
-			inc:           inc,
-			steps:         steps,
-			status:        TxnRunning,
-			holdTime:      c.cfg.HoldTime,
-			pendingRemote: ts.pendingRemote[:0],
-			heldRemote:    ts.heldRemote[:0],
-		}
-		c.txns[txn] = ts
-		c.newAgentStep(txn, c.cfg.Site, inc)
-		c.advanceStep(ts)
-	})
+	step := func() { err = c.submitStep(txn, inc, steps) }
+	if c.cfg.Mode == InitiateManual {
+		c.fx.Exec(c.run, step)
+	} else if c.fx.Post(c.run, step) {
+		// The step runs on the shard later and err is not read here.
+		return nil
+	}
 	return err
+}
+
+// submitStep starts a home transaction unless it is already running.
+func (c *Controller) submitStep(txn id.Txn, inc uint32, steps []LockStep) error {
+	if old, exists := c.txns[txn]; exists && old.status == TxnRunning {
+		detail := fmt.Sprintf("txn %v already running", txn)
+		c.rejectStep(c.cfg.Site, 0, ReasonDuplicateTxn, detail)
+		return fmt.Errorf("controller %v: %s", c.cfg.Site, detail)
+	}
+	ts := take(&c.freeTxns)
+	*ts = txnState{
+		txn:           txn,
+		inc:           inc,
+		steps:         steps,
+		status:        TxnRunning,
+		holdTime:      c.cfg.HoldTime,
+		pendingRemote: ts.pendingRemote[:0],
+		heldRemote:    ts.heldRemote[:0],
+	}
+	c.txns[txn] = ts
+	c.newAgentStep(txn, c.cfg.Site, inc)
+	c.advanceStep(ts)
+	return nil
 }
 
 // newAgentStep registers an agent of txn at this site, on a recycled
@@ -337,7 +369,10 @@ func (c *Controller) drainReadyStep() {
 
 // immediate reports whether a pacing delay of d is no delay at all: the
 // continuation then runs inside the current step instead of going
-// through Timers (see InitiateManual for the one exception).
+// through Timers. The one exception is InitiateManual, and it comes
+// with a second one: Submit's rendezvous on a Host in that mode. Both
+// serve callers that pace lock points through their own Timers, and
+// both go once those callers set an explicit StepDelay instead.
 func (c *Controller) immediate(d int64) bool {
 	return d <= 0 && c.cfg.Mode != InitiateManual
 }
@@ -348,7 +383,7 @@ func (c *Controller) immediate(d int64) bool {
 func (c *Controller) afterDelay(ts *txnState, d int64, next func(*txnState)) {
 	txn, inc := ts.txn, ts.inc
 	c.cfg.Timers.After(d, func() {
-		c.fx.Exec(c.run, func() {
+		c.fx.Post(c.run, func() {
 			if cur, ok := c.txns[txn]; ok && cur.inc == inc && cur.status == TxnRunning {
 				next(cur)
 			}
@@ -427,9 +462,10 @@ func (c *Controller) commitStep(ts *txnState) {
 }
 
 // AbortLocal aborts a home transaction (victim resolution or caller
-// decision). It is a no-op if the transaction is not running.
+// decision). It is a no-op if the transaction is not running. On a Host
+// it is posted to the controller's shard, like Submit.
 func (c *Controller) AbortLocal(txn id.Txn) {
-	c.fx.Exec(c.run, func() {
+	c.fx.Post(c.run, func() {
 		if ts, ok := c.txns[txn]; ok && ts.status == TxnRunning {
 			c.abortStep(ts)
 		}
@@ -551,7 +587,7 @@ func (c *Controller) armDetectionStep(a *agentState) {
 	}
 	txn, wait := a.txn, a.wait
 	c.cfg.Timers.After(c.cfg.Delay, func() {
-		c.fx.Exec(c.run, func() { c.detectStep(txn, wait) })
+		c.fx.Post(c.run, func() { c.detectStep(txn, wait) })
 	})
 }
 
@@ -778,9 +814,10 @@ func (c *Controller) HomeOf(txn id.Txn) (id.Site, bool) {
 }
 
 // Abort requests the abort of a transaction: locally if this is its
-// home site, otherwise by message to its home controller.
+// home site, otherwise by message to its home controller. On a Host it
+// is posted to the controller's shard, like Submit.
 func (c *Controller) Abort(txn id.Txn) {
-	c.fx.Exec(c.run, func() {
+	c.fx.Post(c.run, func() {
 		if ts, home := c.txns[txn]; home {
 			if ts.status == TxnRunning {
 				c.abortStep(ts)

@@ -59,6 +59,9 @@ func TestSubmitRejectsDuplicateRunningTxn(t *testing.T) {
 	if err := ctrls[0].Submit(5, 1, nil); err == nil {
 		t.Fatal("duplicate running txn accepted")
 	}
+	if got := ctrls[0].Stats().ProtocolErrors; got != 1 {
+		t.Fatalf("ProtocolErrors = %d, want 1", got)
+	}
 }
 
 func TestStaleGrantIsHandedBack(t *testing.T) {

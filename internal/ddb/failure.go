@@ -33,8 +33,9 @@ import (
 
 // PeerDown severs every dependency on a crashed site. Safe to call for
 // sites the controller never interacted with; idempotent for repeats.
+// On a Host it is posted to the controller's shard, like Submit.
 func (c *Controller) PeerDown(dead id.Site) {
-	c.fx.Exec(c.run, func() { c.peerDownStep(dead) })
+	c.fx.Post(c.run, func() { c.peerDownStep(dead) })
 }
 
 // StepPeerDown implements engine.RecoveryLogic: the Host invokes it on

@@ -50,11 +50,28 @@ func liveCounts(c *Controller) (txns, agents, locks int) {
 	return
 }
 
+// drainUntilEmpty drains the Host until the controller holds no
+// transaction, agent or lock entry: once every client has its outcome,
+// a release can still be in flight to the other site.
+func drainUntilEmpty(t *testing.T, host *engine.Host, c *Controller) {
+	t.Helper()
+	for try := 0; ; try++ {
+		host.Drain()
+		txns, agents, locks := liveCounts(c)
+		if txns+agents+locks == 0 {
+			return
+		}
+		if try > 1000 {
+			t.Fatalf("site %v not empty after every client finished: %s", c.Site(), c.Snapshot())
+		}
+	}
+}
+
 // TestMarshalStateHoldsOnlyLiveTransactions is the regression test for
 // the unbounded checkpoint: after 100 000 commits the controller holds,
 // and MarshalState writes, exactly what an idle controller does.
 func TestMarshalStateHoldsOnlyLiveTransactions(t *testing.T) {
-	c, runTxn := localTxnRig(t) // three local locks, committed inside Submit
+	c, runTxn := localTxnRig(t) // three local locks, committed in Submit's step
 	empty := len(c.MarshalState())
 	for i := 0; i < 100_000; i++ {
 		runTxn(i)
@@ -356,17 +373,7 @@ func TestRecyclingUnderConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	for i, c := range ctrls {
-		// A release can still be in flight to the other site.
-		for try := 0; ; try++ {
-			host.Drain()
-			txns, agents, locks := liveCounts(c)
-			if txns+agents+locks == 0 {
-				break
-			}
-			if try > 1000 {
-				t.Fatalf("site %d not empty after every client finished: %s", i, c.Snapshot())
-			}
-		}
+		drainUntilEmpty(t, host, c)
 		c.run.Exec(func() {
 			st := c.commits + c.aborts
 			if n := len(c.freeTxns); n > clients || len(c.freeAgents) > 2*clients || len(c.locks.free) > 3*clients {

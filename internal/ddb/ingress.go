@@ -45,6 +45,10 @@ const (
 	// ReasonUnknownType: the decoded message is of a type the DDB model
 	// does not speak.
 	ReasonUnknownType = engine.ReasonUnknownType
+	// ReasonDuplicateTxn: Submit named a transaction that is already
+	// running here. The rejected command is reported with this
+	// controller as its sender and Kind 0.
+	ReasonDuplicateTxn = engine.ReasonDuplicateTxn
 )
 
 // ProtocolError describes one ingress frame rejected by a Controller

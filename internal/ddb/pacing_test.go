@@ -127,8 +127,8 @@ func (ct *countingTimers) After(int64, func()) { ct.armed++ }
 
 // TestZeroDelayScriptIsOneStep: with StepDelay = HoldTime = 0 a script
 // of uncontended local locks runs to its commit inside Submit's own
-// step — one shard event, no timer, the commit callback back before
-// Submit returns.
+// step — one shard event, no timer, the commit callback back by the
+// time the shard next parks.
 func TestZeroDelayScriptIsOneStep(t *testing.T) {
 	host := engine.NewHost(engine.Options{Shards: 1})
 	defer host.Close()
@@ -150,8 +150,9 @@ func TestZeroDelayScriptIsOneStep(t *testing.T) {
 	if err := c.Submit(1, 0, steps); err != nil {
 		t.Fatal(err)
 	}
+	host.Drain()
 	if !committed {
-		t.Fatal("transaction had not committed when Submit returned")
+		t.Fatal("transaction had not committed when the shard parked")
 	}
 	if got := host.Stats().Events - before; got != 1 {
 		t.Fatalf("Submit cost %d shard events, want 1", got)
@@ -205,7 +206,7 @@ func TestContinuationRunsAfterGrantCascade(t *testing.T) {
 // localTxnRig is the ddb rung of the cost ladder: one hosted controller
 // and a three-lock all-local script with no pacing delays. The returned
 // function runs transaction i from Submit to its commit callback, which
-// is back before Submit returns.
+// is back by the time the shard next parks.
 func localTxnRig(tb testing.TB) (*Controller, func(i int)) {
 	host := engine.NewHost(engine.Options{Shards: 1})
 	tb.Cleanup(host.Close)
@@ -230,8 +231,9 @@ func localTxnRig(tb testing.TB) (*Controller, func(i int)) {
 		if err := c.Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
 			tb.Fatal(err)
 		}
+		host.Drain()
 		if commits != before+1 {
-			tb.Fatalf("transaction %d had not committed when Submit returned", i)
+			tb.Fatalf("transaction %d had not committed when the shard parked", i)
 		}
 	}
 }
@@ -279,10 +281,12 @@ func benchTxns(b *testing.B, runTxn func(i int)) {
 // wheel (22 for the remote one before that: a token and a closure per
 // remote wait) and deferred callbacks went onto the controller's reused
 // effect buffer (16 for the remote one before that: a fresh callback
-// list per step). What is left is the Submit's Exec (its closures, the
-// done channel, and the copy of the step's callbacks it runs after the
-// shard lets go), the OnCommit closure, and on the remote path the
-// frames boxed into msg.Message and the hop between shards.
+// list per step) and Submit was posted to the shard instead of waiting
+// for it (7 and 15 before that: a done channel and a copy of the step's
+// callbacks). What is left is the posted Submit (its step closure, the
+// error it captures and the closure that queues it), the OnCommit
+// closure, and on the remote path the frames boxed into msg.Message and
+// the hop between shards.
 func TestTxnAllocGates(t *testing.T) {
 	_, local := localTxnRig(t)
 	for _, g := range []struct {
@@ -290,8 +294,8 @@ func TestTxnAllocGates(t *testing.T) {
 		runTxn func(int)
 		max    float64
 	}{
-		{"local", local, 7},
-		{"remote", remoteTxnRig(t), 15},
+		{"local", local, 4},
+		{"remote", remoteTxnRig(t), 13},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			i := 0

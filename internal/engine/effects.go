@@ -23,8 +23,9 @@ func (e *Effects) Run(step func()) {
 	e.truncate(mark)
 }
 
-// Exec is the entry for every other step: it runs step through r and
-// the step's callbacks on this goroutine once r has let go.
+// Exec is the entry for a step whose caller waits for it: it runs step
+// through r and the step's callbacks on this goroutine once r has let
+// go.
 func (e *Effects) Exec(r Runner, step func()) {
 	var out []func()
 	r.Exec(func() {
@@ -33,6 +34,21 @@ func (e *Effects) Exec(r Runner, step func()) {
 		e.truncate(mark)
 	})
 	dispatch(&out, 0)
+}
+
+// Post is the entry for a command whose caller reads nothing back from
+// the step. When r can post (a Host shard's runner), it queues the step
+// on r and returns at once: the step and then its callbacks run on the
+// shard's loop goroutine, as a delivered step's do. Otherwise (the
+// inline runner, or a shard already closed) it is Exec. It reports
+// whether the step was queued, so a caller can tell whether the step
+// has run by the time Post returns.
+func (e *Effects) Post(r Runner, step func()) bool {
+	if p, ok := r.(poster); ok && p.Post(func() { e.Run(step) }) {
+		return true
+	}
+	e.Exec(r, step)
+	return false
 }
 
 // step runs step and Settle, returning the mark its callbacks start at.

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/msg"
 	"repro/internal/transport"
 )
@@ -129,8 +131,8 @@ func (l *fxLogic) Step(transport.NodeID, msg.Message) {
 }
 
 // TestEffectsGoroutinePerEntry: on a Host, a delivered step's callbacks
-// run on the shard's loop goroutine, and an Exec's on the goroutine
-// that called it.
+// and a Post's run on the shard's loop goroutine, and an Exec's on the
+// goroutine that called it.
 func TestEffectsGoroutinePerEntry(t *testing.T) {
 	h := NewHost(Options{Shards: 1})
 	defer h.Close()
@@ -140,9 +142,93 @@ func TestEffectsGoroutinePerEntry(t *testing.T) {
 	if got, want := <-l.gid, h.shards[0].gid.Load(); got != want {
 		t.Fatalf("Step's callback ran on goroutine %d, want the shard's %d", got, want)
 	}
+	if !l.fx.Post(h.Runner(1), func() { l.fx.Defer(func() { l.gid <- curGID() }) }) {
+		t.Fatal("Post on an open Host did not queue its step")
+	}
+	if got, want := <-l.gid, h.shards[0].gid.Load(); got != want {
+		t.Fatalf("Post's callback ran on goroutine %d, want the shard's %d", got, want)
+	}
 	var got uint64
 	l.fx.Exec(h.Runner(1), func() { l.fx.Defer(func() { got = curGID() }) })
 	if want := curGID(); got != want {
 		t.Fatalf("Exec's callback ran on goroutine %d, want the caller's %d", got, want)
+	}
+}
+
+// TestEffectsPostFallsBackToExec: where nothing can take a queued step —
+// the inline runner, or a Host that is closed — Post runs the step and
+// its callbacks once before it returns, and says it queued nothing.
+func TestEffectsPostFallsBackToExec(t *testing.T) {
+	closed := NewHost(Options{Shards: 1})
+	closed.Close()
+	if closed.Runner(1).(poster).Post(func() { t.Error("a closed shard ran a posted step") }) {
+		t.Fatal("a closed shard took a posted step")
+	}
+	for name, r := range map[string]Runner{"inline": NewInlineRunner(), "closed host": closed.Runner(1)} {
+		t.Run(name, func(t *testing.T) {
+			var fx Effects
+			steps, callbacks := 0, 0
+			if fx.Post(r, func() { steps++; fx.Defer(func() { callbacks++ }) }) {
+				t.Fatal("Post reported the step queued")
+			}
+			if steps != 1 || callbacks != 1 {
+				t.Fatalf("step ran %d times and its callback %d, want once each", steps, callbacks)
+			}
+		})
+	}
+}
+
+// postLogic is a hosted process whose first delivered step defers a
+// callback that posts two more steps, like an OnCommit that submits.
+// Every step and callback appends to log, on the shard goroutine only.
+type postLogic struct {
+	fx  Effects
+	run Runner
+	log []string
+}
+
+func (l *postLogic) HandleMessage(from transport.NodeID, m msg.Message) { l.Step(from, m) }
+func (l *postLogic) Step(_ transport.NodeID, m msg.Message) {
+	l.fx.Run(func() {
+		name := fmt.Sprintf("m%d", m.(msg.Probe).Tag.N)
+		l.log = append(l.log, name)
+		if name != "m1" {
+			return
+		}
+		l.fx.Defer(func() {
+			l.log = append(l.log, "m1 callback")
+			for _, p := range []string{"p1", "p2"} {
+				l.fx.Post(l.run, func() { l.log = append(l.log, p) })
+			}
+		})
+	})
+}
+
+// TestPostFromShardCallback: a step posted from a callback on the shard's
+// own goroutine does not run inline and does not deadlock waiting for
+// itself; it joins the queue, so it runs after the rest of the current
+// batch, and posts run in the order they were made.
+func TestPostFromShardCallback(t *testing.T) {
+	h := NewHost(Options{Shards: 1})
+	defer h.Close()
+	l := &postLogic{run: h.Runner(1)}
+	h.Register(1, l)
+	// Hold the shard in one batch while m1 and m2 queue behind it, so the
+	// two are the next batch together.
+	hold := make(chan struct{})
+	h.Runner(1).(poster).Post(func() { <-hold })
+	h.Send(2, 1, msg.Probe{Tag: id.Tag{N: 1}})
+	h.Send(2, 1, msg.Probe{Tag: id.Tag{N: 2}})
+	close(hold)
+	drained := make(chan struct{})
+	go func() { h.Drain(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shard never parked: a post from its own callback deadlocked")
+	}
+	want := []string{"m1", "m1 callback", "m2", "p1", "p2"}
+	if !reflect.DeepEqual(l.log, want) {
+		t.Fatalf("ran %v, want %v", l.log, want)
 	}
 }

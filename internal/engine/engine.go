@@ -11,15 +11,21 @@
 //     engine needs: Exec(fn) runs fn mutually exclusive with every
 //     other step of the same process. Stand-alone engines get an
 //     inline mutex-backed Runner; engines registered on a Host get the
-//     owning shard's single-writer loop. Either way the engine itself
+//     owning shard's single-writer loop, whose Runner can also Post a
+//     step without waiting for it. Either way the engine itself
 //     carries no sync.Mutex on its message path.
 //
 //   - Effects (effects.go) is the per-process buffer a step defers its
-//     user callbacks on. Effects.Run (steps the runtime serialized) runs
-//     them in order on the same goroutine right after the step;
-//     Effects.Exec (API calls, HandleMessage, Timers continuations) on
-//     the caller's, after the Runner lets go. A re-entering callback's
-//     own step's callbacks run before the outer step's remaining ones.
+//     user callbacks on, and the three entries that run a step and then
+//     its callbacks, in order. Effects.Run (steps the runtime
+//     serialized) runs them on the same goroutine right after the step.
+//     Effects.Exec (a call that waits for its step: queries,
+//     stand-alone HandleMessage) runs them on the caller's goroutine,
+//     after the Runner lets go. Effects.Post (a command whose caller
+//     reads nothing back) queues the step on a Host shard and returns,
+//     so they run on the shard's goroutine; on a Runner that cannot
+//     post it is Exec. A re-entering callback's own step's callbacks
+//     run before the outer step's remaining ones.
 //
 //   - Host (host.go) owns N shards, each a single goroutine draining a
 //     batch queue. Processes are pinned to shards by id, messages

@@ -741,12 +741,21 @@ func (s *shard) close() {
 }
 
 // shardRunner serializes public API calls of a process through its
-// owning shard. A call made from the shard's own loop goroutine (an
-// engine callback re-entering the API) runs inline; any other caller
-// enqueues a function step and waits for the loop to execute it.
+// owning shard. Post queues a function step and returns; the engines
+// use it (through Effects.Post) for commands, whose callers read
+// nothing back. Exec is the rendezvous queries need: a call made from
+// the shard's own loop goroutine (an engine callback re-entering the
+// API) runs inline; any other caller enqueues a function step and
+// waits for the loop to execute it.
 type shardRunner struct {
 	s *shard
 }
+
+// Post enqueues fn as a function step without waiting for it. A Post
+// from the shard's own loop goroutine joins the queue like any other,
+// so it runs after the current batch. It reports false, queuing
+// nothing, once the shard is closed.
+func (r shardRunner) Post(fn func()) bool { return r.s.enqueue(event{fn: fn}) }
 
 // Exec tells the two apart by goroutine id, but parses it (curGID walks
 // the stack) only when the shard is mid-batch. That is sound: a nested

@@ -54,6 +54,11 @@ const (
 	// own engager id with a sequence number ahead of any the receiver
 	// issued (commdl's analogue of a forged probe tag).
 	ReasonForgedQueryTag
+	// ReasonDuplicateTxn: a DDB Submit named a transaction that is
+	// already running at its home controller. It is a command, not a
+	// frame: the ProtocolError names the controller as its own sender,
+	// with Kind 0.
+	ReasonDuplicateTxn
 )
 
 var reasonNames = map[Reason]string{
@@ -66,6 +71,7 @@ var reasonNames = map[Reason]string{
 	ReasonIncarnationClash: "incarnation-clash",
 	ReasonDuplicateAcquire: "duplicate-acquire",
 	ReasonForgedQueryTag:   "forged-query-tag",
+	ReasonDuplicateTxn:     "duplicate-txn",
 }
 
 // String returns the lower-case name of the reason.

@@ -22,6 +22,14 @@ type Runner interface {
 	Exec(fn func())
 }
 
+// poster is implemented by Runners that can queue a step without
+// waiting for it (the Host's shardRunner). Post reports false, having
+// queued nothing, when it cannot take fn; Effects.Post then falls back
+// to Exec.
+type poster interface {
+	Post(fn func()) bool
+}
+
 // RunnerProvider is implemented by transports that supply their own
 // serialization (the Host's shard loops). Engines ask their transport
 // for a Runner at construction; transports without one get the inline
@@ -74,9 +82,11 @@ func (r *inlineRunner) Exec(fn func()) {
 
 // curGID returns the current goroutine's id, parsed from the
 // runtime.Stack header ("goroutine N [...]"). It is deliberately kept
-// off the message hot path: shards call Logic.Step directly and only
-// public API entry points (rare relative to message volume) pay for
-// it.
+// off the hot paths: shards call Logic.Step directly, and commands on a
+// Host are posted (Effects.Post), which needs no goroutine identity.
+// What still pays for it is every step through the inline runner, and a
+// shardRunner.Exec issued while its shard is mid-batch (a query made
+// from a shard callback, which must run inline).
 func curGID() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)
