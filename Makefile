@@ -49,12 +49,14 @@ bench:
 # no WAL or write errors) and a few hundred transactions per phase. The
 # numbers mean nothing at this length; a broken harness or a journal
 # that loses the write-ahead orderings exits nonzero (CI runs this as
-# the bench-smoke job). The traced host-local run adds the cost ladder,
-# whose probe rung relies on Submit waiting for its step under
-# InitiateManual.
+# the bench-smoke job). cluster-uniform is the north-star row, so its
+# set-up and checks run here too. The traced host-local run adds the
+# cost ladder, whose probe rung relies on Submit waiting for its step
+# under InitiateManual.
 bench-smoke:
 	$(GO) vet ./benchmark
 	$(GO) run ./benchmark -quick -workload cluster-fsync
+	$(GO) run ./benchmark -quick -workload cluster-uniform
 	$(GO) run ./benchmark -quick -trace -workload host-local
 
 # Exhaustive DPOR model check over the exploration corpus.

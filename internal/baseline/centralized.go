@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/ddb"
@@ -91,6 +92,7 @@ func (co *Coordinator) HandleMessage(_ transport.NodeID, m msg.Message) {
 	co.reports[report.Site] = report.Edges
 	adj := make(map[id.Agent][]id.Agent)
 	waitingTxns := make(map[id.Txn]bool)
+	//det:unordered adjacency lists feed only cycle tests
 	for _, edges := range co.reports {
 		for _, e := range edges {
 			adj[e.From] = append(adj[e.From], e.To)
@@ -140,6 +142,7 @@ func (co *Coordinator) findCycleVictimsLocked(adj map[id.Agent][]id.Agent) []id.
 			victims = append(victims, v.Txn)
 		}
 	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	return victims
 }
 

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/ddb"
@@ -142,7 +143,9 @@ func (pp *PathPushing) round(site id.Site) {
 	}
 	pp.mu.Unlock()
 	adj := make(map[id.Txn][]id.Txn, len(adjSet))
+	//det:unordered adjacency lists feed only cycle tests and the sorted report
 	for from, succs := range adjSet {
+		//det:unordered adjacency lists feed only cycle tests and the sorted report
 		for to := range succs {
 			adj[from] = append(adj[from], to)
 		}
@@ -171,14 +174,19 @@ func (pp *PathPushing) round(site id.Site) {
 	// exiting transaction are exactly what the destination needs to
 	// close (or phantom-close) a cycle with its own half. One report
 	// per (round, destination), carrying 2-transaction hops.
-	exitSites := make(map[id.Site]struct{})
+	exitSet := make(map[id.Site]struct{})
 	for _, sites := range exits {
 		for _, sx := range sites {
 			if sx != site {
-				exitSites[sx] = struct{}{}
+				exitSet[sx] = struct{}{}
 			}
 		}
 	}
+	exitSites := make([]id.Site, 0, len(exitSet))
+	for sx := range exitSet {
+		exitSites = append(exitSites, sx)
+	}
+	sort.Slice(exitSites, func(i, j int) bool { return exitSites[i] < exitSites[j] })
 	if len(exitSites) > 0 {
 		var edges []id.AgentEdge
 		for from, succs := range adj {
@@ -189,8 +197,14 @@ func (pp *PathPushing) round(site id.Site) {
 				})
 			}
 		}
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i].From.Txn != edges[j].From.Txn {
+				return edges[i].From.Txn < edges[j].From.Txn
+			}
+			return edges[i].To.Txn < edges[j].To.Txn
+		})
 		if len(edges) > 0 {
-			for sx := range exitSites {
+			for _, sx := range exitSites {
 				pp.mu.Lock()
 				pp.pathsSent++
 				pp.mu.Unlock()
@@ -217,6 +231,7 @@ func (pp *PathPushing) findVictims(adj map[id.Txn][]id.Txn) []id.Txn {
 			victims = append(victims, v)
 		}
 	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	// Expire declared markers for transactions that no longer wait.
 	for txn := range pp.declaredLive {
 		if _, waits := adj[txn]; !waits {

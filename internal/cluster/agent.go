@@ -37,7 +37,9 @@ import (
 //	   engine control hook hands it back to B's agent
 //	B: on FlushAck: commit route, ungate — pre-gate frames provably
 //	   all delivered before any gated one
-//	X: any other host learns the route from gossip and runs the same
+//	A: push the directory, new route included, to every alive host
+//	X: any other host learns the route from that push (or a later
+//	   gossip round) and runs the same
 //	   gate → marker-via-old-route → ack → commit → ungate dance.
 //
 // Locking rule: a.mu protects only the agent's own maps and is NEVER
@@ -76,9 +78,12 @@ type Config struct {
 	// send: the shipped snapshot overwrites whatever state it starts
 	// with.
 	Spawn func(node transport.NodeID)
-	// GossipInterval is the sync period (default 25ms).
+	// GossipInterval is the period of the anti-entropy round (default
+	// 25ms). Directory changes do not wait for it: they are pushed when
+	// they happen.
 	GossipInterval time.Duration
-	// Fanout is how many random alive peers each round syncs (default 2).
+	// Fanout is how many random alive peers each round pushes to
+	// (default 2).
 	Fanout int
 	// Seed seeds peer selection, making test gossip schedules
 	// reproducible (default 1).
@@ -152,17 +157,12 @@ func (a *Agent) Join(seeds []Member) {
 	}
 }
 
-// Leave publishes this host's tombstone and broadcasts it to every
-// alive peer immediately — the graceful-shutdown half of satellite (b):
-// peers drop the host from the ring before it stops serving.
+// Leave publishes this host's tombstone and pushes it to every alive
+// peer immediately, so peers drop the host from the ring before it
+// stops serving.
 func (a *Agent) Leave() {
 	a.cfg.Dir.MarkLeft(a.cfg.Host)
-	payload := a.syncPayload(false)
-	for _, h := range a.cfg.Dir.AliveHosts() {
-		if h != a.cfg.Host {
-			a.cfg.TCP.Send(a.id, -h, msg.Cluster{Payload: payload})
-		}
-	}
+	a.pushAll()
 	a.event("leave", 0, a.cfg.Host)
 }
 
@@ -257,13 +257,36 @@ func (a *Agent) handleControl(from, to transport.NodeID, c msg.Cluster) {
 	a.send(mk.Origin, FlushAck{Node: mk.Node, Ver: mk.Ver})
 }
 
+// handleSync merges a peer's view and push-pulls every host the merge
+// made alive, so a joiner's existence spreads in message delays, not
+// gossip rounds. The sender itself gets a plain reply instead: when it
+// asked for one, or when it is new here and its push asked for none.
+// Only a change to this host's directory triggers a push, and merges
+// are monotone, so the pushes end (DESIGN.md §12.1).
 func (a *Agent) handleSync(v Sync) {
-	changed := a.cfg.Dir.Merge(v.Members)
+	changed, joined := a.cfg.Dir.Merge(v.Members)
 	for _, r := range a.cfg.Dir.MergeRoutes(v.Routes) {
 		a.startFlush(r)
 	}
-	if v.ReplyWanted && v.From != a.cfg.Host {
+	reply := v.ReplyWanted
+	var pull []transport.NodeID
+	for _, h := range joined {
+		switch h {
+		case a.cfg.Host:
+		case v.From:
+			reply = true
+		default:
+			pull = append(pull, h)
+		}
+	}
+	if reply && v.From != a.cfg.Host {
 		a.cfg.TCP.Send(a.id, -v.From, msg.Cluster{Payload: a.syncPayload(false)})
+	}
+	if len(pull) > 0 {
+		payload := a.syncPayload(true)
+		for _, h := range pull {
+			a.cfg.TCP.Send(a.id, -h, msg.Cluster{Payload: payload})
+		}
 	}
 	if changed {
 		a.event("sync", 0, v.From)
@@ -292,7 +315,9 @@ func (a *Agent) handlePrepare(v Prepare) {
 // shard queue), then extract — the shipped State leaves on this host's
 // link to the target inside the extract step, so it precedes every
 // forwarded frame; the route commits in the same step, so it is
-// published only once forwarding is guaranteed on.
+// published only once forwarding is guaranteed on. The source
+// originates the route, so it pushes it to every alive host at once
+// rather than leaving third hosts to a gossip round.
 func (a *Agent) handlePrepareAck(v PrepareAck) {
 	a.mu.Lock()
 	dest, ok := a.migrating[v.Node]
@@ -320,6 +345,7 @@ func (a *Agent) handlePrepareAck(v PrepareAck) {
 	}
 	a.mu.Unlock()
 	if err == nil {
+		a.pushAll()
 		a.event("extract", node, dest)
 	}
 }
@@ -367,9 +393,12 @@ func (a *Agent) handleFlushAck(v FlushAck) {
 	a.event("route", v.Node, r.Host)
 }
 
-// gossipLoop periodically syncs the directory to Fanout random alive
-// peers. Peer choice is the only randomness in the control plane and
-// it is seeded, so a test cluster gossips the same schedule every run.
+// gossipLoop periodically pushes the directory to Fanout random alive
+// peers; a round asks for no reply. Changes already spread when they
+// happen (handleSync, pushAll), so the round is the anti-entropy
+// backstop for a push lost to a failed link. Peer choice is the only
+// randomness in the control plane and it is seeded, so a test cluster
+// gossips the same schedule every run.
 func (a *Agent) gossipLoop() {
 	defer a.done.Done()
 	rng := rand.New(rand.NewSource(a.cfg.Seed))
@@ -397,6 +426,18 @@ func (a *Agent) gossipLoop() {
 		}
 		payload := a.syncPayload(false)
 		for _, h := range peers[:n] {
+			a.cfg.TCP.Send(a.id, -h, msg.Cluster{Payload: payload})
+		}
+	}
+}
+
+// pushAll pushes this host's view to every other alive host: the
+// originator of a change (a leave tombstone, a migration's route)
+// announces it at once.
+func (a *Agent) pushAll() {
+	payload := a.syncPayload(false)
+	for _, h := range a.cfg.Dir.AliveHosts() {
+		if h != a.cfg.Host {
 			a.cfg.TCP.Send(a.id, -h, msg.Cluster{Payload: payload})
 		}
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/transport"
@@ -84,16 +86,25 @@ func (d *Directory) AddrOf(host transport.NodeID) (string, bool) {
 }
 
 // Merge folds gossiped member entries in, rebuilding the ring when the
-// alive set changed. Returns whether anything in the map changed (the
-// gossip loop uses it to decide whether its view is still moving).
-func (d *Directory) Merge(in []Member) bool {
+// alive set changed. It returns whether anything in the map changed and,
+// in ascending order, the hosts the merge made alive: members this host
+// did not know, or knew only as suspect or left. The agent push-pulls
+// each of them at once (DESIGN.md §12.1).
+func (d *Directory) Merge(in []Member) (changed bool, joined []transport.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	before := d.members.Alive()
 	if !d.members.Merge(in) {
-		return false
+		return false, nil
 	}
-	d.ring = BuildRing(d.members.Alive())
-	return true
+	after := d.members.Alive()
+	d.ring = BuildRing(after)
+	for _, h := range after {
+		if !slices.Contains(before, h) {
+			joined = append(joined, h)
+		}
+	}
+	return true, joined
 }
 
 // MergeRoutes folds gossiped routing overrides in. Routes newer than
@@ -175,11 +186,7 @@ func (d *Directory) routesLocked() []Route {
 	for _, r := range d.committed {
 		out = append(out, r)
 	}
-	for i := 1; i < len(out); i++ { // tiny n: insertion sort, no extra imports
-		for j := i; j > 0 && out[j-1].Node > out[j].Node; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,8 +95,9 @@ func (p *recProc) snapshot() map[transport.NodeID][]uint64 {
 	return out
 }
 
-// newTestHost boots one cluster node with a fast gossip clock.
-func newTestHost(t *testing.T, host transport.NodeID) *testHost {
+// newTestHost boots one cluster node whose anti-entropy round runs
+// every gossip. Tests that must not depend on the round pass time.Hour.
+func newTestHost(t *testing.T, host transport.NodeID, gossip time.Duration) *testHost {
 	t.Helper()
 	th := &testHost{host: host, procs: map[transport.NodeID]*recProc{}}
 	th.tcp = transport.NewTCP()
@@ -119,7 +121,7 @@ func newTestHost(t *testing.T, host transport.NodeID) *testHost {
 			th.mu.Unlock()
 			th.eng.Register(node, p)
 		},
-		GossipInterval: 5 * time.Millisecond,
+		GossipInterval: gossip,
 		Seed:           int64(host),
 	})
 	if err != nil {
@@ -154,27 +156,84 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 }
 
 // startCluster boots n hosts, joins 2..n through host 1 as the seed,
-// and waits for directory convergence.
-func startCluster(t *testing.T, n int) []*testHost {
+// and waits for convergence.
+func startCluster(t *testing.T, n int, gossip time.Duration) []*testHost {
 	t.Helper()
 	hosts := make([]*testHost, n)
 	for i := range hosts {
-		hosts[i] = newTestHost(t, transport.NodeID(i+1))
+		hosts[i] = newTestHost(t, transport.NodeID(i+1), gossip)
 	}
+	joinSeed(hosts)
+	waitFor(t, 10*time.Second, func() bool { return converged(hosts) }, "directory convergence")
+	return hosts
+}
+
+// joinSeed joins hosts 2..n through host 1.
+func joinSeed(hosts []*testHost) {
 	seed := []Member{{Host: hosts[0].host, Addr: hosts[0].tcp.HostAddr(hosts[0].host)}}
 	for _, th := range hosts[1:] {
 		th.agent.Join(append([]Member(nil), seed...))
 	}
-	waitFor(t, 10*time.Second, func() bool {
-		fp := hosts[0].dir.Fingerprint()
-		for _, th := range hosts[1:] {
-			if th.dir.Fingerprint() != fp {
-				return false
+}
+
+// converged reports whether every directory holds the same full member
+// set and every host has a link to every other.
+func converged(hosts []*testHost) bool {
+	fp := hosts[0].dir.Fingerprint()
+	for _, th := range hosts {
+		if th.dir.Fingerprint() != fp || th.tcp.LinkCount() != len(hosts)-1 {
+			return false
+		}
+	}
+	return len(hosts[0].dir.AliveHosts()) == len(hosts)
+}
+
+// syncCounter is a transport.Observer that counts the directory syncs
+// sent through the transports it observes.
+type syncCounter struct{ n atomic.Int64 }
+
+func (c *syncCounter) OnSend(_, _ transport.NodeID, m msg.Message) {
+	if cm, ok := m.(msg.Cluster); ok {
+		if p, err := Decode(cm.Payload); err == nil {
+			if _, ok := p.(Sync); ok {
+				c.n.Add(1)
 			}
 		}
-		return len(hosts[0].dir.AliveHosts()) == n
-	}, "directory convergence")
-	return hosts
+	}
+}
+
+func (c *syncCounter) OnDeliver(transport.NodeID, transport.NodeID, msg.Message) {}
+
+// TestJoinConvergesWithoutGossipRound: with the periodic round an hour
+// away, hosts that join through one seed still agree on the directory
+// and hold a link to every peer within a few message delays, because
+// every host push-pulls each member it learns of. The sync count bound
+// is what a push storm would break: each ordered pair of hosts costs
+// at most one push-pull and its reply, plus the joins.
+func TestJoinConvergesWithoutGossipRound(t *testing.T) {
+	for _, n := range []int{3, 5, 8} {
+		t.Run(fmt.Sprintf("hosts=%d", n), func(t *testing.T) {
+			var syncs syncCounter
+			hosts := make([]*testHost, n)
+			for i := range hosts {
+				hosts[i] = newTestHost(t, transport.NodeID(i+1), time.Hour)
+				defer hosts[i].close()
+				hosts[i].tcp.Observe(&syncs)
+			}
+			began := time.Now()
+			joinSeed(hosts)
+			waitFor(t, time.Second, func() bool { return converged(hosts) }, "convergence without a gossip round")
+			took := time.Since(began)
+
+			// A storm keeps sending after convergence; give it room to.
+			time.Sleep(50 * time.Millisecond)
+			got, bound := syncs.n.Load(), int64(3*n*n)
+			if got > bound {
+				t.Fatalf("%d hosts sent %d syncs to converge, bound %d", n, got, bound)
+			}
+			t.Logf("%d hosts converged in %v with %d syncs", n, took, got)
+		})
+	}
 }
 
 // TestClusterMigrationFIFO is the acceptance test of satellite (c):
@@ -183,7 +242,7 @@ func startCluster(t *testing.T, n int) []*testHost {
 // must be exactly 1..K in order — zero lost, zero duplicated, zero
 // reordered frames across the move.
 func TestClusterMigrationFIFO(t *testing.T) {
-	hosts := startCluster(t, 3)
+	hosts := startCluster(t, 3, time.Hour)
 	defer func() {
 		for _, th := range hosts {
 			th.close()
@@ -295,9 +354,11 @@ func TestClusterMigrationFIFO(t *testing.T) {
 
 // TestClusterJoinLeave checks the membership half: a leave tombstone
 // propagates, drops the host from every ring, and only that host's
-// processes move.
+// processes move. It is the one test on a short gossip interval, so it
+// also checks the anti-entropy round: a change no push carries still
+// spreads.
 func TestClusterJoinLeave(t *testing.T) {
-	hosts := startCluster(t, 3)
+	hosts := startCluster(t, 3, 5*time.Millisecond)
 	defer func() {
 		for _, th := range hosts {
 			th.close()
@@ -331,12 +392,19 @@ func TestClusterJoinLeave(t *testing.T) {
 			}
 		}
 	}
+
+	// A tombstone merged straight into host 1's directory makes no host
+	// alive, so no push carries it: only the periodic round can.
+	hosts[0].dir.Merge([]Member{{Host: 9, Addr: "127.0.0.1:1", Inc: 1, Ver: 1, Status: StatusLeft}})
+	waitFor(t, 10*time.Second, func() bool {
+		return hosts[1].dir.Fingerprint() == hosts[0].dir.Fingerprint()
+	}, "anti-entropy round")
 }
 
 // TestClusterPlacementAgreement: every converged host answers every
 // lookup identically — the "any node addresses any process" contract.
 func TestClusterPlacementAgreement(t *testing.T) {
-	hosts := startCluster(t, 4)
+	hosts := startCluster(t, 4, time.Hour)
 	defer func() {
 		for _, th := range hosts {
 			th.close()

@@ -44,8 +44,9 @@ type Payload interface{ isPayload() }
 
 // Sync is the gossip message: the sender's full member map and its
 // committed routing overrides. ReplyWanted marks the push half of a
-// push-pull join, so a joining node gets the cluster's view back
-// immediately instead of waiting a gossip round.
+// push-pull (a join, or a host meeting a member it just learned of),
+// so the sender gets the receiver's view back immediately instead of
+// waiting a gossip round.
 type Sync struct {
 	From        transport.NodeID // sending host
 	ReplyWanted bool

@@ -131,7 +131,9 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 				procs[pid] = p
 				procMu.Unlock()
 			},
-			GossipInterval: 5 * time.Millisecond,
+			// An hour: assembly and the migration must not wait on
+			// the periodic round (pushes carry every change).
+			GossipInterval: time.Hour,
 			Seed:           spec.Seed + int64(h),
 		})
 		if err != nil {

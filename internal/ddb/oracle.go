@@ -70,6 +70,7 @@ func (o *Oracle) DarkEdges() []id.AgentEdge {
 				views[txn] = v
 			}
 			agentsBySite[site] = views
+			//det:unordered pendings only feed edges, which are sorted before return
 			for txn, ts := range c.txns {
 				if ts.status != TxnRunning {
 					continue

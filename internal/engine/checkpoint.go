@@ -419,15 +419,7 @@ func (h *Host) FinishRestore() error {
 // for anything the muted replay could not reconstruct — outbound
 // frames lost with the crash.
 func (h *Host) Reannounce(peer transport.NodeID) {
-	h.mu.RLock()
-	procs := make([]*proc, 0, len(h.procs))
-	for _, p := range h.procs {
-		if p.ann != nil {
-			procs = append(procs, p)
-		}
-	}
-	h.mu.RUnlock()
-	for _, p := range procs {
+	for _, p := range h.procsWhere(func(p *proc) bool { return p.ann != nil }) {
 		ann := p.ann
 		p.sh.enqueue(event{fn: func() { ann.StepReannounce(peer) }})
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -409,17 +410,25 @@ func (h *Host) PeerUp(peer transport.NodeID, reannounce bool) {
 }
 
 func (h *Host) eachRecovery(visit func(p *proc)) {
+	for _, p := range h.procsWhere(func(p *proc) bool { return p.rec != nil }) {
+		visit(p)
+	}
+}
+
+// procsWhere returns the hosted processes keep accepts, sorted by node,
+// so a recovery fan-out enqueues on each shard in the same order every
+// run rather than in map order.
+func (h *Host) procsWhere(keep func(p *proc) bool) []*proc {
 	h.mu.RLock()
 	procs := make([]*proc, 0, len(h.procs))
 	for _, p := range h.procs {
-		if p.rec != nil {
+		if keep(p) {
 			procs = append(procs, p)
 		}
 	}
 	h.mu.RUnlock()
-	for _, p := range procs {
-		visit(p)
-	}
+	sort.Slice(procs, func(i, j int) bool { return procs[i].node < procs[j].node })
+	return procs
 }
 
 // deliver runs one queued delivery on the shard goroutine: observers

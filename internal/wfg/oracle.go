@@ -44,6 +44,7 @@ func (g *Graph) onCycle(v id.Proc, keep func(id.Edge) bool) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		//det:unordered a reachability worklist: the answer is a bool
 		for w := range g.out[u] {
 			if !keep(id.Edge{From: u, To: w}) {
 				continue
@@ -92,6 +93,7 @@ func (g *Graph) permanentlyBlockedSet() map[id.Proc]struct{} {
 	scc := g.darkSCCs()
 	blocked := make(map[id.Proc]struct{})
 	var seeds []id.Proc
+	//det:unordered a reachability worklist: the result is a set
 	for v, c := range scc.comp {
 		if scc.cyclic[c] {
 			blocked[v] = struct{}{}
@@ -102,6 +104,7 @@ func (g *Graph) permanentlyBlockedSet() map[id.Proc]struct{} {
 	for len(seeds) > 0 {
 		v := seeds[len(seeds)-1]
 		seeds = seeds[:len(seeds)-1]
+		//det:unordered a reachability worklist: the result is a set
 		for u := range g.in[v] {
 			if !g.Dark(id.Edge{From: u, To: v}) {
 				continue
@@ -136,6 +139,7 @@ func (g *Graph) PermanentBlackEdgesFrom(v id.Proc) []id.Edge {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		//det:unordered a reachability worklist: out is sorted before return
 		for w := range g.out[u] {
 			e := id.Edge{From: u, To: w}
 			if !permanent(e) {
