@@ -146,12 +146,15 @@ cover:
 experiments:
 	$(GO) run ./cmd/cmhbench
 
+# Every example under the race detector: the in-process ones run on a
+# Host shard goroutine concurrently with main (CI runs this as the
+# examples job).
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/diningphilosophers
-	$(GO) run ./examples/bankledger
-	$(GO) run ./examples/livenet
-	$(GO) run ./examples/messagehub
+	$(GO) run -race ./examples/quickstart
+	$(GO) run -race ./examples/diningphilosophers
+	$(GO) run -race ./examples/bankledger
+	$(GO) run -race ./examples/livenet
+	$(GO) run -race ./examples/messagehub
 
 clean:
 	rm -f test_output.txt bench_output.txt cover.out

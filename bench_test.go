@@ -240,8 +240,9 @@ func BenchmarkSimulatedRingDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveRingDetection measures wall-clock detection over the
-// goroutine transport (the repro=5 mapping: one goroutine per process).
+// BenchmarkLiveRingDetection measures wall-clock detection on the
+// in-process concurrent runtime (NewLiveNetwork: one Host shard
+// goroutine steps every process).
 func BenchmarkLiveRingDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := liveRingDetect(32); err != nil {
@@ -250,9 +251,9 @@ func BenchmarkLiveRingDetection(b *testing.B) {
 	}
 }
 
-// liveRingDetect builds an n-process request cycle over the live
-// goroutine transport, initiates one probe computation and waits for
-// the declaration. FIFO links make the probes trail the requests, so no
+// liveRingDetect builds an n-process request cycle on the in-process
+// runtime, initiates one probe computation and waits for the
+// declaration. FIFO links make the probes trail the requests, so no
 // settling wait is needed (axiom P1 at work).
 func liveRingDetect(n int) error {
 	net := NewLiveNetwork()

@@ -12,9 +12,9 @@
 //
 //   - Protocol participants: Process (basic model, one vertex of the
 //     wait-for graph) and Controller (DDB model, one site). They run
-//     over any Transport — the in-process goroutine network
-//     (NewLiveNetwork), real TCP sockets (NewTCPNetwork), or the
-//     deterministic simulator (NewSimNetwork).
+//     over any Transport — the in-process concurrent runtime
+//     (NewLiveNetwork, a one-shard engine.Host), real TCP sockets
+//     (NewTCPNetwork), or the deterministic simulator (NewSimNetwork).
 //
 //   - Batteries-included deployments: NewSimulation builds an
 //     N-process simulated basic-model system with an omniscient
@@ -41,6 +41,7 @@ import (
 	"repro/internal/commdl"
 	"repro/internal/core"
 	"repro/internal/ddb"
+	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/msg"
@@ -128,10 +129,14 @@ func NewProcess(cfg ProcessConfig) (*Process, error) { return core.NewProcess(cf
 // NewController creates a DDB site controller on a transport.
 func NewController(cfg ControllerConfig) (*Controller, error) { return ddb.NewController(cfg) }
 
-// NewLiveNetwork returns the in-process goroutine transport: one
-// dispatcher goroutine per registered node, unbounded FIFO mailboxes.
-// Close it when done to stop the dispatchers.
-func NewLiveNetwork() *transport.Live { return transport.NewLive() }
+// NewLiveNetwork returns the in-process concurrent runtime: a
+// self-contained one-shard engine.Host. Every registered process is
+// stepped, one message at a time, on the shard's goroutine, and every
+// send is a FIFO append to the shard's queue. Callbacks (OnDeadlock,
+// OnRequest, …) of delivered steps run on that goroutine too, and may
+// call back into any process on the network. Close it when done to stop
+// the shard.
+func NewLiveNetwork() *engine.Host { return engine.NewHost(engine.Options{}) }
 
 // NewTCPNetwork returns the TCP transport. Each registered node is its
 // own host: Register opens its loopback listener, SetPeer records the

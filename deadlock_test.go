@@ -28,8 +28,9 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
-// TestPublicAPILiveNetwork runs the protocol over goroutines via the
-// facade, with a ring plus an unrelated pair that must stay quiet.
+// TestPublicAPILiveNetwork runs the protocol concurrently on the
+// facade's in-process runtime, with a ring plus an unrelated pair that
+// must stay quiet.
 func TestPublicAPILiveNetwork(t *testing.T) {
 	net := deadlock.NewLiveNetwork()
 	defer net.Close()

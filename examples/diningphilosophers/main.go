@@ -1,9 +1,11 @@
-// Dining philosophers over the live goroutine runtime: each philosopher
-// is a process that requests its two neighbours' "fork grants" (the AND
-// model — it proceeds only when both reply). All five grab their left
-// fork first, so the classic all-left deadlock forms; the Chandy–Misra
-// probe computation detects it on real goroutines and channels, and the
-// program breaks the deadlock by making one philosopher give up.
+// Dining philosophers on the in-process concurrent runtime: each
+// philosopher is a process that requests its two neighbours' "fork
+// grants" (the AND model — it proceeds only when both reply). All five
+// grab their left fork first, so the classic all-left deadlock forms;
+// the Chandy–Misra probe computation detects it while the philosophers
+// are stepped on a Host shard goroutine, concurrently with main, and
+// the program reports the detection and the deadlocked edges every
+// philosopher learns.
 //
 //	go run ./examples/diningphilosophers
 package main
@@ -62,7 +64,7 @@ func main() {
 		}
 	}
 
-	// Wait for a detection on real goroutines.
+	// Wait for a detection from the shard goroutine.
 	var victim deadlock.ProcID
 	select {
 	case victim = <-detected:

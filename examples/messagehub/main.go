@@ -1,10 +1,10 @@
-// Messagehub: the communication-model (OR-request) extension on live
-// goroutines. Worker processes exchange messages through named peers; a
-// blocked worker resumes when ANY peer it waits on writes to it. A
-// misconfigured pipeline makes a set of workers wait on each other with
-// no producer outside the set — a communication deadlock, which the
-// diffusing-computation detector finds even though each worker would be
-// satisfied by any one of several peers.
+// Messagehub: the communication-model (OR-request) extension on the
+// in-process concurrent runtime. Worker processes exchange messages
+// through named peers; a blocked worker resumes when ANY peer it waits
+// on writes to it. A misconfigured pipeline makes a set of workers wait
+// on each other with no producer outside the set — a communication
+// deadlock, which the diffusing-computation detector finds even though
+// each worker would be satisfied by any one of several peers.
 //
 //	go run ./examples/messagehub
 package main

@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// clusterSpecs is the cluster sweep's 8-seed corpus.
+func clusterSpecs() []Spec {
+	return []Spec{
+		{Seed: 1, N: 10, MaxBatch: 2},
+		{Seed: 2, N: 10, MaxBatch: 2},
+		{Seed: 3, N: 10, MaxBatch: 3},
+		{Seed: 4, N: 12, MaxBatch: 3},
+		{Seed: 5, N: 12, MaxBatch: 2},
+		{Seed: 6, N: 12, MaxBatch: 3},
+		{Seed: 7, N: 14, MaxBatch: 2},
+		{Seed: 8, N: 14, MaxBatch: 3},
+	}
+}
+
 // TestClusterConformance is the tentpole acceptance check: the
 // self-assembled cluster — gossip membership, ring placement, live
 // mid-run migration — must produce verdicts byte-identical to the
@@ -17,16 +31,7 @@ func TestClusterConformance(t *testing.T) {
 		{3, 2},
 		{4, 3},
 	}
-	specs := []Spec{
-		{Seed: 1, N: 10, MaxBatch: 2},
-		{Seed: 2, N: 10, MaxBatch: 2},
-		{Seed: 3, N: 10, MaxBatch: 3},
-		{Seed: 4, N: 12, MaxBatch: 3},
-		{Seed: 5, N: 12, MaxBatch: 2},
-		{Seed: 6, N: 12, MaxBatch: 3},
-		{Seed: 7, N: 14, MaxBatch: 2},
-		{Seed: 8, N: 14, MaxBatch: 3},
-	}
+	specs := clusterSpecs()
 	if testing.Short() {
 		specs = specs[:3]
 	}

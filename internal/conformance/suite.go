@@ -1,9 +1,9 @@
 // Package conformance is the differential transport-conformance suite:
-// it replays the identical seeded workload over every transport the
-// repository ships — the deterministic simulated network, the live
-// goroutine network, and real loopback TCP sockets — and demands
-// byte-identical verdicts from all of them, each verdict additionally
-// cross-checked against the omniscient WFG oracle.
+// it replays the identical seeded workload over every runtime the
+// repository ships — the deterministic simulated network, real loopback
+// TCP sockets, sharded engine Hosts alone and bridged over TCP — and
+// demands byte-identical verdicts from all of them, each verdict
+// additionally cross-checked against the omniscient WFG oracle.
 //
 // The workload is built so its outcome is a pure function of the seed,
 // not of message timing, which is what makes a byte-for-byte comparison
@@ -129,9 +129,15 @@ func (s splitPlacement) observe(o transport.Observer) {
 }
 
 // RunSim replays the spec on the deterministic simulated network.
-func RunSim(spec Spec) (string, error) {
+func RunSim(spec Spec) (string, error) { return runSim(spec, nil) }
+
+// runSim is RunSim with o, when non-nil, observing every message.
+func runSim(spec Spec, o transport.Observer) (string, error) {
 	sched := sim.New(spec.Seed)
 	net := transport.NewSimNet(sched, nil)
+	if o != nil {
+		net.Observe(o)
+	}
 	quiesce := func() error {
 		const maxEvents = 10_000_000
 		for n := 0; sched.Step(); n++ {
@@ -142,15 +148,6 @@ func RunSim(spec Spec) (string, error) {
 		return nil
 	}
 	return run(spec, net, workload.SimTimers{Sched: sched}, quiesce)
-}
-
-// RunLive replays the spec on the live goroutine network.
-func RunLive(spec Spec) (string, error) {
-	net := transport.NewLive()
-	defer net.Close()
-	counters := metrics.NewCounters()
-	net.Observe(counters)
-	return run(spec, net, nil, pollQuiesce(counters))
 }
 
 // RunTCP replays the spec over real loopback TCP sockets (one listener

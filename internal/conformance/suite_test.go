@@ -7,10 +7,12 @@ import (
 )
 
 // TestDifferentialTransportConformance replays identical seeded storms
-// over the simulator, the live goroutine network, and real loopback TCP
-// sockets, and requires byte-identical verdicts from all three. Each
-// run is additionally cross-checked against the WFG oracle inside run()
-// (declared == dark-cycle vertices, blocked ⇒ informed).
+// over the simulator, real loopback TCP sockets, a one-shard Host (the
+// public NewLiveNetwork), a four-shard Host, and two Hosts bridged by
+// one TCP link per direction, and requires byte-identical verdicts from
+// all of them. Each run is additionally cross-checked against the WFG
+// oracle inside run() (declared == dark-cycle vertices, blocked ⇒
+// informed).
 func TestDifferentialTransportConformance(t *testing.T) {
 	specs := []Spec{
 		{Seed: 1, N: 6, MaxBatch: 2},
@@ -27,9 +29,9 @@ func TestDifferentialTransportConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim: %v", err)
 			}
-			liveV, err := RunLive(spec)
+			oneV, err := RunHosted(spec, 1)
 			if err != nil {
-				t.Fatalf("live: %v", err)
+				t.Fatalf("hosted, one shard: %v", err)
 			}
 			tcpV, err := RunTCP(spec)
 			if err != nil {
@@ -43,8 +45,8 @@ func TestDifferentialTransportConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tcpmux: %v", err)
 			}
-			if simV != liveV {
-				t.Errorf("sim and live verdicts differ:\n--- sim ---\n%s--- live ---\n%s", simV, liveV)
+			if simV != oneV {
+				t.Errorf("sim and one-shard hosted verdicts differ:\n--- sim ---\n%s--- hosted1 ---\n%s", simV, oneV)
 			}
 			if simV != tcpV {
 				t.Errorf("sim and tcp verdicts differ:\n--- sim ---\n%s--- tcp ---\n%s", simV, tcpV)

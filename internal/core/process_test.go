@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/id"
@@ -400,5 +401,49 @@ func TestStaleComputationSuperseded(t *testing.T) {
 	// Tag table holds one entry per initiator seen (only p0 here).
 	if got := procs[1].TagTableSize(); got != 1 {
 		t.Errorf("p1 tag table size = %d, want 1", got)
+	}
+}
+
+// TestCallbacksReenterOffHost: off a Host a process serializes through
+// the inline runner, a plain mutex that is not re-entrant. A callback
+// that calls back into its own process — OnRequest answering with
+// GrantAll, OnActive asking Blocked — completes only because a step's
+// callbacks run after the runner has let go; run inside it, they would
+// wait for themselves. The deadline turns such a hang into a failure.
+func TestCallbacksReenterOffHost(t *testing.T) {
+	sched := sim.New(1)
+	net := transport.NewSimNet(sched, nil)
+	var p0, p1 *core.Process
+	stillBlocked := true
+	var err error
+	p0, err = core.NewProcess(core.Config{ID: 0, Transport: net, Policy: core.InitiateManually,
+		OnActive: func() { stillBlocked = p0.Blocked() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err = core.NewProcess(core.Config{ID: 1, Transport: net, Policy: core.InitiateManually,
+		OnRequest: func(id.Proc) {
+			if _, err := p1.GrantAll(); err != nil {
+				t.Error(err)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := p0.Request(1); err != nil {
+			t.Error(err)
+		}
+		sched.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a callback re-entering its process hung: it ran inside the inline runner")
+	}
+	if stillBlocked {
+		t.Fatal("p0 was not unblocked by p1's GrantAll from OnRequest")
 	}
 }

@@ -87,15 +87,16 @@ func TestPeerDownAbortsTransactionsStuckOnDeadSite(t *testing.T) {
 	sched.RunUntil(sim.Time(25 * sim.Millisecond))
 
 	// The same verdict from an engine.Host: site 0 is hosted, site 1
-	// sits across a live network, and the Host delivers the peer-down
+	// sits on a second, self-contained Host that is the first one's
+	// underlying transport, and the first Host delivers the peer-down
 	// and peer-up verdicts as recovery steps on site 0's shard.
-	live := transport.NewLive()
-	defer live.Close()
-	host := engine.NewHost(engine.Options{Shards: 1, Transport: live})
+	remote := engine.NewHost(engine.Options{})
+	defer remote.Close()
+	host := engine.NewHost(engine.Options{Shards: 1, Transport: remote})
 	defer host.Close()
 	hostAborts := make(chan id.Txn, 1)
 	sites := make([]*Controller, 2)
-	for i, net := range []transport.Transport{host, live} {
+	for i, net := range []transport.Transport{host, remote} {
 		cfg := Config{
 			Site:         id.Site(i),
 			Transport:    net,

@@ -5,22 +5,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/id"
 	"repro/internal/msg"
-	"repro/internal/transport"
 )
 
-// realTimers schedules on the wall clock for live-transport tests.
+// realTimers schedules on the wall clock for the real-time tests.
 type realTimers struct{}
 
 func (realTimers) After(d int64, fn func()) { time.AfterFunc(time.Duration(d), fn) }
 
-// TestLiveControllersDetectCrossSiteDeadlock runs two controllers over
-// the goroutine transport with real timers: the paper's canonical
-// two-site deadlock must be detected on actual concurrent hardware, not
-// just in the simulator.
+// TestLiveControllersDetectCrossSiteDeadlock runs two controllers on a
+// two-shard Host, one site per shard goroutine, with real timers: the
+// paper's canonical two-site deadlock must be detected on actual
+// concurrent hardware, not just in the simulator.
 func TestLiveControllersDetectCrossSiteDeadlock(t *testing.T) {
-	net := transport.NewLive()
+	net := engine.NewHost(engine.Options{Shards: 2})
 	defer net.Close()
 	detected := make(chan id.Agent, 4)
 	var once sync.Once
@@ -65,10 +65,10 @@ func TestLiveControllersDetectCrossSiteDeadlock(t *testing.T) {
 	}
 }
 
-// TestLiveControllersResolveAndCommit adds resolution on the live
-// transport: both transactions must commit for the test to pass.
+// TestLiveControllersResolveAndCommit adds resolution on the two-shard
+// Host: both transactions must commit for the test to pass.
 func TestLiveControllersResolveAndCommit(t *testing.T) {
-	net := transport.NewLive()
+	net := engine.NewHost(engine.Options{Shards: 2})
 	defer net.Close()
 	var mu sync.Mutex
 	committed := map[id.Txn]bool{}

@@ -68,9 +68,15 @@ func TestEffectsNestedStepRunsFirst(t *testing.T) {
 				fx.Defer(note("b"))
 			}
 			if entry == "Run" {
-				// A runtime-serialized entry: the callbacks run inside the
-				// serialization, so the nested Exec runs inline.
-				r.Exec(func() { fx.Run(outer) })
+				// A step delivered on a Host shard: its callbacks run on
+				// the shard goroutine inside the shard's serialization, so
+				// the nested Execs run inline.
+				h := NewHost(Options{Shards: 1})
+				defer h.Close()
+				r = h.Runner(1)
+				h.Register(1, stepLogic(func() { fx.Run(outer) }))
+				h.Send(2, 1, msg.Probe{})
+				h.Drain()
 			} else {
 				fx.Exec(r, outer)
 			}
@@ -83,6 +89,12 @@ func TestEffectsNestedStepRunsFirst(t *testing.T) {
 		})
 	}
 }
+
+// stepLogic is a hosted process whose every delivered step is one call.
+type stepLogic func()
+
+func (l stepLogic) HandleMessage(transport.NodeID, msg.Message) { l() }
+func (l stepLogic) Step(transport.NodeID, msg.Message)          { l() }
 
 // TestEffectsExecRunsAfterRelease: Exec's callbacks run once the Runner
 // has let go, so a callback that waits for another goroutine's Exec on

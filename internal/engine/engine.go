@@ -9,11 +9,14 @@
 //
 //   - Runner (runner.go) is the minimal serialization contract an
 //     engine needs: Exec(fn) runs fn mutually exclusive with every
-//     other step of the same process. Stand-alone engines get an
-//     inline mutex-backed Runner; engines registered on a Host get the
-//     owning shard's single-writer loop, whose Runner can also Post a
-//     step without waiting for it. Either way the engine itself
-//     carries no sync.Mutex on its message path.
+//     other step of the same process. Stand-alone engines get the
+//     inline Runner, a plain mutex; engines registered on a Host get
+//     the owning shard's single-writer loop, whose Runner can also
+//     Post a step without waiting for it, and runs an Exec made from a
+//     shard callback inline. Only that one need be re-entrant: off a
+//     Host a step's callbacks run after the mutex is released (see
+//     Effects.Exec), so nothing nests inside it. Either way the engine
+//     itself carries no sync.Mutex on its message path.
 //
 //   - Effects (effects.go) is the per-process buffer a step defers its
 //     user callbacks on, and the three entries that run a step and then

@@ -8,6 +8,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/msg"
+	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -289,18 +290,10 @@ func TestRecoveryAccounting(t *testing.T) {
 }
 
 // TestRunnerForFallback checks that a transport without a
-// RunnerProvider face gets the inline mutex-backed Runner, and that
-// the inline Runner is reentrant.
+// RunnerProvider face (SimNet) gets the inline mutex-backed Runner.
 func TestRunnerForFallback(t *testing.T) {
-	live := transport.NewLive()
-	defer live.Close()
-	r := RunnerFor(live, 1)
+	r := RunnerFor(transport.NewSimNet(sim.New(1), nil), 1)
 	if _, ok := r.(*inlineRunner); !ok {
-		t.Fatalf("RunnerFor(live) = %T, want *inlineRunner", r)
-	}
-	ran := false
-	r.Exec(func() { r.Exec(func() { ran = true }) })
-	if !ran {
-		t.Fatal("nested inline Exec did not run")
+		t.Fatalf("RunnerFor(simnet) = %T, want *inlineRunner", r)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/transport"
 )
@@ -14,10 +13,15 @@ import (
 // synchronization primitive, which is what keeps sync.Mutex out of
 // core/ddb/commdl entirely.
 //
-// Exec must be reentrant: an engine callback fired inside a step may
-// call back into a public method of the same process (GrantAll from
-// OnRequest is the canonical case), and that nested Exec must run
-// inline rather than deadlock.
+// Only the Host's shardRunner is re-entrant. A delivered or posted step
+// on a shard runs its callbacks on the shard goroutine, still inside
+// the shard's serialization, so a callback that calls back into a
+// public method of a process on that shard (GrantAll from OnRequest is
+// the canonical case) issues a nested Exec, which must run inline
+// rather than deadlock. The inline runner never sees a nested Exec:
+// off a Host every entry is Effects.Exec (or Post, which falls back to
+// it), and that entry runs the step's callbacks only after the runner
+// has let go.
 type Runner interface {
 	Exec(fn func())
 }
@@ -52,41 +56,27 @@ func RunnerFor(t transport.Transport, node transport.NodeID) Runner {
 }
 
 // NewInlineRunner returns a Runner that serializes with a private
-// mutex and tracks the executing goroutine so nested Exec calls run
-// inline. This is the stand-alone fallback: one per process, same
-// semantics the old per-process mutex had, but owned by the runtime
-// instead of duplicated in each engine.
+// mutex: the stand-alone fallback, one per process. It is not
+// re-entrant (see Runner).
 func NewInlineRunner() Runner {
 	return &inlineRunner{}
 }
 
 type inlineRunner struct {
-	mu  sync.Mutex
-	gid atomic.Uint64
+	mu sync.Mutex
 }
 
 func (r *inlineRunner) Exec(fn func()) {
-	g := curGID()
-	if r.gid.Load() == g {
-		fn() // nested call from within a step: already serialized
-		return
-	}
 	r.mu.Lock()
-	r.gid.Store(g)
-	defer func() {
-		r.gid.Store(0)
-		r.mu.Unlock()
-	}()
+	defer r.mu.Unlock()
 	fn()
 }
 
 // curGID returns the current goroutine's id, parsed from the
-// runtime.Stack header ("goroutine N [...]"). It is deliberately kept
-// off the hot paths: shards call Logic.Step directly, and commands on a
-// Host are posted (Effects.Post), which needs no goroutine identity.
-// What still pays for it is every step through the inline runner, and a
-// shardRunner.Exec issued while its shard is mid-batch (a query made
-// from a shard callback, which must run inline).
+// runtime.Stack header ("goroutine N [...]"). Only the Host uses it: a
+// shard loop records its own id once, and shardRunner.Exec parses the
+// caller's only while the shard is mid-batch, to run a query made from
+// a shard callback inline.
 func curGID() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)

@@ -23,7 +23,7 @@ func TestResequencerHeldCap(t *testing.T) {
 	var mu sync.Mutex
 	var got []delivery
 	ib := &inbox{host: 2, inc: newEpoch(), pairs: make(map[NodeID]*pairState)}
-	ib.box = newMailbox(nil, func(d delivery) {
+	ib.box = newMailbox(func(d delivery) {
 		mu.Lock()
 		got = append(got, d)
 		mu.Unlock()

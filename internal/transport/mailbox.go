@@ -7,11 +7,9 @@ import (
 )
 
 // delivery is one queued message awaiting dispatch. seq and epoch are
-// the sender-assigned frame sequencing of the TCP transport (zero on
-// the unsequenced transports); they let sequence-aware observers audit
-// the reconnect protocol. to is the destination node — the live
-// transport's per-node mailboxes ignore it (their node is fixed), but a
-// TCP host mailbox demultiplexes deliveries by it.
+// the sender-assigned frame sequencing of the TCP transport; they let
+// sequence-aware observers audit the reconnect protocol. to is the
+// destination node: a TCP host mailbox demultiplexes deliveries by it.
 type delivery struct {
 	from  NodeID
 	to    NodeID
@@ -49,7 +47,7 @@ const minMailboxCap = 16
 const shrinkAfterPops = 32
 
 // mailbox is an unbounded FIFO queue with a single dispatcher goroutine
-// that invokes the node's handler one message at a time. A single
+// that hands its deliveries to deliver one at a time. A single
 // dispatcher gives each node the paper's atomic-step property; the
 // unbounded queue means Send never blocks, so a blocked application
 // process can never wedge the network (which would violate the
@@ -78,17 +76,14 @@ type mailbox struct {
 	pressured bool
 	closed    bool
 	done      chan struct{}
-	handler   Handler
 	deliver   func(d delivery)
 	cfg       mailboxConfig
 }
 
-// newMailbox starts the dispatcher goroutine for handler h. deliver, if
-// non-nil, is called in place of h.HandleMessage (used to interpose
-// observers).
-func newMailbox(h Handler, deliver func(d delivery), cfg mailboxConfig) *mailbox {
+// newMailbox starts the dispatcher goroutine, which calls deliver for
+// each queued delivery in order.
+func newMailbox(deliver func(d delivery), cfg mailboxConfig) *mailbox {
 	mb := &mailbox{
-		handler: h,
 		done:    make(chan struct{}),
 		deliver: deliver,
 		cfg:     cfg,
@@ -193,11 +188,7 @@ func (mb *mailbox) loop() {
 		if notify != nil {
 			notify(false, depth)
 		}
-		if mb.deliver != nil {
-			mb.deliver(d)
-		} else {
-			mb.handler.HandleMessage(d.from, d.m)
-		}
+		mb.deliver(d)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestMailboxCapacityReclaimedAfterBurst(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var got []delivery
-	mb := newMailbox(nil, gatedDeliver(gate, &got, &mu), mailboxConfig{})
+	mb := newMailbox(gatedDeliver(gate, &got, &mu), mailboxConfig{})
 
 	for i := 0; i < burst; i++ {
 		mb.put(delivery{from: NodeID(i), m: msg.Request{}})
@@ -71,7 +71,7 @@ func TestMailboxPreservesFIFO(t *testing.T) {
 	const n = 1000
 	var mu sync.Mutex
 	var got []delivery
-	mb := newMailbox(nil, func(d delivery) {
+	mb := newMailbox(func(d delivery) {
 		mu.Lock()
 		got = append(got, d)
 		mu.Unlock()
@@ -101,7 +101,7 @@ func TestMailboxBackpressureSignal(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var got []delivery
-	mb := newMailbox(nil, gatedDeliver(gate, &got, &mu), mailboxConfig{
+	mb := newMailbox(gatedDeliver(gate, &got, &mu), mailboxConfig{
 		highWater: highWater,
 		onPressure: func(engaged bool, depth int) {
 			tmu.Lock()
@@ -137,7 +137,7 @@ func TestMailboxBackpressureSignal(t *testing.T) {
 
 func TestMailboxZeroConfigNeverSignals(t *testing.T) {
 	fired := false
-	mb := newMailbox(nil, func(delivery) {}, mailboxConfig{
+	mb := newMailbox(func(delivery) {}, mailboxConfig{
 		onPressure: func(bool, int) { fired = true },
 	})
 	for i := 0; i < 100; i++ {

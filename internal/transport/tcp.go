@@ -249,7 +249,7 @@ func (t *TCP) ListenHost(host NodeID, addr string) error {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
 	ib := &inbox{host: host, inc: newEpoch(), pairs: make(map[NodeID]*pairState)}
-	ib.box = newMailbox(nil, func(d delivery) {
+	ib.box = newMailbox(func(d delivery) {
 		t.mu.Lock()
 		h := t.handlers[d.to]
 		obs := t.observers

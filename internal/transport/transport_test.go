@@ -90,53 +90,6 @@ func TestSimNetFIFOUnderRandomLatency(t *testing.T) {
 	}
 }
 
-func TestLiveFIFOConcurrentSenders(t *testing.T) {
-	net := transport.NewLive()
-	defer net.Close()
-	const per = 500
-	col := newCollector(4 * per)
-	net.Register(9, col)
-	for s := transport.NodeID(1); s <= 4; s++ {
-		net.Register(s, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
-	}
-	var wg sync.WaitGroup
-	for s := transport.NodeID(1); s <= 4; s++ {
-		src := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= per; i++ {
-				net.Send(src, 9, probeSeq(uint64(i)))
-			}
-		}()
-	}
-	wg.Wait()
-	<-col.done
-	col.checkFIFO(t)
-}
-
-func TestLiveCloseIsIdempotentAndDrains(t *testing.T) {
-	net := transport.NewLive()
-	got := 0
-	done := make(chan struct{})
-	net.Register(1, transport.HandlerFunc(func(transport.NodeID, msg.Message) {
-		got++
-		if got == 100 {
-			close(done)
-		}
-	}))
-	net.Register(2, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
-	for i := 0; i < 100; i++ {
-		net.Send(2, 1, msg.Request{})
-	}
-	<-done
-	net.Close()
-	net.Close() // idempotent
-	if got != 100 {
-		t.Fatalf("delivered %d, want 100", got)
-	}
-}
-
 func TestTCPFIFOAndRoundTrip(t *testing.T) {
 	net := transport.NewTCP()
 	defer net.Close()
