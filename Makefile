@@ -50,13 +50,16 @@ bench:
 # numbers mean nothing at this length; a broken harness or a journal
 # that loses the write-ahead orderings exits nonzero (CI runs this as
 # the bench-smoke job). cluster-uniform is the north-star row, so its
-# set-up and checks run here too. The traced host-local run adds the
+# set-up and checks run here too. cluster-contended is the one row with
+# victim aborts, retries and detection-latency samples, so its
+# declaration checks run here as well. The traced host-local run adds the
 # cost ladder, whose probe rung relies on Submit waiting for its step
 # under InitiateManual.
 bench-smoke:
 	$(GO) vet ./benchmark
 	$(GO) run ./benchmark -quick -workload cluster-fsync
 	$(GO) run ./benchmark -quick -workload cluster-uniform
+	$(GO) run ./benchmark -quick -workload cluster-contended
 	$(GO) run ./benchmark -quick -trace -workload host-local
 
 # Exhaustive DPOR model check over the exploration corpus.

@@ -102,7 +102,6 @@ func run(args []string, out io.Writer) error {
 		retryBase   = fs.Duration("retry-base", 50*time.Millisecond, "initial dial backoff, doubled per failed attempt")
 		retryMax    = fs.Duration("retry-max", 2*time.Second, "dial backoff cap")
 		maxBatch    = fs.Int("max-batch", 64, "max envelopes coalesced into one wire flush (1 = flush per frame)")
-		highWater   = fs.Int("mailbox-high-water", 0, "ingress mailbox depth that raises a backpressure event (0 = disabled)")
 		verbose     = fs.Bool("verbose", false, "print connection-lifecycle events")
 		showStats   = fs.Bool("net-stats", false, "print transport counters before exiting")
 
@@ -154,30 +153,34 @@ func run(args []string, out io.Writer) error {
 	}
 	self := id.Proc(*idFlag)
 
-	// The wiring from transport liveness events to the process's
-	// crash-recovery API: a peer-down verdict severs the wait edges
-	// toward the suspected peer (typed WaitAborted, never a silent
-	// hang), a peer-up re-announces any still-outstanding wait so a
-	// restarted incarnation rebuilds its dependent set. The indirection
-	// exists because the transport needs its options before the process
-	// exists.
-	wiring := &recoveryWiring{}
+	// The process steps on a one-shard engine.Host over the TCP
+	// transport. Liveness events reach its crash-recovery steps through
+	// the Host: a peer-down verdict severs the wait edges toward the
+	// suspected peer (typed WaitAborted, never a silent hang), a peer-up
+	// re-announces any still-outstanding wait so a restarted incarnation
+	// rebuilds its dependent set. host is assigned before ListenHost, so
+	// every transport goroutine that can raise an event starts after it.
+	var host *engine.Host
 	live := trace.NewLiveness()
 
 	opts := transport.TCPOptions{
-		DialTimeout:      *dialTimeout,
-		RetryBase:        *retryBase,
-		RetryMax:         *retryMax,
-		MaxBatch:         *maxBatch,
-		MailboxHighWater: *highWater,
-		LeaseInterval:    *leaseEvery,
-		LeaseMisses:      *leaseMisses,
+		DialTimeout:   *dialTimeout,
+		RetryBase:     *retryBase,
+		RetryMax:      *retryMax,
+		MaxBatch:      *maxBatch,
+		LeaseInterval: *leaseEvery,
+		LeaseMisses:   *leaseMisses,
 		OnError: func(err error) {
 			fmt.Fprintf(os.Stderr, "cmhnode %v: transport: %v\n", self, err)
 		},
 		OnConnEvent: func(ev transport.ConnEvent) {
 			live.Add(ev)
-			wiring.onConnEvent(ev)
+			switch ev.Kind {
+			case transport.ConnPeerDown:
+				host.PeerDown(ev.To)
+			case transport.ConnPeerUp:
+				host.PeerUp(ev.To, true)
+			}
 			if *verbose {
 				fmt.Fprintf(os.Stderr, "cmhnode %v: conn: %v\n", self, ev)
 			}
@@ -188,6 +191,8 @@ func run(args []string, out io.Writer) error {
 	if *showStats {
 		defer func() { fmt.Fprint(out, metrics.TCPStatsTable(net.Stats())) }()
 	}
+	host = engine.NewHost(engine.Options{Transport: net})
+	defer host.Close()
 
 	// The node is its own host: its listener is the host listener, and
 	// Register (inside NewProcess) finds it already open.
@@ -198,7 +203,7 @@ func run(args []string, out io.Writer) error {
 	waitAborted := make(chan struct{}, 1)
 	proc, err := core.NewProcess(core.Config{
 		ID:        self,
-		Transport: net,
+		Transport: host,
 		Policy:    core.InitiateManually,
 		OnDeadlock: func(tag id.Tag) {
 			select {
@@ -222,7 +227,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	wiring.set(proc)
 
 	if *faultPlan != "" {
 		plan, perr := faultinject.Parse(*faultPlan)
@@ -877,41 +881,5 @@ func runClusterMode(out io.Writer, cfg clusterConfig) error {
 			finish()
 			return nil
 		}
-	}
-}
-
-// recoveryWiring connects transport liveness events to the process's
-// crash-recovery API. ConnPeerDown severs the wait edges toward the
-// suspected peer (PeerDown); ConnPeerUp clears the per-peer fencing
-// state and re-announces any still-outstanding wait edge (PeerUp +
-// Reannounce) so a restarted incarnation rebuilds its dependent set.
-type recoveryWiring struct {
-	mu   sync.Mutex
-	proc *core.Process
-}
-
-func (r *recoveryWiring) set(p *core.Process) {
-	r.mu.Lock()
-	r.proc = p
-	r.mu.Unlock()
-}
-
-func (r *recoveryWiring) onConnEvent(ev transport.ConnEvent) {
-	if ev.Kind != transport.ConnPeerDown && ev.Kind != transport.ConnPeerUp {
-		return
-	}
-	r.mu.Lock()
-	p := r.proc
-	r.mu.Unlock()
-	if p == nil {
-		return
-	}
-	peer := id.Proc(ev.To)
-	switch ev.Kind {
-	case transport.ConnPeerDown:
-		p.PeerDown(peer)
-	case transport.ConnPeerUp:
-		p.PeerUp(peer)
-		p.Reannounce(peer)
 	}
 }

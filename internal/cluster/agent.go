@@ -90,7 +90,7 @@ type Config struct {
 	Seed int64
 	// OnEvent, when set, observes control-plane transitions ("sync",
 	// "prepare", "extract", "install", "route", "leave"). May be called
-	// concurrently from mailbox and shard goroutines.
+	// concurrently from socket reader and shard goroutines.
 	OnEvent func(kind string, node, host transport.NodeID)
 }
 
@@ -212,9 +212,13 @@ func (a *Agent) Migrate(node, dest transport.NodeID) error {
 	return nil
 }
 
-// HandleMessage implements transport.Handler: the agent's mailbox.
-// Malformed payloads are dropped — a control-plane peer speaking a
-// different format must not take the data plane down.
+// HandleMessage implements transport.Handler: the agent's inbox. It runs
+// on the host's socket reader under the inbox lock (transport.Handler),
+// so nothing it does may wait for a frame into this host. Its migration
+// steps (Park, ExtractMigration, InstallMigration) wait on a shard step,
+// and a shard step never takes the inbox lock. Malformed payloads are
+// dropped — a control-plane peer speaking a different format must not
+// take the data plane down.
 func (a *Agent) HandleMessage(from transport.NodeID, m msg.Message) {
 	c, ok := m.(msg.Cluster)
 	if !ok {

@@ -203,11 +203,11 @@ func (h *Host) Checkpoint() error {
 // the checkpoint.
 func (h *Host) checkpointGated() error {
 	w := h.walLog.Load()
-	// Cut: frames journaled before the gate closed may still be in a
-	// mailbox or shard queue — and the cascades they trigger can
-	// hop to a shard a single drain pass already visited. Drain until
-	// every journaled frame has been stepped AND a full pass executes
-	// nothing; the gate guarantees no new wire frames join.
+	// Cut: frames journaled before the gate closed may still be on a
+	// transport's stage or in a shard queue — and the cascades they
+	// trigger can hop to a shard a single drain pass already visited.
+	// Drain until every journaled frame has been stepped AND a full pass
+	// executes nothing; the gate guarantees no new wire frames join.
 	for {
 		before := h.shardEvents()
 		h.Drain()

@@ -172,8 +172,8 @@ type HostStats struct {
 	// RingEvents and RingSpills are always 0. They counted the
 	// per-stream SPSC rings, a second shard ingress that has been
 	// removed: every wire frame now reaches its shard through the
-	// transport's mailbox and the inbound shim. The fields stay because
-	// the repo benchmark still reads them (engine.ring_share,
+	// transport's socket reader and the inbound shim. The fields stay
+	// because the repo benchmark still reads them (engine.ring_share,
 	// engine.ring_spills_per_kframe).
 	RingEvents uint64
 	RingSpills uint64

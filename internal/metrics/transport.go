@@ -23,8 +23,6 @@ func TCPStatsTable(s transport.TCPStats) string {
 	t.AddRow("frames written", s.FramesWritten)
 	t.AddRow("stream flushes", s.Flushes)
 	t.AddRow("vectored flushes", s.VectorFlushes)
-	t.AddRow("backpressure engaged", s.BackpressureEngaged)
-	t.AddRow("mailbox peak depth", s.MailboxPeak)
 	t.AddRow("heartbeats sent", s.HeartbeatsSent)
 	t.AddRow("acks sent", s.AcksSent)
 	t.AddRow("acks received", s.AcksReceived)

@@ -14,7 +14,7 @@ package msg
 //
 // Ownership rule: a pooled message belongs to exactly one delivery.
 // The component that invokes the consuming step calls Recycle
-// afterwards (the transport's dispatch mailbox for synchronous
+// afterwards (the TCP inbox's socket reader for synchronous
 // handlers, the engine Host's shard loop for asynchronous shard
 // ingress); nothing may retain the pointer past that step. Recycle
 // zeroes the struct before returning it to the pool so a stale read

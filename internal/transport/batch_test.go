@@ -1,7 +1,7 @@
 package transport_test
 
-// Tests for write-side frame batching and the mailbox backpressure
-// signal as observed through the public TCP surface.
+// Tests for write-side frame batching as observed through the public
+// TCP surface.
 
 import (
 	"sync"
@@ -131,56 +131,5 @@ func TestBatchingSurvivesConnectionDrop(t *testing.T) {
 		if v != uint64(i+1) {
 			t.Fatalf("frame %d carried N=%d, want %d (drop broke exactly-once FIFO)", i, v, i+1)
 		}
-	}
-}
-
-func TestMailboxBackpressureSurfacesInStatsAndEvents(t *testing.T) {
-	const highWater = 64
-	var emu sync.Mutex
-	events := map[transport.ConnEventKind]int{}
-	o := transport.TCPOptions{
-		MailboxHighWater: highWater,
-		OnConnEvent: func(e transport.ConnEvent) {
-			emu.Lock()
-			events[e.Kind]++
-			emu.Unlock()
-		},
-	}
-	net_ := transport.NewTCPWithOptions(o)
-	defer net_.Close()
-
-	release := make(chan struct{})
-	var mu sync.Mutex
-	seen := 0
-	net_.Register(1, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
-	net_.Register(2, transport.HandlerFunc(func(transport.NodeID, msg.Message) {
-		<-release // wedge the receiving node so its mailbox fills
-		mu.Lock()
-		seen++
-		mu.Unlock()
-	}))
-	const n = 4 * highWater
-	for i := 0; i < n; i++ {
-		net_.Send(1, 2, msg.Probe{Tag: idTag(uint64(i + 1))})
-	}
-	pollUntil(t, "backpressure to engage", func() bool {
-		return net_.Stats().BackpressureEngaged >= 1
-	})
-	if peak := net_.Stats().MailboxPeak; peak < highWater {
-		t.Fatalf("MailboxPeak = %d, want >= %d", peak, highWater)
-	}
-	close(release)
-	pollUntil(t, "wedged node to drain", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return seen == n
-	})
-	emu.Lock()
-	defer emu.Unlock()
-	if events[transport.ConnBackpressureOn] == 0 {
-		t.Fatal("no ConnBackpressureOn event")
-	}
-	if events[transport.ConnBackpressureOff] == 0 {
-		t.Fatal("no ConnBackpressureOff event")
 	}
 }

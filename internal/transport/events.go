@@ -37,12 +37,6 @@ const (
 	// (observed by the link's peer watcher); the link re-dials when
 	// there is traffic or history to replay.
 	ConnPeerClosed
-	// ConnBackpressureOn: a node's ingress mailbox crossed the configured
-	// high watermark — the node is not keeping up with its arrival rate.
-	ConnBackpressureOn
-	// ConnBackpressureOff: the mailbox drained back to half the high
-	// watermark.
-	ConnBackpressureOff
 	// ConnPeerDown: the link's lease on the peer expired — LeaseMisses
 	// consecutive lease intervals passed without an acknowledgement, so
 	// the peer is presumed crashed (or unreachable, which the lease
@@ -58,17 +52,15 @@ const (
 )
 
 var connEventNames = map[ConnEventKind]string{
-	ConnConnected:       "connected",
-	ConnReconnected:     "reconnected",
-	ConnDialRetry:       "dial-retry",
-	ConnDialDeadline:    "dial-deadline",
-	ConnWriteError:      "write-error",
-	ConnReadError:       "read-error",
-	ConnPeerClosed:      "peer-closed",
-	ConnBackpressureOn:  "backpressure-on",
-	ConnBackpressureOff: "backpressure-off",
-	ConnPeerDown:        "peer-down",
-	ConnPeerUp:          "peer-up",
+	ConnConnected:    "connected",
+	ConnReconnected:  "reconnected",
+	ConnDialRetry:    "dial-retry",
+	ConnDialDeadline: "dial-deadline",
+	ConnWriteError:   "write-error",
+	ConnReadError:    "read-error",
+	ConnPeerClosed:   "peer-closed",
+	ConnPeerDown:     "peer-down",
+	ConnPeerUp:       "peer-up",
 }
 
 // String returns the lower-case name of the kind.
@@ -90,8 +82,6 @@ type ConnEvent struct {
 	Addr string
 	// Attempt counts dial attempts within the current connect cycle.
 	Attempt int
-	// Depth is the mailbox depth at a backpressure transition.
-	Depth int
 	// Inc is the peer inbox incarnation observed on a ConnPeerUp event
 	// (nonzero only there).
 	Inc uint64
@@ -107,9 +97,6 @@ func (e ConnEvent) String() string {
 	}
 	if e.Attempt > 0 {
 		s += fmt.Sprintf(" attempt=%d", e.Attempt)
-	}
-	if e.Depth > 0 {
-		s += fmt.Sprintf(" depth=%d", e.Depth)
 	}
 	if e.Inc != 0 {
 		s += fmt.Sprintf(" inc=%x", e.Inc)
@@ -158,15 +145,6 @@ type TCPOptions struct {
 	// reconnect protocol replays written frames and receivers dedup by
 	// sequence number. Default 64.
 	MaxBatch int
-	// MailboxHighWater, when > 0, arms a backpressure signal on every
-	// registered node's ingress mailbox: crossing this queued-frame depth
-	// emits a ConnBackpressureOn event (and counts in
-	// TCPStats.BackpressureEngaged); draining back to half of it emits
-	// ConnBackpressureOff. The mailbox stays unbounded either way —
-	// refusing delivery would violate the no-loss axiom P4 — the signal
-	// exists so operators see overload instead of silent queue growth.
-	// Default 0 (disabled).
-	MailboxHighWater int
 	// LeaseInterval, when > 0, arms the lease-based failure detector on
 	// every outbound link: the link sends a lightweight ping control
 	// frame on the established connection once per interval (piggybacked
@@ -265,10 +243,12 @@ type TCPStats struct {
 	FramesWritten int64
 	Flushes       int64
 	VectorFlushes int64
-	// BackpressureEngaged counts mailbox high-watermark crossings;
-	// MailboxPeak is the deepest any node's ingress mailbox has been.
-	BackpressureEngaged int64
-	MailboxPeak         int64
+	// MailboxPeak is always 0. It was the deepest a host's dispatch
+	// mailbox had been, a queue that has been removed: a reader hands
+	// each in-order frame straight to its handler. The field stays
+	// because the repo benchmark still reads it
+	// (transport.mailbox_peak).
+	MailboxPeak int64
 	// HeartbeatsSent counts lease ping control frames written; AcksSent
 	// and AcksReceived count acknowledgement control frames on the
 	// receive and send sides respectively.
@@ -292,34 +272,33 @@ type tcpCounters struct {
 	writeErrors, readErrors                                 atomic.Int64
 	replayed, duplicates, resequenced, heldDropped          atomic.Int64
 	heldPurged                                              atomic.Int64
-	framesWritten, flushes, vectorFlushes, backpressure     atomic.Int64
+	framesWritten, flushes, vectorFlushes                   atomic.Int64
 	heartbeats, acksSent, acksReceived, framesPruned        atomic.Int64
 	peerDowns, peerUps                                      atomic.Int64
 }
 
 func (c *tcpCounters) snapshot() TCPStats {
 	return TCPStats{
-		Dials:               c.dials.Load(),
-		DialRetries:         c.dialRetries.Load(),
-		Connects:            c.connects.Load(),
-		Reconnects:          c.reconnects.Load(),
-		DialDeadlines:       c.dialDeadlines.Load(),
-		WriteErrors:         c.writeErrors.Load(),
-		ReadErrors:          c.readErrors.Load(),
-		Replayed:            c.replayed.Load(),
-		Duplicates:          c.duplicates.Load(),
-		Resequenced:         c.resequenced.Load(),
-		HeldFramesDropped:   c.heldDropped.Load(),
-		HeldFramesPurged:    c.heldPurged.Load(),
-		FramesWritten:       c.framesWritten.Load(),
-		Flushes:             c.flushes.Load(),
-		VectorFlushes:       c.vectorFlushes.Load(),
-		BackpressureEngaged: c.backpressure.Load(),
-		HeartbeatsSent:      c.heartbeats.Load(),
-		AcksSent:            c.acksSent.Load(),
-		AcksReceived:        c.acksReceived.Load(),
-		FramesPruned:        c.framesPruned.Load(),
-		PeerDowns:           c.peerDowns.Load(),
-		PeerUps:             c.peerUps.Load(),
+		Dials:             c.dials.Load(),
+		DialRetries:       c.dialRetries.Load(),
+		Connects:          c.connects.Load(),
+		Reconnects:        c.reconnects.Load(),
+		DialDeadlines:     c.dialDeadlines.Load(),
+		WriteErrors:       c.writeErrors.Load(),
+		ReadErrors:        c.readErrors.Load(),
+		Replayed:          c.replayed.Load(),
+		Duplicates:        c.duplicates.Load(),
+		Resequenced:       c.resequenced.Load(),
+		HeldFramesDropped: c.heldDropped.Load(),
+		HeldFramesPurged:  c.heldPurged.Load(),
+		FramesWritten:     c.framesWritten.Load(),
+		Flushes:           c.flushes.Load(),
+		VectorFlushes:     c.vectorFlushes.Load(),
+		HeartbeatsSent:    c.heartbeats.Load(),
+		AcksSent:          c.acksSent.Load(),
+		AcksReceived:      c.acksReceived.Load(),
+		FramesPruned:      c.framesPruned.Load(),
+		PeerDowns:         c.peerDowns.Load(),
+		PeerUps:           c.peerUps.Load(),
 	}
 }

@@ -116,45 +116,14 @@ func newGroupInbox(t *testing.T, h Handler, lg DeliveryLog) (*TCP, *inbox) {
 	return tr, tr.inboxOf(2)
 }
 
-// wantEvents compares the event list with want. Journal, commit and
-// ack events are recorded synchronously by the reader and must match
-// exactly, in order. A delivery is recorded by the inbox's mailbox
-// dispatcher some time after the resequencer handed the frame on, so
-// d<seq> may land later than want places it — past an ack, or past a
-// later group's events — but never earlier, and deliveries keep their
-// order: a frame is never delivered ahead of the commit covering it.
+// wantEvents compares the event list with want, exactly: the reader
+// journals, commits, hands each frame to its handler and writes the
+// ack on one goroutine, so every event lands in the order it happened.
 func wantEvents(t *testing.T, l *eventLog, want ...string) {
 	t.Helper()
-	if got := l.snapshot(); !eventsMatch(got, want) {
+	if got := l.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("event order\n got %v\nwant %v", got, want)
 	}
-}
-
-func eventsMatch(got, want []string) bool {
-	// split separates deliveries from the rest, remembering how many
-	// other events precede each delivery.
-	split := func(evs []string) (rest, dels []string, after []int) {
-		for _, e := range evs {
-			if e[0] == 'd' {
-				dels = append(dels, e)
-				after = append(after, len(rest))
-			} else {
-				rest = append(rest, e)
-			}
-		}
-		return rest, dels, after
-	}
-	gotRest, gotDels, gotAfter := split(got)
-	wantRest, wantDels, wantAfter := split(want)
-	if !reflect.DeepEqual(gotRest, wantRest) || !reflect.DeepEqual(gotDels, wantDels) {
-		return false
-	}
-	for i := range gotAfter {
-		if gotAfter[i] < wantAfter[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func awaitEvents(t *testing.T, l *eventLog, want ...string) {
@@ -461,7 +430,7 @@ func TestUnsequencedDataFrameRejected(t *testing.T) {
 	p := startPipeReader(t, tr, ib, log)
 	unsequenced := msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Msg: &msg.Probe{Tag: id.Tag{Initiator: 1}}}
 	p.write(t, nil, groupEnv(1), unsequenced, groupEnv(2), groupPing())
-	// The mailbox is FIFO: a delivered unsequenced frame would land before d2.
+	// A delivered unsequenced frame would land between d1 and d2.
 	awaitEvents(t, log, "a1", "commit", "d1", "ack1", "a2", "commit", "d2", "ack2")
 	mu.Lock()
 	defer mu.Unlock()
@@ -497,7 +466,7 @@ func blockedCommit(t *testing.T, h Handler, log *eventLog) (release func()) {
 }
 
 // TestSyncBeforeDeliver pins the first write-ahead ordering on the
-// mailbox path: while the group's commit has not returned, no frame of
+// hand-off path: while the group's commit has not returned, no frame of
 // the group reaches the handler. Moving the commit after the hand-off
 // fails here.
 func TestSyncBeforeDeliver(t *testing.T) {

@@ -1,12 +1,10 @@
 package transport
 
 // Regression tests for the hot-path hardening sweep: the resequencer's
-// held-frame cap, newEpoch's entropy-failure fallback, and the mailbox
-// ring's resize hysteresis.
+// held-frame cap and newEpoch's entropy-failure fallback.
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/msg"
@@ -20,15 +18,11 @@ func TestResequencerHeldCap(t *testing.T) {
 	const cap = 8
 	tr := NewTCPWithOptions(TCPOptions{MaxHeldPerStream: cap})
 	defer tr.Close()
-	var mu sync.Mutex
-	var got []delivery
-	ib := &inbox{host: 2, inc: newEpoch(), pairs: make(map[NodeID]*pairState)}
-	ib.box = newMailbox(func(d delivery) {
-		mu.Lock()
-		got = append(got, d)
-		mu.Unlock()
-	}, mailboxConfig{})
-	defer ib.box.close()
+	// receive hands an in-order frame to its handler before it returns,
+	// on the calling goroutine, so got needs no lock.
+	var got []msg.Message
+	tr.Register(2, HandlerFunc(func(_ NodeID, m msg.Message) { got = append(got, m) }))
+	ib := tr.inboxOf(2)
 
 	const hostile = 100
 	for i := 0; i < hostile; i++ {
@@ -54,11 +48,9 @@ func TestResequencerHeldCap(t *testing.T) {
 	// The stream itself is still healthy: the next in-order frame
 	// delivers immediately.
 	tr.receive(ib, msg.Envelope{From: 1, To: 2, SrcHost: 1, Epoch: 7, Seq: 1, Msg: msg.Request{}}, false)
-	waitFor(t, "in-order frame to deliver", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	})
+	if len(got) != 1 {
+		t.Fatalf("%d frames delivered after the in-order frame, want 1", len(got))
+	}
 }
 
 // TestNewEpochEntropyFallback: when the entropy source fails (or
@@ -98,44 +90,5 @@ func TestNewEpochEntropyFallback(t *testing.T) {
 	}
 	if e := newEpoch(); e == 0 {
 		t.Fatal("all-zero entropy produced epoch 0")
-	}
-}
-
-// TestMailboxResizeHysteresis: a workload oscillating around a ring
-// power-of-two boundary must not pay a reallocation per cycle. Without
-// the consecutive-pop hysteresis each cycle below shrinks on the drain
-// and grows again on the refill (two copies per cycle, ~2000 total);
-// with it the ring just stays put.
-func TestMailboxResizeHysteresis(t *testing.T) {
-	mb := &mailbox{} // bare ring: no dispatcher, single-threaded access
-	for i := 0; i < 17; i++ {
-		mb.pushLocked(delivery{seq: uint64(i)})
-	}
-	if c := len(mb.buf); c != 32 {
-		t.Fatalf("capacity = %d after 17 pushes, want 32", c)
-	}
-	base := mb.resizes
-	for cycle := 0; cycle < 1000; cycle++ {
-		for i := 0; i < 9; i++ {
-			mb.popLocked() // drain to n=8 (== cap/4 of 32)
-		}
-		for i := 0; i < 9; i++ {
-			mb.pushLocked(delivery{}) // refill to n=17
-		}
-	}
-	if thrash := mb.resizes - base; thrash > 2 {
-		t.Fatalf("ring resized %d times across 1000 oscillation cycles, want <= 2", thrash)
-	}
-
-	// A sustained drain must still reclaim the memory: that is the whole
-	// point of shrinking, and the hysteresis only defers it.
-	for mb.n < 129 {
-		mb.pushLocked(delivery{})
-	}
-	for mb.n > 0 {
-		mb.popLocked()
-	}
-	if c := len(mb.buf); c > 64 {
-		t.Fatalf("capacity = %d after sustained drain, want <= 64", c)
 	}
 }

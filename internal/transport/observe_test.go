@@ -14,8 +14,7 @@ import (
 // TestObserveAttachedMidStream: an observer attached to a TCP transport
 // after a host stream into an engine Host has delivered its first frame
 // sees every later delivery on that stream. Every resequenced frame
-// reaches the Host through the inbox's dispatch mailbox, where
-// observers fire.
+// reaches the Host through the inbox's hand-off, where observers fire.
 func TestObserveAttachedMidStream(t *testing.T) {
 	const later = 200
 	tcpA, tcpB := transport.NewTCP(), transport.NewTCP()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -57,12 +58,17 @@ type TCP struct {
 	listeners map[NodeID]net.Listener
 	addrs     map[NodeID]string
 	inboxes   map[NodeID]*inbox
-	// handlers is the node directory the host inboxes demultiplex into.
-	handlers  map[NodeID]Handler
 	links     map[link]*outLink
 	inConns   []net.Conn
-	observers []Observer
 	closed    bool
+
+	// handlers is the node directory the host inboxes demultiplex into,
+	// and observers the attached observers. Both are copy-on-write
+	// snapshots that Register and Observe republish under mu, so a
+	// delivery resolves its handler and observers with atomic loads and
+	// never takes mu, which Send takes on every frame.
+	handlers  atomic.Pointer[map[NodeID]Handler]
+	observers atomic.Pointer[[]Observer]
 
 	// resolver, when set, answers every placement question: node→host
 	// from a routing directory, host→addr from a member map.
@@ -74,9 +80,10 @@ type TCP struct {
 	stats tcpCounters
 }
 
-// inbox is the receive side of one local host: the dispatch mailbox
-// plus the per-source-host resequencing state that survives
-// connection drops (it must outlive any single inbound connection).
+// inbox is the receive side of one local host: the per-source-host
+// resequencing state that survives connection drops (it must outlive
+// any single inbound connection). Its lock also serializes the
+// hand-off of in-order frames to the host's handlers (see dispatch).
 //
 // inc is the inbox's incarnation, drawn at registration and stamped on
 // every acknowledgement: a sender comparing incarnations across acks
@@ -85,7 +92,6 @@ type TCP struct {
 // connection (same inc — replay + dedup suffice).
 type inbox struct {
 	host NodeID
-	box  *mailbox
 	inc  uint64
 
 	mu    sync.Mutex
@@ -106,6 +112,18 @@ type inbox struct {
 	// the stage is owned by the transport until the flush hands it on.
 	// The backing array is reused across groups.
 	stage []delivery
+}
+
+// delivery is one in-order frame on its way to a handler. seq and epoch
+// are the sender-assigned frame sequencing; they let sequence-aware
+// handlers and observers audit the reconnect protocol. to is the
+// destination node the host demultiplexes by.
+type delivery struct {
+	from  NodeID
+	to    NodeID
+	m     msg.Message
+	seq   uint64
+	epoch uint64
 }
 
 // tcpGroupMax bounds how many frames one group commit covers: a stage
@@ -155,7 +173,6 @@ func NewTCPWithOptions(o TCPOptions) *TCP {
 		listeners: make(map[NodeID]net.Listener),
 		addrs:     make(map[NodeID]string),
 		inboxes:   make(map[NodeID]*inbox),
-		handlers:  make(map[NodeID]Handler),
 		links:     make(map[link]*outLink),
 		done:      make(chan struct{}),
 	}
@@ -163,13 +180,46 @@ func NewTCPWithOptions(o TCPOptions) *TCP {
 
 // Observe attaches an observer to all subsequent traffic. Observers
 // that also implement SeqObserver additionally receive each delivered
-// frame's (epoch, seq) sequencing. Every delivery goes through the
-// dispatch mailbox, so an observer attached mid-traffic sees every
-// delivery dispatched after it.
+// frame's (epoch, seq) sequencing. An observer attached mid-traffic
+// sees every send and delivery that loads the list after it.
 func (t *TCP) Observe(o Observer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.observers = append(t.observers, o)
+	var next []Observer
+	if cur := t.observers.Load(); cur != nil {
+		next = append(next, *cur...)
+	}
+	next = append(next, o)
+	t.observers.Store(&next)
+}
+
+// observerList returns the current observer snapshot (possibly nil).
+func (t *TCP) observerList() []Observer {
+	if cur := t.observers.Load(); cur != nil {
+		return *cur
+	}
+	return nil
+}
+
+// setHandlerLocked (t.mu held) republishes the handler directory with
+// node's handler added.
+func (t *TCP) setHandlerLocked(node NodeID, h Handler) {
+	next := make(map[NodeID]Handler)
+	if cur := t.handlers.Load(); cur != nil {
+		for k, v := range *cur {
+			next[k] = v
+		}
+	}
+	next[node] = h
+	t.handlers.Store(&next)
+}
+
+// handler resolves node's handler from the directory snapshot.
+func (t *TCP) handler(node NodeID) Handler {
+	if cur := t.handlers.Load(); cur != nil {
+		return (*cur)[node]
+	}
+	return nil
 }
 
 // SetPeer records (or updates) the dial address of a host elsewhere —
@@ -182,27 +232,20 @@ func (t *TCP) SetPeer(host NodeID, addr string) {
 }
 
 // Stats returns a snapshot of the failure-handling counters.
-func (t *TCP) Stats() TCPStats {
-	s := t.stats.snapshot()
-	t.mu.Lock()
-	for _, ib := range t.inboxes {
-		if p := int64(ib.box.peakDepth()); p > s.MailboxPeak {
-			s.MailboxPeak = p
-		}
-	}
-	t.mu.Unlock()
-	return s
-}
+func (t *TCP) Stats() TCPStats { return t.stats.snapshot() }
 
 // Register implements Transport. It records the node's handler; the
-// node's host listener carries its ingress. With no resolver installed
-// the node is its own host, and Register opens that host's loopback
-// listener unless ListenHost already did. Under a resolver, a node
-// placed on a local host shares that host's listener, and a node the
-// resolver does not place, or places on a host with no local listener,
-// is a programming error and panics — except while this transport
-// listens for some host: then a migration target may register a node
-// the resolver still places elsewhere.
+// node's host listener carries its ingress. The handler is called on
+// the host's connection reader goroutines, under the inbox lock (see
+// Handler): calls into one host's handlers never overlap, and a
+// handler must not wait for a later frame into the same host. With no
+// resolver installed the node is its own host, and Register opens that
+// host's loopback listener unless ListenHost already did. Under a
+// resolver, a node placed on a local host shares that host's listener,
+// and a node the resolver does not place, or places on a host with no
+// local listener, is a programming error and panics — except while
+// this transport listens for some host: then a migration target may
+// register a node the resolver still places elsewhere.
 func (t *TCP) Register(id NodeID, h Handler) {
 	t.mu.Lock()
 	host, placed := t.hostOfLocked(id)
@@ -216,7 +259,7 @@ func (t *TCP) Register(id NodeID, h Handler) {
 	case t.resolver == nil:
 		// Identity placement: the node opens its own host's listener.
 		// The handler goes in first so no frame finds the host without it.
-		t.handlers[id] = h
+		t.setHandlerLocked(id, h)
 		t.mu.Unlock()
 		if err := t.ListenHost(host, "127.0.0.1:0"); err != nil {
 			panic(fmt.Sprintf("tcp: register node %d: %v", id, err))
@@ -233,7 +276,7 @@ func (t *TCP) Register(id NodeID, h Handler) {
 		t.mu.Unlock()
 		panic(fmt.Sprintf("tcp: register node %d: placed on host %d, which has no local listener (ListenHost first, or the node belongs on the remote host)", id, host))
 	}
-	t.handlers[id] = h
+	t.setHandlerLocked(id, h)
 	t.mu.Unlock()
 }
 
@@ -249,56 +292,16 @@ func (t *TCP) ListenHost(host NodeID, addr string) error {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
 	ib := &inbox{host: host, inc: newEpoch(), pairs: make(map[NodeID]*pairState)}
-	ib.box = newMailbox(func(d delivery) {
-		t.mu.Lock()
-		h := t.handlers[d.to]
-		obs := t.observers
-		t.mu.Unlock()
-		if h == nil {
-			// A frame for a node the host never registered: droppable
-			// misconfiguration, not a crash — the rest of the host's
-			// traffic must keep flowing.
-			t.report(fmt.Errorf("tcp: host %d received frame for unregistered node %d", host, d.to))
-			msg.Recycle(d.m)
-			return
-		}
-		for _, o := range obs {
-			o.OnDeliver(d.from, d.to, d.m)
-			if so, ok := o.(SeqObserver); ok && d.seq != 0 {
-				so.OnSequencedDeliver(d.from, d.to, d.epoch, d.seq, d.m)
-			}
-		}
-		if seqh, ok := h.(SequencedHandler); ok && d.seq != 0 {
-			seqh.HandleSequenced(d.from, d.m, d.epoch, d.seq)
-		} else {
-			h.HandleMessage(d.from, d.m)
-		}
-		if _, retains := h.(MessageRetainer); !retains {
-			msg.Recycle(d.m)
-		}
-	}, mailboxConfig{
-		highWater: t.opts.MailboxHighWater,
-		onPressure: func(engaged bool, depth int) {
-			kind := ConnBackpressureOff
-			if engaged {
-				kind = ConnBackpressureOn
-				t.stats.backpressure.Add(1)
-			}
-			t.event(ConnEvent{Kind: kind, To: host, Depth: depth})
-		},
-	})
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		ln.Close()
-		ib.box.close()
 		return errors.New("transport closed")
 	}
 	if _, dup := t.listeners[host]; dup {
 		t.mu.Unlock()
 		ln.Close()
-		ib.box.close()
 		return fmt.Errorf("listen host %d: already listening", host)
 	}
 	t.listeners[host] = ln
@@ -427,9 +430,10 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 // delivers — or, with a group-capable delivery log, journals and stages
 // — everything that is now in order. Both happen under ib.mu so frames
 // of one pair arriving on overlapping connections (old one draining
-// while the replacement is live) cannot interleave; mailbox.put never
-// blocks, so the only slow work the lock is ever held across is the
-// delivery log's own barrier.
+// while the replacement is live) cannot interleave, and so the host's
+// handler calls never overlap. The lock is held across the delivery
+// log's barrier and the handlers themselves, which is why a handler
+// must not wait for a frame into the same host.
 //
 // more reports that the reader's decoder already holds another complete
 // frame. When it does not, the reader may block before it comes back, so
@@ -571,7 +575,7 @@ func (t *TCP) deliverLocked(ib *inbox, key NodeID, d delivery) {
 	case ib.lg != nil:
 		ib.lg.LogDelivery(key, true, d.epoch, d.seq, d.from, d.to, d.m)
 	}
-	ib.box.put(d)
+	t.dispatch(ib, d)
 }
 
 // flushLocked (ib.mu held) closes the current group: one commit over
@@ -584,10 +588,43 @@ func (t *TCP) flushLocked(ib *inbox) {
 	}
 	ib.glg.CommitDeliveries()
 	for i := range ib.stage {
-		ib.box.put(ib.stage[i])
+		t.dispatch(ib, ib.stage[i])
 		ib.stage[i] = delivery{} // the reused array must not pin the message
 	}
 	ib.stage = ib.stage[:0]
+}
+
+// dispatch (ib.mu held) hands one in-order frame to its handler on the
+// calling reader goroutine: observers first, then the handler, then
+// the recycle unless the handler retains the message. The inbox lock
+// is what orders a stream's frames across overlapping connections, so
+// holding it here makes the resequencer's order the handlers' order
+// and keeps one host's handler calls from overlapping. The handler and
+// observers come from atomic snapshots: a delivery takes no t.mu.
+func (t *TCP) dispatch(ib *inbox, d delivery) {
+	h := t.handler(d.to)
+	if h == nil {
+		// A frame for a node the host never registered: droppable
+		// misconfiguration, not a crash — the rest of the host's
+		// traffic must keep flowing.
+		t.report(fmt.Errorf("tcp: host %d received frame for unregistered node %d", ib.host, d.to))
+		msg.Recycle(d.m)
+		return
+	}
+	for _, o := range t.observerList() {
+		o.OnDeliver(d.from, d.to, d.m)
+		if so, ok := o.(SeqObserver); ok {
+			so.OnSequencedDeliver(d.from, d.to, d.epoch, d.seq, d.m)
+		}
+	}
+	if seqh, ok := h.(SequencedHandler); ok {
+		seqh.HandleSequenced(d.from, d.m, d.epoch, d.seq)
+	} else {
+		h.HandleMessage(d.from, d.m)
+	}
+	if _, retains := h.(MessageRetainer); !retains {
+		msg.Recycle(d.m)
+	}
 }
 
 // flush closes the inbox's current group from outside the lock.
@@ -652,7 +689,6 @@ func (t *TCP) send(pinnedSrc, from, to NodeID, m msg.Message) {
 		t.mu.Unlock()
 		return
 	}
-	obs := t.observers
 	src, srcPlaced := pinnedSrc, true
 	if pinnedSrc == 0 {
 		src, srcPlaced = t.hostOfLocked(from)
@@ -689,7 +725,7 @@ func (t *TCP) send(pinnedSrc, from, to NodeID, m msg.Message) {
 	l.queue = append(l.queue, msg.Envelope{
 		From: int32(from), To: int32(to), SrcHost: int32(src), Seq: l.seq, Epoch: l.epoch, Msg: m,
 	})
-	for _, o := range obs {
+	for _, o := range t.observerList() {
 		o.OnSend(from, to, m)
 	}
 	l.cond.Broadcast()
@@ -815,8 +851,8 @@ func (t *TCP) isClosed() bool {
 	return t.closed
 }
 
-// Close shuts down listeners, links, connections and mailboxes and
-// waits for every goroutine to exit.
+// Close shuts down listeners, links and connections and waits for
+// every goroutine to exit.
 func (t *TCP) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -834,10 +870,6 @@ func (t *TCP) Close() {
 	for _, l := range t.links {
 		links = append(links, l)
 	}
-	boxes := make([]*mailbox, 0, len(t.inboxes))
-	for _, ib := range t.inboxes {
-		boxes = append(boxes, ib.box)
-	}
 	t.mu.Unlock()
 
 	for _, ln := range lns {
@@ -850,9 +882,6 @@ func (t *TCP) Close() {
 		c.Close()
 	}
 	t.wg.Wait()
-	for _, b := range boxes {
-		b.close()
-	}
 }
 
 var (

@@ -2,10 +2,11 @@
 // exact guarantees the paper's proofs rely on: every message is received
 // correctly, within finite time, and in the order sent between any
 // ordered pair of nodes (§2.4 "We assume that messages ... are received
-// in finite time in the order sent", and axiom P4). Three
-// implementations share one interface: a deterministic simulated network
-// driven by a discrete-event scheduler, a live in-process network built
-// from goroutines and mailboxes, and a TCP network over real sockets.
+// in finite time in the order sent", and axiom P4). Two implementations
+// share one interface: a deterministic simulated network driven by a
+// discrete-event scheduler, and a TCP network over real sockets. The
+// live in-process runtime is engine.Host, which implements the same
+// interface over its shard queues.
 package transport
 
 import (
@@ -23,6 +24,15 @@ type NodeID int32
 // node's handler sequentially — one message at a time — which realizes
 // the paper's atomic-step requirement ("Each step ... once started must
 // be completed before the process can send or receive other messages").
+//
+// On TCP the handler is called on its host's connection reader
+// goroutine, under the host's inbox lock, in resequencer order: the
+// calls into every handler of one host never overlap, and a frame is
+// journaled (when a delivery log is attached) before its handler runs
+// and acknowledged after. A TCP handler may send, and may wait on
+// anything that does not itself wait for a frame into the same host —
+// it must never wait for such a frame, because that frame can only
+// arrive through the lock the handler is holding.
 type Handler interface {
 	HandleMessage(from NodeID, m msg.Message)
 }
@@ -63,7 +73,7 @@ type SequencedHandler interface {
 // DeliveryLog is the durability hook of an inbox: when attached (see
 // TCP.SetDeliveryLog), every sequenced frame is journaled at the moment
 // the resequencer commits it for delivery — under the inbox lock, before
-// the frame reaches the dispatch mailbox and, crucially, before the
+// the frame reaches its handler and, crucially, before the
 // acknowledgement covering it is written back to the sender. The
 // journal's durability barrier therefore gives two write-ahead
 // orderings: no frame is delivered before a barrier covering its record
@@ -92,8 +102,8 @@ type DeliveryLog interface {
 // reader calls AppendDelivery for every in-order frame it can decode
 // without blocking, parks the deliveries on the inbox's stage, and then
 // calls CommitDeliveries once; only after it returns are the staged
-// frames handed to the dispatch mailbox, in stage order, and only
-// then is an acknowledgement written (DESIGN.md §11).
+// frames handed to their handlers, in stage order, and only then is
+// an acknowledgement written (DESIGN.md §11).
 //
 // AppendDelivery journals one frame without making it durable. It must
 // not block on anything that waits for staged frames to be delivered:
