@@ -38,7 +38,7 @@ race:
 # readings several-fold, so the race-only test job can never see it
 # fail (CI runs this as the gates job).
 gates:
-	$(GO) test -count=10 -run 'TestTxnAllocGates|TestHeapFlatInCommitCount|TestTimerArmSteadyStateAllocs' ./internal/ddb ./internal/engine
+	$(GO) test -count=10 -run 'TestTxnAllocGates|TestHeapFlatInCommitCount|TestTimerArmSteadyStateAllocs|TestProbeStepAllocGate' ./internal/ddb ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -234,10 +234,12 @@ type Controller struct {
 	// empties it before the step that filled it returns.
 	ready []*txnState
 
-	// Probe-computation state; see probe.go.
-	nextN    uint64
-	comps    map[compKey]*probeComp
-	latestBy map[id.Site]uint64
+	// Probe-computation state; see probe.go. walkSeen and walkQueue are
+	// labelReachableStep's scratch, empty between steps.
+	nextN     uint64
+	windows   map[id.Site]*initWindow
+	walkSeen  map[id.Txn]bool
+	walkQueue []id.Txn
 
 	// Counters surfaced by Stats.
 	computations   uint64
@@ -279,8 +281,8 @@ func NewController(cfg Config) (*Controller, error) {
 		locks:    newLockTable(),
 		agents:   make(map[id.Txn]*agentState),
 		txns:     make(map[id.Txn]*txnState),
-		comps:    make(map[compKey]*probeComp),
-		latestBy: make(map[id.Site]uint64),
+		windows:  make(map[id.Site]*initWindow),
+		walkSeen: make(map[id.Txn]bool),
 	}
 	c.fx.Settle = c.drainReadyStep
 	cfg.Transport.Register(node, c)

@@ -11,7 +11,7 @@ import (
 
 // harness builds a raw two-controller system with manual detection for
 // handler-level unit tests.
-func harness(t *testing.T, sites int) (*sim.Scheduler, []*Controller) {
+func harness(t testing.TB, sites int) (*sim.Scheduler, []*Controller) {
 	t.Helper()
 	sched := sim.New(1)
 	net := transport.NewSimNet(sched, transport.FixedLatency(sim.Millisecond))

@@ -71,7 +71,8 @@ func (c *Controller) interEdgesStep(txn id.Txn) []id.AgentEdge {
 // watchStart is true, by being the start itself). The walk is a fresh
 // BFS every time: the declaration condition of steps A0/A1 is about
 // reachability over the edges as they stand at this atomic step, not
-// about the accumulated label set.
+// about the accumulated label set. The visited set and the queue are the
+// controller's scratch, reused by every walk.
 func (c *Controller) labelReachableStep(comp *probeComp, start, watch id.Txn, watchStart bool) (newly []id.Txn, watchReached bool) {
 	if _, present := c.agents[start]; !present {
 		return nil, false
@@ -79,30 +80,33 @@ func (c *Controller) labelReachableStep(comp *probeComp, start, watch id.Txn, wa
 	if watchStart && start == watch {
 		watchReached = true
 	}
-	visited := map[id.Txn]bool{start: true}
+	seen, queue := c.walkSeen, append(c.walkQueue, start)
+	seen[start] = true
 	if !comp.labeled[start] {
-		comp.labeled[start] = true
+		comp.label(start)
 		newly = append(newly, start)
 	}
-	queue := []id.Txn{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, succ := range c.intraSuccessorsStep(cur) {
+	for i := 0; i < len(queue); i++ {
+		for _, succ := range c.intraSuccessorsStep(queue[i]) {
 			if succ == watch {
 				watchReached = true
 			}
-			if visited[succ] {
+			if seen[succ] {
 				continue
 			}
-			visited[succ] = true
+			seen[succ] = true
 			if !comp.labeled[succ] {
-				comp.labeled[succ] = true
+				comp.label(succ)
 				newly = append(newly, succ)
 			}
 			queue = append(queue, succ)
 		}
 	}
+	// The queue holds every visited agent once: empty the scratch.
+	for _, t := range queue {
+		delete(seen, t)
+	}
+	c.walkQueue = queue[:0]
 	return newly, watchReached
 }
 

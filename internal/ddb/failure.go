@@ -91,12 +91,7 @@ func (c *Controller) peerDownStep(dead id.Site) {
 	// here, and keeping them would let a restarted incarnation's reused
 	// (site, n) keys inherit stale labeled/probed sets.
 	if dead != c.cfg.Site {
-		for key := range c.comps {
-			if key.site == dead {
-				delete(c.comps, key)
-			}
-		}
-		delete(c.latestBy, dead)
+		delete(c.windows, dead)
 	}
 }
 
@@ -121,7 +116,10 @@ func (c *Controller) StepPeerUp(peer transport.NodeID) {
 }
 
 func (c *Controller) peerUpStep(peer id.Site) {
-	if peer != c.cfg.Site {
-		delete(c.latestBy, peer)
+	if w := c.windows[peer]; w != nil && peer != c.cfg.Site {
+		w.latest = 0
+		if len(w.comps) == 0 {
+			delete(c.windows, peer)
+		}
 	}
 }

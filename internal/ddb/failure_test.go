@@ -150,14 +150,7 @@ func TestPeerDownAbortsTransactionsStuckOnDeadSite(t *testing.T) {
 func TestPeerDownUpResetsProbeWindow(t *testing.T) {
 	_, ctrls := harness(t, 2)
 	c := ctrls[0]
-	c.run.Exec(func() {
-		c.latestBy[1] = compWindow + 1000
-		c.comps[compKey{site: 1, n: compWindow + 1000}] = &probeComp{
-			tag:     id.CtrlTag{Initiator: 1, N: compWindow + 1000},
-			labeled: make(map[id.Txn]bool),
-			probed:  make(map[id.AgentEdge]bool),
-		}
-	})
+	c.run.Exec(func() { c.compForStep(id.CtrlTag{Initiator: 1, N: compWindow + 1000}) })
 
 	c.PeerDown(1)
 	c.PeerUp(1)
@@ -166,8 +159,9 @@ func TestPeerDownUpResetsProbeWindow(t *testing.T) {
 	var staleWindow bool
 	var freshOK bool
 	c.run.Exec(func() {
-		nComps = len(c.comps)
-		_, staleWindow = c.latestBy[1]
+		if w := c.windows[1]; w != nil {
+			nComps, staleWindow = len(w.comps), w.latest > 0
+		}
 		comp, ok := c.compForStep(id.CtrlTag{Initiator: 1, N: 1})
 		freshOK = ok && comp != nil
 	})

@@ -2,6 +2,7 @@ package ddb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/id"
@@ -18,17 +19,73 @@ import (
 // optimization initiates Q computations concurrently, so we retain a
 // window of recent computation numbers per initiator instead — stale
 // tags outside the window are dropped exactly like superseded ones.
+// Each initiator's window is its own: a computation (j, n) is kept while
+// n >= latest_j - compWindow, so between restarts of j a controller
+// holds at most compWindow+1 of j's computations, and opening or
+// evicting one costs O(log compWindow) whatever the other windows hold.
 const compWindow = 256
 
-// compKey identifies one probe computation (j, n).
-type compKey struct {
-	site id.Site
-	n    uint64
+// initWindow is this controller's window of computations for one
+// initiator j: the computations it tracks, keyed by n; latest_j, the
+// highest n it has tracked since j last restarted (0 for none); and a
+// min-heap of the keys, which eviction pops in n order.
+type initWindow struct {
+	latest uint64
+	comps  map[uint64]*probeComp
+	order  []uint64
+}
+
+// put tracks comp as computation n.
+func (w *initWindow) put(n uint64, comp *probeComp) {
+	if _, ok := w.comps[n]; !ok {
+		w.order = append(w.order, n)
+		for i := len(w.order) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if w.order[parent] <= w.order[i] {
+				break
+			}
+			w.order[parent], w.order[i] = w.order[i], w.order[parent]
+			i = parent
+		}
+	}
+	w.comps[n] = comp
+}
+
+// advance raises latest to n and evicts the computations the window
+// no longer covers.
+func (w *initWindow) advance(n uint64) {
+	if n > w.latest {
+		w.latest = n
+	}
+	if w.latest <= compWindow {
+		return
+	}
+	for len(w.order) > 0 && w.order[0] < w.latest-compWindow {
+		delete(w.comps, w.order[0])
+		last := len(w.order) - 1
+		w.order[0] = w.order[last]
+		w.order = w.order[:last]
+		for i := 0; ; {
+			small, l := i, 2*i+1
+			if l < last && w.order[l] < w.order[small] {
+				small = l
+			}
+			if r := l + 1; r < last && w.order[r] < w.order[small] {
+				small = r
+			}
+			if small == i {
+				break
+			}
+			w.order[i], w.order[small] = w.order[small], w.order[i]
+			i = small
+		}
+	}
 }
 
 // probeComp is this controller's state for one computation: the agents
 // it has labeled here and the inter-controller edges it has already
 // sent probes along (A2's "if such a probe has not already been sent").
+// Both sets are made on first insertion.
 type probeComp struct {
 	tag    id.CtrlTag
 	own    bool
@@ -41,6 +98,20 @@ type probeComp struct {
 	labeled   map[id.Txn]bool
 	probed    map[id.AgentEdge]bool
 	declared  bool
+}
+
+func (comp *probeComp) label(t id.Txn) {
+	if comp.labeled == nil {
+		comp.labeled = make(map[id.Txn]bool)
+	}
+	comp.labeled[t] = true
+}
+
+func (comp *probeComp) markProbed(e id.AgentEdge) {
+	if comp.probed == nil {
+		comp.probed = make(map[id.AgentEdge]bool)
+	}
+	comp.probed[e] = true
 }
 
 // CheckAgent runs step A0 for one of this controller's processes:
@@ -70,11 +141,8 @@ func (c *Controller) checkAgentStep(txn id.Txn) (id.CtrlTag, bool) {
 		own:       true,
 		target:    id.Agent{Txn: txn, Site: c.cfg.Site},
 		targetInc: agent.inc,
-		labeled:   make(map[id.Txn]bool),
-		probed:    make(map[id.AgentEdge]bool),
 	}
-	c.comps[compKey{site: c.cfg.Site, n: c.nextN}] = comp
-	c.pruneCompsStep(c.cfg.Site, c.nextN)
+	c.trackCompStep(c.cfg.Site, c.nextN, comp)
 
 	// A0: the target is "reached" only if the walk re-enters it through
 	// at least one intra edge — a purely local cycle.
@@ -123,7 +191,7 @@ func (c *Controller) sendProbesStep(comp *probeComp, newly []id.Txn) {
 			if comp.probed[e] {
 				continue
 			}
-			comp.probed[e] = true
+			comp.markProbed(e)
 			c.probesSent++
 			c.send(e.To.Site, msg.CtrlProbe{Tag: comp.tag, Edge: e})
 		}
@@ -191,42 +259,78 @@ func (c *Controller) meaningfulStep(e id.AgentEdge) bool {
 // compForStep finds or creates the computation state for a tag,
 // applying the per-initiator window (§4.3).
 func (c *Controller) compForStep(tag id.CtrlTag) (*probeComp, bool) {
-	key := compKey{site: tag.Initiator, n: tag.N}
-	if comp, ok := c.comps[key]; ok {
-		return comp, true
+	w := c.windows[tag.Initiator]
+	if w != nil {
+		if comp, ok := w.comps[tag.N]; ok {
+			return comp, true
+		}
 	}
 	if tag.Initiator == c.cfg.Site {
 		// An own computation we no longer track: superseded.
 		return nil, false
 	}
-	if latest := c.latestBy[tag.Initiator]; latest > compWindow && tag.N < latest-compWindow {
+	if w != nil && w.latest > compWindow && tag.N < w.latest-compWindow {
 		return nil, false // stale beyond the window
 	}
-	comp := &probeComp{
-		tag:     tag,
-		labeled: make(map[id.Txn]bool),
-		probed:  make(map[id.AgentEdge]bool),
-	}
-	c.comps[key] = comp
-	c.pruneCompsStep(tag.Initiator, tag.N)
+	comp := &probeComp{tag: tag}
+	c.trackCompStep(tag.Initiator, tag.N, comp)
 	return comp, true
 }
 
-// pruneCompsStep advances the per-initiator high-water mark and drops
-// computations outside the window.
-func (c *Controller) pruneCompsStep(initiator id.Site, n uint64) {
-	if n > c.latestBy[initiator] {
-		c.latestBy[initiator] = n
+// trackCompStep records comp as computation (initiator, n) and advances
+// the initiator's window past it.
+func (c *Controller) trackCompStep(initiator id.Site, n uint64, comp *probeComp) {
+	w := windowOf(c.windows, initiator)
+	w.put(n, comp)
+	w.advance(n)
+}
+
+// windowOf returns initiator's window in windows, adding an empty one.
+func windowOf(windows map[id.Site]*initWindow, initiator id.Site) *initWindow {
+	w := windows[initiator]
+	if w == nil {
+		w = &initWindow{comps: make(map[uint64]*probeComp)}
+		windows[initiator] = w
 	}
-	latest := c.latestBy[initiator]
-	if latest <= compWindow {
-		return
-	}
-	for key := range c.comps {
-		if key.site == initiator && key.n < latest-compWindow {
-			delete(c.comps, key)
+	return w
+}
+
+// compRef names one tracked computation (j, n).
+type compRef struct {
+	site id.Site
+	n    uint64
+	comp *probeComp
+}
+
+// sortedComps lists the tracked computations in (initiator, n) order,
+// the order checkpoints and fingerprints write them in.
+func (c *Controller) sortedComps() []compRef {
+	var out []compRef
+	for s, w := range c.windows {
+		for n, comp := range w.comps {
+			out = append(out, compRef{site: s, n: n, comp: comp})
 		}
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].site != out[j].site {
+			return out[i].site < out[j].site
+		}
+		return out[i].n < out[j].n
+	})
+	return out
+}
+
+// sortedLatest lists the initiators with a latest computation number,
+// in site order.
+func (c *Controller) sortedLatest() []id.Site {
+	var sites []id.Site
+	for s, w := range c.windows {
+		if w.latest > 0 {
+			sites = append(sites, s)
+		}
+	}
+	slices.Sort(sites)
+	return sites
 }
 
 // declareStep latches a declaration, notifies, and — when Resolve is

@@ -60,18 +60,8 @@ func (c *Controller) snapshotStep() string {
 		b.WriteString("]);")
 	}
 	b.WriteString("] comps:[")
-	keys := make([]compKey, 0, len(c.comps))
-	for k := range c.comps {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].site != keys[j].site {
-			return keys[i].site < keys[j].site
-		}
-		return keys[i].n < keys[j].n
-	})
-	for _, k := range keys {
-		comp := c.comps[k]
+	for _, k := range c.sortedComps() {
+		comp := k.comp
 		fmt.Fprintf(&b, "%d.%d=(own:%t tgt:%v ti:%d d:%t lab:[", k.site, k.n, comp.own, comp.target, comp.targetInc, comp.declared)
 		lab := make([]id.Txn, 0, len(comp.labeled))
 		for t := range comp.labeled {
@@ -94,13 +84,8 @@ func (c *Controller) snapshotStep() string {
 		b.WriteString("]);")
 	}
 	b.WriteString("] latest:[")
-	sites := make([]id.Site, 0, len(c.latestBy))
-	for s := range c.latestBy {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, s := range sites {
-		fmt.Fprintf(&b, "%d=%d;", s, c.latestBy[s])
+	for _, s := range c.sortedLatest() {
+		fmt.Fprintf(&b, "%d=%d;", s, c.windows[s].latest)
 	}
 	b.WriteString("]}")
 	return b.String()

@@ -98,19 +98,10 @@ func (c *Controller) MarshalState() []byte {
 
 	// Probe computations.
 	w.U64(c.nextN)
-	keys := make([]compKey, 0, len(c.comps))
-	for k := range c.comps {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].site != keys[j].site {
-			return keys[i].site < keys[j].site
-		}
-		return keys[i].n < keys[j].n
-	})
+	keys := c.sortedComps()
 	w.Len(len(keys))
 	for _, k := range keys {
-		comp := c.comps[k]
+		comp := k.comp
 		w.I32(int32(k.site))
 		w.U64(k.n)
 		w.I32(int32(comp.tag.Initiator))
@@ -144,15 +135,11 @@ func (c *Controller) MarshalState() []byte {
 	}
 
 	// Latest table.
-	sites := make([]id.Site, 0, len(c.latestBy))
-	for s := range c.latestBy {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	sites := c.sortedLatest()
 	w.Len(len(sites))
 	for _, s := range sites {
 		w.I32(int32(s))
-		w.U64(c.latestBy[s])
+		w.U64(c.windows[s].latest)
 	}
 	return w.Bytes()
 }
@@ -221,35 +208,30 @@ func (c *Controller) RestoreState(data []byte) error {
 	}
 
 	nextN := r.U64()
-	comps := make(map[compKey]*probeComp)
+	windows := make(map[id.Site]*initWindow)
 	for n := r.Len(); n > 0; n-- {
-		k := compKey{site: id.Site(r.I32()), n: r.U64()}
+		site, cn := id.Site(r.I32()), r.U64()
 		comp := &probeComp{
 			tag:       id.CtrlTag{Initiator: id.Site(r.I32()), N: r.U64()},
 			own:       r.Bool(),
 			target:    id.Agent{Txn: id.Txn(r.I32()), Site: id.Site(r.I32())},
 			targetInc: r.U32(),
-			labeled:   make(map[id.Txn]bool),
-			probed:    make(map[id.AgentEdge]bool),
 		}
 		for ln := r.Len(); ln > 0; ln-- {
-			comp.labeled[id.Txn(r.I32())] = true
+			comp.label(id.Txn(r.I32()))
 		}
 		for pn := r.Len(); pn > 0; pn-- {
-			e := id.AgentEdge{
+			comp.markProbed(id.AgentEdge{
 				From: id.Agent{Txn: id.Txn(r.I32()), Site: id.Site(r.I32())},
 				To:   id.Agent{Txn: id.Txn(r.I32()), Site: id.Site(r.I32())},
-			}
-			comp.probed[e] = true
+			})
 		}
 		comp.declared = r.Bool()
-		comps[k] = comp
+		windowOf(windows, site).put(cn, comp)
 	}
-
-	latestBy := make(map[id.Site]uint64)
 	for n := r.Len(); n > 0; n-- {
 		s := id.Site(r.I32())
-		latestBy[s] = r.U64()
+		windowOf(windows, s).latest = r.U64()
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("ddb: restore state: %w", err)
@@ -259,8 +241,7 @@ func (c *Controller) RestoreState(data []byte) error {
 	c.agents = agents
 	c.txns = txns
 	c.nextN = nextN
-	c.comps = comps
-	c.latestBy = latestBy
+	c.windows = windows
 	// The restored waits are open, and nothing else will ever arm their
 	// §4.3 timers: give each a full T, as waitStartStep did when it began.
 	if c.cfg.Mode == InitiateOnWaitDelay {
