@@ -82,8 +82,9 @@ fuzz-smoke:
 
 # Seeded fault-injection conformance under the race detector: the six
 # committed chaos schedules (crash / restart / partition / delay / dup)
-# plus TCP connection-drop storms, cross-checked against the WFG oracle
-# (CI runs this as the chaos-smoke job).
+# plus TCP connection-drop storms, with one engine.Host per node and on
+# the two-host shared link, cross-checked against the WFG oracle (CI
+# runs this as the chaos-smoke job).
 chaos-smoke:
 	$(GO) test -race ./internal/faultinject/
 	$(GO) test -race -run 'TestFaultScheduleConformance|TestWirePerturbationMatchesFaultFreeBaseline|TestTCPChaosConformance|TestTCPMuxChaosConformance' ./internal/conformance/

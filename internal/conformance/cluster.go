@@ -2,17 +2,11 @@ package conformance
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/id"
-	"repro/internal/metrics"
 	"repro/internal/transport"
-	"repro/internal/wfg"
 )
 
 // clusterNode is one host of the self-assembling topology: its own TCP
@@ -35,8 +29,9 @@ type clusterNode struct {
 // runner's: placement and migration may never change what the
 // algorithm concludes.
 func RunCluster(spec Spec, hosts, shards int) (string, error) {
-	if spec.N < 2 || spec.MaxBatch < 1 {
-		return "", fmt.Errorf("spec needs N >= 2 and MaxBatch >= 1, got N=%d MaxBatch=%d", spec.N, spec.MaxBatch)
+	d, err := newDriver(spec, nil)
+	if err != nil {
+		return "", err
 	}
 	if hosts < 2 {
 		return "", fmt.Errorf("cluster run needs at least 2 hosts, got %d", hosts)
@@ -45,61 +40,22 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 		shards = 1
 	}
 
-	counters := metrics.NewCounters()
-	oracle := wfg.NewGraphObserver(nil)
-
-	// procs tracks the CURRENT object for each process id: a migration
-	// replaces the entry with the fresh instance spawned on the target
-	// host (the old one is a dead shell whose engine entry forwards).
-	var procMu sync.Mutex
-	procs := make([]*core.Process, spec.N)
-	current := func(pid id.Proc) *core.Process {
-		procMu.Lock()
-		defer procMu.Unlock()
-		return procs[pid]
-	}
-
-	var gate atomic.Bool
-	service := func(pid id.Proc) {
-		if !gate.Load() {
-			return
-		}
-		p := current(pid)
-		if p.Blocked() {
-			return
-		}
-		if _, err := p.GrantAll(); err != nil {
-			panic(fmt.Sprintf("conformance: grant-all %v: %v", pid, err))
-		}
-	}
-
-	nodes := make([]*clusterNode, hosts)
-	var cleanupOnce sync.Once
-	cleanup := func() {
-		cleanupOnce.Do(func() {
-			for _, n := range nodes {
-				if n == nil {
-					continue
-				}
-				if n.agent != nil {
-					n.agent.Stop()
-				}
-				n.eng.Close()
-				n.tcp.Close()
+	nodes := make([]*clusterNode, 0, hosts)
+	defer func() {
+		for _, n := range nodes {
+			if n.agent != nil {
+				n.agent.Stop()
 			}
-		})
-	}
-	defer cleanup()
-	fail := func(err error) (string, error) {
-		cleanup()
-		return "", err
-	}
-	for i := range nodes {
+			n.eng.Close()
+			n.tcp.Close()
+		}
+	}()
+	for i := 0; i < hosts; i++ {
 		h := transport.NodeID(i + 1)
 		tcp := transport.NewTCP()
 		if err := tcp.ListenHost(h, "127.0.0.1:0"); err != nil {
 			tcp.Close()
-			return fail(err)
+			return "", err
 		}
 		dir := cluster.NewDirectory(h, tcp.HostAddr(h), 1)
 		tcp.SetResolver(dir)
@@ -109,27 +65,18 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 			HostID:    h,
 			ShardOf:   func(n transport.NodeID) int { return cluster.ShardIndex(n, shards) },
 		})
-		eng.Observe(counters)
-		eng.Observe(oracle)
+		d.watch(eng)
 		n := &clusterNode{host: h, tcp: tcp, dir: dir, eng: eng}
-		nodes[i] = n
+		nodes = append(nodes, n)
+		// A migration's target spawns a fresh instance, which becomes
+		// the current one (the old one is a dead shell whose engine
+		// entry forwards).
 		agent, err := cluster.New(cluster.Config{
 			Host: h, TCP: tcp, Engine: eng, Dir: dir,
 			Spawn: func(node transport.NodeID) {
-				pid := id.Proc(node)
-				p, perr := core.NewProcess(core.Config{
-					ID:        pid,
-					Transport: n.eng,
-					Policy:    core.InitiateManually,
-					OnRequest: func(id.Proc) { service(pid) },
-					OnActive:  func() { service(pid) },
-				})
-				if perr != nil {
-					panic(fmt.Sprintf("conformance: spawn %v on host %d: %v", pid, h, perr))
+				if err := d.spawn(int(node), eng); err != nil {
+					panic(fmt.Sprintf("conformance: spawn %v on host %d: %v", node, h, err))
 				}
-				procMu.Lock()
-				procs[pid] = p
-				procMu.Unlock()
 			},
 			// An hour: assembly and the migration must not wait on
 			// the periodic round (pushes carry every change).
@@ -137,7 +84,7 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 			Seed:           spec.Seed + int64(h),
 		})
 		if err != nil {
-			return fail(err)
+			return "", err
 		}
 		n.agent = agent
 		agent.Start()
@@ -159,7 +106,7 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 		}
 		return len(nodes[0].dir.AliveHosts()) == hosts
 	}); err != nil {
-		return fail(fmt.Errorf("cluster did not converge: %w", err))
+		return "", fmt.Errorf("cluster did not converge: %w", err)
 	}
 
 	// Place every process where the (now shared) ring says it lives.
@@ -168,40 +115,11 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 		byHost[n.host] = n
 	}
 	for i := 0; i < spec.N; i++ {
-		node := transport.NodeID(i)
-		owner, ok := nodes[0].dir.Lookup(node)
+		owner, ok := nodes[0].dir.Lookup(transport.NodeID(i))
 		if !ok {
-			return fail(fmt.Errorf("no owner for process %d", i))
+			return "", fmt.Errorf("no owner for process %d", i)
 		}
-		byHost[owner].agent.SpawnLocal(node)
-	}
-
-	quiesce := pollQuiesce(counters)
-
-	// Phase 1: the storm, grants gated off.
-	for i, batch := range spec.Batches() {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := current(id.Proc(i)).Request(batch...); err != nil {
-			return fail(fmt.Errorf("storm: %w", err))
-		}
-	}
-	if err := quiesce(); err != nil {
-		return fail(fmt.Errorf("after storm: %w", err))
-	}
-
-	// Phase 2: open the gate and sweep to the fixed point.
-	gate.Store(true)
-	for i := 0; i < spec.N; i++ {
-		if p := current(id.Proc(i)); !p.Blocked() {
-			if _, err := p.GrantAll(); err != nil {
-				return fail(fmt.Errorf("sweep: %w", err))
-			}
-		}
-	}
-	if err := quiesce(); err != nil {
-		return fail(fmt.Errorf("after sweep: %w", err))
+		byHost[owner].agent.SpawnLocal(transport.NodeID(i))
 	}
 
 	// Mid-run migration: move the lowest blocked process (its state —
@@ -209,17 +127,14 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 	// alive host. Wait until the route has committed on every host:
 	// install, replay, and every flush round-trip are then provably
 	// done, and the migrated object answers the probe phase.
-	target := transport.NodeID(0)
-	for i := 1; i < spec.N; i++ {
-		if current(id.Proc(i)).Blocked() {
-			target = transport.NodeID(i)
-			break
+	return d.run(hooks{swept: func() error {
+		target := transport.NodeID(1)
+		for i := 1; i < spec.N; i++ {
+			if d.proc(i).Blocked() {
+				target = transport.NodeID(i)
+				break
+			}
 		}
-	}
-	if target == 0 && spec.N > 1 {
-		target = 1
-	}
-	if target != 0 {
 		srcHost, _ := nodes[0].dir.Lookup(target)
 		alive := nodes[0].dir.AliveHosts()
 		var dest transport.NodeID
@@ -229,7 +144,7 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 			}
 		}
 		if err := byHost[srcHost].agent.Migrate(target, dest); err != nil {
-			return fail(fmt.Errorf("migrate %d from %d to %d: %w", target, srcHost, dest, err))
+			return fmt.Errorf("migrate %d from %d to %d: %w", target, srcHost, dest, err)
 		}
 		if err := pollUntil(15*time.Second, func() bool {
 			for _, n := range nodes {
@@ -239,41 +154,8 @@ func RunCluster(spec Spec, hosts, shards int) (string, error) {
 			}
 			return byHost[dest].agent.Hosted(target)
 		}); err != nil {
-			return fail(fmt.Errorf("migration of %d did not complete: %w", target, err))
+			return fmt.Errorf("migration of %d did not complete: %w", target, err)
 		}
-		if err := quiesce(); err != nil {
-			return fail(fmt.Errorf("after migration: %w", err))
-		}
-	}
-
-	// Phase 3: every permanently blocked process initiates detection.
-	for i := 0; i < spec.N; i++ {
-		if p := current(id.Proc(i)); p.Blocked() {
-			p.StartProbe()
-		}
-	}
-	if err := quiesce(); err != nil {
-		return fail(fmt.Errorf("after probes: %w", err))
-	}
-
-	procMu.Lock()
-	final := append([]*core.Process(nil), procs...)
-	procMu.Unlock()
-	v := verdict(final, oracle)
-	if err := crossCheck(final, oracle); err != nil {
-		return v, fmt.Errorf("oracle cross-check: %w", err)
-	}
-	return v, nil
-}
-
-// pollUntil polls cond at 2ms until it holds or the deadline expires.
-func pollUntil(d time.Duration, cond func() bool) error {
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("condition not met within %v", d)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil
+		return d.settle("migration")
+	}})
 }

@@ -2,18 +2,13 @@ package conformance
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/id"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wal"
-	"repro/internal/wfg"
-	"repro/internal/workload"
 )
 
 // Durable crash/restore conformance (DESIGN.md §11). Both runners here
@@ -48,228 +43,94 @@ import (
 // canonical verdict is returned. The crash=true and crash=false legs
 // must be byte-identical — and identical to RunSim's verdict.
 func RunTCPCrashRestore(spec Spec, shards int, walDir string, policy wal.SyncPolicy, crash bool) (string, error) {
-	if spec.N < 2 || spec.MaxBatch < 1 {
-		return "", fmt.Errorf("spec needs N >= 2 and MaxBatch >= 1, got N=%d MaxBatch=%d", spec.N, spec.MaxBatch)
-	}
-	split := spec.N / 2
-	counters := metrics.NewCounters()
-	oracle := wfg.NewGraphObserver(nil)
-
-	tcpA := transport.NewTCP()
-	defer tcpA.Close()
-	if err := tcpA.ListenHost(muxHostA, "127.0.0.1:0"); err != nil {
+	d, err := newDriver(spec, nil)
+	if err != nil {
 		return "", err
 	}
-	hostOf := func(i int) transport.NodeID {
-		if i < split {
-			return muxHostA
-		}
-		return muxHostB
+	m := &muxHosts{d: d, shards: shards}
+	defer m.stop(1)
+	defer m.stop(0)
+	if err := m.listen(0); err != nil {
+		return "", err
 	}
-	// muxPlace builds the split placement as a resolver; host B's address
-	// changes across the crash rebuild, so each build installs a fresh
-	// placement carrying the reborn listener on both endpoints.
-	muxPlace := func(addrB string) transport.StaticPlacement {
-		sp := transport.StaticPlacement{
-			Hosts: map[transport.NodeID]transport.NodeID{},
-			Addrs: map[transport.NodeID]string{muxHostA: tcpA.HostAddr(muxHostA)},
-		}
-		if addrB != "" {
-			sp.Addrs[muxHostB] = addrB
-		}
-		for i := 0; i < spec.N; i++ {
-			sp.Hosts[transport.NodeID(i)] = hostOf(i)
-		}
-		return sp
-	}
-	tcpA.SetResolver(muxPlace(""))
-	hostA := engine.NewHost(engine.Options{Shards: shards, Transport: tcpA})
-	defer hostA.Close()
-	hostA.Observe(counters)
-	hostA.Observe(oracle)
-
-	var gate atomic.Bool
-	procs := make([]*core.Process, spec.N)
-	service := func(pid id.Proc) {
-		if !gate.Load() {
-			return
-		}
-		p := procs[pid]
-		if p.Blocked() {
-			return // answers on OnActive once unblocked
-		}
-		if _, err := p.GrantAll(); err != nil {
-			panic(fmt.Sprintf("conformance: grant-all %v: %v", pid, err))
-		}
-	}
-	newProc := func(i int, tr transport.Transport) error {
-		pid := id.Proc(i)
-		p, err := core.NewProcess(core.Config{
-			ID:        pid,
-			Transport: tr,
-			Policy:    core.InitiateManually,
-			OnRequest: func(id.Proc) { service(pid) },
-			OnActive:  func() { service(pid) },
-		})
-		if err != nil {
-			return err
-		}
-		procs[i] = p
-		return nil
-	}
-	for i := 0; i < split; i++ {
-		if err := newProc(i, hostA); err != nil {
-			return "", err
-		}
+	m.place(m.tcp[0])
+	if err := m.start(0, nil); err != nil {
+		return "", err
 	}
 
-	// Host B is built — and after the crash, rebuilt — by this helper:
-	// open the log, attach it before any registration, register the
-	// B-side processes, then run restore → prime → finish-restore and
-	// only then point the host links at each other. On the first build
-	// the directory is blank and Restore merely establishes the
-	// durability generation; on the rebuild it loads the checkpoint and
-	// replays the tail.
-	var (
-		tcpB  *transport.TCP
-		hostB *engine.Host
-		wlog  *wal.Log
-	)
-	closeB := func(finalCkpt bool) {
-		if hostB == nil {
-			return
-		}
-		if finalCkpt {
-			_ = hostB.Checkpoint()
-		}
-		hostB.Close()
-		tcpB.Close()
-		wlog.Close()
-		hostB, tcpB, wlog = nil, nil, nil
-	}
-	defer func() { closeB(false) }()
+	// buildB brings host B up — and after the crash, back — on a fresh
+	// listener: open the log, attach it before any registration, spawn
+	// the B-side processes, then run restore → prime → finish-restore,
+	// and only then point A at B's address. On the first build the
+	// directory is blank and Restore merely establishes the durability
+	// generation; on the rebuild it loads the checkpoint and replays the
+	// tail.
 	buildB := func() error {
 		w, err := wal.Open(wal.Options{Dir: walDir, Sync: policy})
 		if err != nil {
 			return err
 		}
-		tb := transport.NewTCP()
-		fail := func(err error) error {
-			tb.Close()
-			w.Close()
+		m.log[1] = w
+		if err := m.listen(1); err != nil {
 			return err
 		}
-		if err := tb.ListenHost(muxHostB, "127.0.0.1:0"); err != nil {
-			return fail(err)
+		tb := m.tcp[1]
+		m.place(tb)
+		err = m.start(1, func(h *engine.Host) {
+			h.AttachWAL(w, engine.DurabilityHooks{Incarnation: func() uint64 {
+				inc, _ := tb.Incarnation(muxIDs[1])
+				return inc
+			}})
+		})
+		if err != nil {
+			return err
 		}
-		sp := muxPlace(tb.HostAddr(muxHostB))
-		tb.SetResolver(sp)
-		hb := engine.NewHost(engine.Options{Shards: shards, Transport: tb})
-		failHost := func(err error) error {
-			hb.Close()
-			return fail(err)
-		}
-		hb.Observe(counters)
-		hb.Observe(oracle)
-		hb.AttachWAL(w, engine.DurabilityHooks{Incarnation: func() uint64 {
-			inc, _ := tb.Incarnation(muxHostB)
-			return inc
-		}})
-		for i := split; i < spec.N; i++ {
-			if err := newProc(i, hb); err != nil {
-				return failHost(err)
-			}
-		}
-		if err := tb.SetDeliveryLog(muxHostB, hb); err != nil {
-			return failHost(err)
+		hb := m.host[1]
+		if err := tb.SetDeliveryLog(muxIDs[1], hb); err != nil {
+			return err
 		}
 		st, err := hb.Restore()
 		if err != nil {
-			return failHost(err)
+			return err
 		}
 		if st.Found {
-			if err := tb.PrimeInbox(muxHostB, st.Inc, st.Cursors); err != nil {
-				return failHost(err)
+			if err := tb.PrimeInbox(muxIDs[1], st.Inc, st.Cursors); err != nil {
+				return err
 			}
 		}
 		if err := hb.FinishRestore(); err != nil {
-			return failHost(err)
+			return err
 		}
-		tcpA.SetResolver(sp)
-		tcpB, hostB, wlog = tb, hb, w
+		m.place(m.tcp[0])
 		return nil
 	}
 	if err := buildB(); err != nil {
 		return "", err
-	}
-	quiesce := pollQuiesce(counters)
-
-	// Phase 1: the storm, grants gated off.
-	for i, batch := range spec.Batches() {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := procs[i].Request(batch...); err != nil {
-			return "", fmt.Errorf("storm: %w", err)
-		}
-	}
-	if err := quiesce(); err != nil {
-		return "", fmt.Errorf("after storm: %w", err)
-	}
-
-	// Phase 2: open the gate and sweep to the fixed point.
-	gate.Store(true)
-	for _, p := range procs {
-		if !p.Blocked() {
-			if _, err := p.GrantAll(); err != nil {
-				return "", fmt.Errorf("sweep: %w", err)
-			}
-		}
-	}
-	if err := quiesce(); err != nil {
-		return "", fmt.Errorf("after sweep: %w", err)
 	}
 
 	// Checkpoint host B at the swept fixed point, then let only the
 	// A-side blocked processes probe: every probe that crosses into B
 	// lands in the log BEYOND the checkpoint, so the crash leg has a
 	// genuine wire tail to replay, not just a state snapshot to load.
-	if err := hostB.Checkpoint(); err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	for i := 0; i < split; i++ {
-		if procs[i].Blocked() {
-			procs[i].StartProbe()
+	// The probe phase that follows is the same burst in both legs, so
+	// the verdicts are comparable byte-for-byte.
+	return d.run(hooks{swept: func() error {
+		if err := m.host[1].Checkpoint(); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
 		}
-	}
-	if err := quiesce(); err != nil {
-		return "", fmt.Errorf("after A-side probes: %w", err)
-	}
-
-	if crash {
-		closeB(false) // abandoned: no final checkpoint, only the WAL survives
+		d.probe(0, spec.N/2)
+		if err := d.settle("A-side probes"); err != nil {
+			return err
+		}
+		if !crash {
+			return nil
+		}
+		m.stop(1) // abandoned: no final checkpoint, only the WAL survives
 		if err := buildB(); err != nil {
-			return "", fmt.Errorf("rebuild: %w", err)
+			return fmt.Errorf("rebuild: %w", err)
 		}
-	}
-
-	// Phase 3: every still-blocked process initiates detection — the
-	// same burst in both legs, so the verdicts are comparable
-	// byte-for-byte.
-	for _, p := range procs {
-		if p.Blocked() {
-			p.StartProbe()
-		}
-	}
-	if err := quiesce(); err != nil {
-		return "", fmt.Errorf("after probes: %w", err)
-	}
-
-	v := verdict(procs, oracle)
-	if err := crossCheck(procs, oracle); err != nil {
-		return v, fmt.Errorf("oracle cross-check: %w", err)
-	}
-	return v, nil
+		return nil
+	}})
 }
 
 // RunSimCrashRestore replays the spec on the deterministic fault net
@@ -280,28 +141,13 @@ func RunTCPCrashRestore(spec Spec, shards int, walDir string, policy wal.SyncPol
 // the lease window, so no survivor ever hears a failure-detector
 // verdict. The returned verdict must be byte-identical to RunSim's.
 func RunSimCrashRestore(spec Spec, node transport.NodeID) (string, error) {
-	if spec.N < 2 || spec.MaxBatch < 1 {
-		return "", fmt.Errorf("spec needs N >= 2 and MaxBatch >= 1, got N=%d MaxBatch=%d", spec.N, spec.MaxBatch)
+	sched := sim.New(spec.Seed)
+	d, err := newDriver(spec, sched)
+	if err != nil {
+		return "", err
 	}
 	if int(node) < 0 || int(node) >= spec.N {
 		return "", fmt.Errorf("crash node %d out of range [0,%d)", node, spec.N)
-	}
-	sched := sim.New(spec.Seed)
-	oracle := wfg.NewGraphObserver(nil)
-	procs := make([]*core.Process, spec.N)
-
-	gate := false
-	service := func(pid id.Proc) {
-		if !gate {
-			return
-		}
-		p := procs[pid]
-		if p.Blocked() {
-			return
-		}
-		if _, err := p.GrantAll(); err != nil {
-			panic(fmt.Sprintf("conformance: grant-all %v: %v", pid, err))
-		}
 	}
 
 	// A restore inside the lease window is a reconnect, not a recovery:
@@ -311,118 +157,58 @@ func RunSimCrashRestore(spec Spec, node transport.NodeID) (string, error) {
 	type observerPeer struct{ observer, peer transport.NodeID }
 	downSeen := make(map[observerPeer]bool)
 	var captured []byte
-	var spawn func(node transport.NodeID) error
-	net := faultinject.NewNet(sched, faultinject.NetOptions{
+	var net *faultinject.Net
+	net = faultinject.NewNet(sched, faultinject.NetOptions{
 		LeaseDelay: 50 * sim.Millisecond,
 		OnCrashDurable: func(n transport.NodeID) {
-			captured = procs[n].MarshalState()
+			captured = d.proc(int(n)).MarshalState()
 		},
 		OnRestore: func(n transport.NodeID) {
-			if err := spawn(n); err != nil {
+			if err := d.spawn(int(n), net); err != nil {
 				panic(fmt.Sprintf("conformance: respawn %d: %v", n, err))
 			}
-			if err := procs[n].RestoreState(captured); err != nil {
+			if err := d.proc(int(n)).RestoreState(captured); err != nil {
 				panic(fmt.Sprintf("conformance: restore state of %d: %v", n, err))
 			}
 		},
 		Listener: recoveryWiring{
 			down: func(observer, peer transport.NodeID) {
 				downSeen[observerPeer{observer, peer}] = true
-				procs[observer].PeerDown(id.Proc(peer))
+				d.proc(int(observer)).PeerDown(id.Proc(peer))
 			},
 			up: func(observer, peer transport.NodeID) {
 				if !downSeen[observerPeer{observer, peer}] {
 					return
 				}
 				delete(downSeen, observerPeer{observer, peer})
-				procs[observer].PeerUp(id.Proc(peer))
-				procs[observer].Reannounce(id.Proc(peer))
+				p := d.proc(int(observer))
+				p.PeerUp(id.Proc(peer))
+				p.Reannounce(id.Proc(peer))
 			},
 		},
 	})
-	net.Observe(oracle)
-
-	spawn = func(node transport.NodeID) error {
-		pid := id.Proc(node)
-		p, err := core.NewProcess(core.Config{
-			ID:        pid,
-			Transport: net,
-			Timers:    workload.SimTimers{Sched: sched},
-			Policy:    core.InitiateManually,
-			OnRequest: func(id.Proc) { service(pid) },
-			OnActive:  func() { service(pid) },
-		})
-		if err != nil {
-			return err
-		}
-		procs[node] = p
-		return nil
-	}
+	d.watch(net)
 	for i := 0; i < spec.N; i++ {
-		if err := spawn(transport.NodeID(i)); err != nil {
+		if err := d.spawn(i, net); err != nil {
 			return "", err
 		}
 	}
 
-	quiesce := func(phase string) error {
-		const maxEvents = 10_000_000
-		for n := 0; sched.Step(); n++ {
-			if n >= maxEvents {
-				return fmt.Errorf("after %s: sim not quiescing after %d events", phase, maxEvents)
+	// The durable crash lands while the storm's frames are still in
+	// flight, and the restore well inside the lease window.
+	return d.run(hooks{
+		storming: func() error {
+			plan, err := faultinject.Parse(fmt.Sprintf("crash-durable:%d@2ms; restore:%d@6ms", node, node))
+			if err != nil {
+				return fmt.Errorf("plan: %w", err)
 			}
-		}
-		return nil
-	}
-
-	// Phase 1: the storm — with the durable crash scheduled to land
-	// while its frames are still in flight, and the restore well inside
-	// the lease window.
-	for i, batch := range spec.Batches() {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := procs[i].Request(batch...); err != nil {
-			return "", fmt.Errorf("storm: %w", err)
-		}
-	}
-	plan, err := faultinject.Parse(fmt.Sprintf("crash-durable:%d@2ms; restore:%d@6ms", node, node))
-	if err != nil {
-		return "", fmt.Errorf("plan: %w", err)
-	}
-	if err := net.Install(plan); err != nil {
-		return "", err
-	}
-	if err := quiesce("storm"); err != nil {
-		return "", err
-	}
-
-	// Phases 2–3, exactly as RunSim.
-	gate = true
-	for _, p := range procs {
-		if !p.Blocked() {
-			if _, err := p.GrantAll(); err != nil {
-				return "", fmt.Errorf("sweep: %w", err)
+			return net.Install(plan)
+		},
+		probed: func() error {
+			if len(downSeen) != 0 {
+				return fmt.Errorf("restore escaped the lease window: %d down verdicts never reversed", len(downSeen))
 			}
-		}
-	}
-	if err := quiesce("sweep"); err != nil {
-		return "", err
-	}
-	for _, p := range procs {
-		if p.Blocked() {
-			p.StartProbe()
-		}
-	}
-	if err := quiesce("probes"); err != nil {
-		return "", err
-	}
-
-	if len(downSeen) != 0 {
-		return "", fmt.Errorf("restore escaped the lease window: %d down verdicts never reversed", len(downSeen))
-	}
-	v := verdict(procs, oracle)
-	if err := crossCheck(procs, oracle); err != nil {
-		return v, fmt.Errorf("oracle cross-check: %w", err)
-	}
-	return v, nil
+			return nil
+		},
+	})
 }

@@ -2,17 +2,13 @@ package conformance
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/id"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wfg"
-	"repro/internal/workload"
 )
 
 // FaultSpec is one committed chaos schedule: a seeded conformance
@@ -97,15 +93,15 @@ func FaultSchedules() []FaultSpec {
 
 // FaultReport is the outcome of one chaos schedule.
 type FaultReport struct {
-	// Verdict is the canonical post-fault outcome (see faultVerdict).
+	// Verdict is the canonical post-fault outcome (see driver.verdict).
 	Verdict string
 	// Net is the fault net's traffic accounting.
 	Net faultinject.NetStats
 	// WaitsAborted totals the typed WaitAborted outcomes across all
 	// incarnations of all processes.
 	WaitsAborted uint64
-	// FaultAt is the virtual time of the plan's first event (zero for
-	// an empty plan).
+	// FaultAt is the virtual time of the plan's first event (the
+	// fault-free fixed point for an empty plan).
 	FaultAt sim.Time
 	// LastDeclaredAt is the virtual time of the last deadlock
 	// declaration at or after FaultAt (zero if none) — the re-detection
@@ -133,188 +129,98 @@ type FaultReport struct {
 // alive processes, and every blocked survivor informed.
 func RunSimFaults(fs FaultSpec) (FaultReport, error) {
 	var rep FaultReport
-	if fs.N < 2 || fs.MaxBatch < 1 {
-		return rep, fmt.Errorf("spec needs N >= 2 and MaxBatch >= 1, got N=%d MaxBatch=%d", fs.N, fs.MaxBatch)
+	sched := sim.New(fs.Seed)
+	d, err := newDriver(fs.Spec, sched)
+	if err != nil {
+		return rep, err
 	}
 	plan, err := faultinject.Parse(fs.Plan)
 	if err != nil {
 		return rep, fmt.Errorf("plan: %w", err)
 	}
 
-	sched := sim.New(fs.Seed)
-	oracle := wfg.NewGraphObserver(nil)
-	procs := make([]*core.Process, fs.N)
-	alive := make([]bool, fs.N)
-
-	gate := false
-	service := func(pid id.Proc) {
-		if !gate || !alive[pid] {
-			return
-		}
-		p := procs[pid]
-		if p.Blocked() {
-			return // answers on OnActive once unblocked
-		}
-		if _, err := p.GrantAll(); err != nil {
-			panic(fmt.Sprintf("conformance: grant-all %v: %v", pid, err))
-		}
-	}
-
 	var lastDeclare sim.Time
-	var spawn func(node transport.NodeID) error
-	net := faultinject.NewNet(sched, faultinject.NetOptions{
+	d.cfg.OnDeadlock = func(id.Tag) { lastDeclare = sched.Now() }
+	d.cfg.OnWaitAborted = func(wa core.WaitAborted) {
+		rep.WaitsAborted++
+		d.oracle.With(func(g *wfg.Graph) {
+			g.ForceDelete(id.Edge{From: id.Proc(wa.Waiter), To: id.Proc(wa.Peer)})
+		})
+	}
+	var net *faultinject.Net
+	net = faultinject.NewNet(sched, faultinject.NetOptions{
 		LeaseDelay: fs.LeaseDelay,
 		OnCrash: func(node transport.NodeID) {
-			alive[node] = false
-			oracle.ProcessDown(id.Proc(node))
+			d.mu.Lock()
+			d.alive[node] = false
+			d.mu.Unlock()
+			d.oracle.ProcessDown(id.Proc(node))
 		},
 		OnRestart: func(node transport.NodeID) {
-			alive[node] = true
-			if err := spawn(node); err != nil {
+			if err := d.spawn(int(node), net); err != nil {
 				panic(fmt.Sprintf("conformance: respawn %d: %v", node, err))
 			}
 		},
 		Listener: recoveryWiring{
 			down: func(observer, peer transport.NodeID) {
-				if alive[observer] {
-					procs[observer].PeerDown(id.Proc(peer))
+				if p := d.proc(int(observer)); p != nil {
+					p.PeerDown(id.Proc(peer))
 				}
 			},
 			up: func(observer, peer transport.NodeID) {
-				if alive[observer] {
-					procs[observer].PeerUp(id.Proc(peer))
-					procs[observer].Reannounce(id.Proc(peer))
+				if p := d.proc(int(observer)); p != nil {
+					p.PeerUp(id.Proc(peer))
+					p.Reannounce(id.Proc(peer))
 				}
 			},
 		},
 	})
-	net.Observe(oracle)
-
-	spawn = func(node transport.NodeID) error {
-		pid := id.Proc(node)
-		p, err := core.NewProcess(core.Config{
-			ID:         pid,
-			Transport:  net,
-			Timers:     workload.SimTimers{Sched: sched},
-			Policy:     core.InitiateManually,
-			OnRequest:  func(id.Proc) { service(pid) },
-			OnActive:   func() { service(pid) },
-			OnDeadlock: func(id.Tag) { lastDeclare = sched.Now() },
-			OnWaitAborted: func(wa core.WaitAborted) {
-				rep.WaitsAborted++
-				oracle.With(func(g *wfg.Graph) {
-					g.ForceDelete(id.Edge{From: id.Proc(wa.Waiter), To: id.Proc(wa.Peer)})
-				})
-			},
-		})
-		if err != nil {
-			return err
-		}
-		procs[node] = p
-		return nil
-	}
+	d.watch(net)
 	for i := 0; i < fs.N; i++ {
-		alive[i] = true
-		if err := spawn(transport.NodeID(i)); err != nil {
+		if err := d.spawn(i, net); err != nil {
 			return rep, err
 		}
 	}
 
-	quiesce := func(phase string) error {
-		const maxEvents = 10_000_000
-		for n := 0; sched.Step(); n++ {
-			if n >= maxEvents {
-				return fmt.Errorf("after %s: sim not quiescing after %d events", phase, maxEvents)
-			}
-		}
-		return nil
-	}
-
-	// Phases 1–3: the fault-free workload, exactly as run().
-	for i, batch := range fs.Batches() {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := procs[i].Request(batch...); err != nil {
-			return rep, fmt.Errorf("storm: %w", err)
-		}
-	}
-	if err := quiesce("storm"); err != nil {
-		return rep, err
-	}
-	gate = true
-	for _, p := range procs {
-		if !p.Blocked() {
-			if _, err := p.GrantAll(); err != nil {
-				return rep, fmt.Errorf("sweep: %w", err)
-			}
-		}
-	}
-	if err := quiesce("sweep"); err != nil {
-		return rep, err
-	}
-	for _, p := range procs {
-		if p.Blocked() {
-			p.StartProbe()
-		}
-	}
-	if err := quiesce("probes"); err != nil {
-		return rep, err
-	}
-
-	// Phase 4: chaos. Plan offsets are relative to this instant; the
-	// baseline's declaration times are discarded so LastDeclaredAt only
-	// ever names a post-fault (re-)detection.
-	lastDeclare = 0
-	if len(plan.Events) > 0 {
-		rep.FaultAt = sched.Now() + sim.Time(plan.Events[0].At)
-	} else {
+	// After the fault-free phases, chaos: plan offsets are relative to
+	// this instant, and the baseline's declaration times are discarded
+	// so LastDeclaredAt only ever names a post-fault (re-)detection.
+	// Then the survivors' re-probe sweep: PeerDown already re-initiates
+	// wherever it withdrew a declaration; this catches blocked survivors
+	// whose in-flight computations died with a corpse or a severed edge.
+	v, err := d.run(hooks{probed: func() error {
+		lastDeclare = 0
 		rep.FaultAt = sched.Now()
-	}
-	if err := net.Install(plan); err != nil {
-		return rep, err
-	}
-	if err := quiesce("faults"); err != nil {
-		return rep, err
-	}
-
-	// Phase 5: the survivors' re-probe sweep. PeerDown already
-	// re-initiates wherever it withdrew a declaration; this catches
-	// blocked survivors whose in-flight computations died with a
-	// corpse or a severed edge.
-	for i, p := range procs {
-		if alive[i] && p.Blocked() {
-			p.StartProbe()
+		if len(plan.Events) > 0 {
+			rep.FaultAt += sim.Time(plan.Events[0].At)
 		}
-	}
-	if err := quiesce("re-probe"); err != nil {
+		if err := net.Install(plan); err != nil {
+			return err
+		}
+		if err := d.settle("faults"); err != nil {
+			return err
+		}
+		d.probe(0, fs.N)
+		return d.settle("re-probe")
+	}})
+	if v == "" { // a phase failed before the verdict
 		return rep, err
 	}
-
-	rep.Verdict = faultVerdict(procs, alive, oracle)
+	rep.Verdict = v
 	rep.Net = net.Stats()
 	rep.LastDeclaredAt = lastDeclare
-	dark := make(map[id.Proc]bool)
-	oracle.With(func(g *wfg.Graph) {
-		for _, v := range g.DarkCycleVertices() {
-			dark[v] = true
-		}
-	})
-	for i, p := range procs {
-		if !alive[i] {
-			continue
-		}
-		if _, declared := p.Deadlocked(); declared {
-			rep.Declared++
-			if !dark[p.ID()] {
-				rep.FalsePositives++
+	_, dark := d.dark()
+	for i := 0; i < fs.N; i++ {
+		if p := d.proc(i); p != nil {
+			if _, declared := p.Deadlocked(); declared {
+				rep.Declared++
+				if !dark[p.ID()] {
+					rep.FalsePositives++
+				}
 			}
 		}
 	}
-	if err := crossCheckFaults(procs, alive, dark); err != nil {
-		return rep, fmt.Errorf("oracle cross-check: %w", err)
-	}
-	return rep, nil
+	return rep, err
 }
 
 // recoveryWiring adapts the fault net's failure-detector verdicts onto
@@ -327,102 +233,3 @@ type recoveryWiring struct {
 
 func (w recoveryWiring) PeerDown(o, p transport.NodeID) { w.down(o, p) }
 func (w recoveryWiring) PeerUp(o, p transport.NodeID)   { w.up(o, p) }
-
-// faultVerdict renders the post-fault outcome canonically: the
-// fault-free verdict format with an alive column, dead nodes collapsed
-// to "down".
-func faultVerdict(procs []*core.Process, alive []bool, oracle *wfg.GraphObserver) string {
-	var b strings.Builder
-	for i, p := range procs {
-		if !alive[i] {
-			fmt.Fprintf(&b, "p%d down\n", i)
-			continue
-		}
-		_, declared := p.Deadlocked()
-		black := append([]id.Edge(nil), p.BlackPaths()...)
-		sort.Slice(black, func(i, j int) bool {
-			if black[i].From != black[j].From {
-				return black[i].From < black[j].From
-			}
-			return black[i].To < black[j].To
-		})
-		fmt.Fprintf(&b, "p%d blocked=%t declared=%t black=%v\n",
-			p.ID(), p.Blocked(), declared, black)
-	}
-	var dark []id.Proc
-	oracle.With(func(g *wfg.Graph) { dark = g.DarkCycleVertices() })
-	sort.Slice(dark, func(i, j int) bool { return dark[i] < dark[j] })
-	fmt.Fprintf(&b, "oracle dark=%v\n", dark)
-	return b.String()
-}
-
-// crossCheckFaults is the fault-free cross-check restricted to the
-// alive processes: declared == dark-cycle vertices (no phantom
-// deadlock after a crash, no lost one after a false suspicion), and
-// every blocked survivor is informed.
-func crossCheckFaults(procs []*core.Process, alive []bool, dark map[id.Proc]bool) error {
-	for i, p := range procs {
-		if !alive[i] {
-			continue
-		}
-		_, declared := p.Deadlocked()
-		switch {
-		case declared && !dark[p.ID()]:
-			return fmt.Errorf("phantom deadlock: %v declared but is on no dark cycle", p.ID())
-		case !declared && dark[p.ID()]:
-			return fmt.Errorf("lost deadlock: %v is on a dark cycle but never declared", p.ID())
-		}
-		if p.Blocked() && !declared && len(p.BlackPaths()) == 0 {
-			return fmt.Errorf("survivor %v permanently blocked but neither declared nor informed", p.ID())
-		}
-	}
-	return nil
-}
-
-// RunTCPChaos replays the spec over real loopback TCP sockets while a
-// wall-clock drop storm (the only TCP-expressible fault) repeatedly
-// force-closes every established connection. Links re-dial and replay,
-// receivers dedup and resequence, so the verdict must be byte-identical
-// to the fault-free simulator's — connections die, messages do not.
-func RunTCPChaos(spec Spec, plan string) (string, error) {
-	p, err := faultinject.Parse(plan)
-	if err != nil {
-		return "", fmt.Errorf("plan: %w", err)
-	}
-	net := transport.NewTCP()
-	defer net.Close()
-	counters := metrics.NewCounters()
-	net.Observe(counters)
-	stop, err := faultinject.DriveTCP(net, p)
-	if err != nil {
-		return "", err
-	}
-	defer stop()
-	return run(spec, net, nil, pollQuiesce(counters))
-}
-
-// RunTCPMuxChaos replays the spec on the host-multiplexed two-host
-// topology while the drop storm force-closes established connections on
-// BOTH transports — so the single shared host link, carrying every
-// cross-host pair's traffic at once, is the thing being killed and
-// replayed. The verdict must still be byte-identical to the fault-free
-// simulator's.
-func RunTCPMuxChaos(spec Spec, shards int, plan string) (string, error) {
-	p, err := faultinject.Parse(plan)
-	if err != nil {
-		return "", fmt.Errorf("plan: %w", err)
-	}
-	place, counters, nets, cleanup, err := muxTopology(spec, shards)
-	if err != nil {
-		return "", err
-	}
-	defer cleanup()
-	for _, net := range nets {
-		stop, err := faultinject.DriveTCP(net, p)
-		if err != nil {
-			return "", err
-		}
-		defer stop()
-	}
-	return runPlaced(spec, place, nil, pollQuiesce(counters))
-}

@@ -20,6 +20,28 @@ import (
 	"repro/internal/wfg"
 )
 
+// kindDelayNet is a deliberately broken simulated network: each
+// message waits a fixed delay for its kind, with no FIFO floor per
+// ordered pair, so a fast kind overtakes a slow one on the same link.
+// This violates the paper's delivery assumption (and hence axioms
+// P1/P2).
+type kindDelayNet struct {
+	sched    *sim.Scheduler
+	delay    func(msg.Kind) sim.Duration
+	handlers map[transport.NodeID]transport.Handler
+	observer transport.Observer
+}
+
+func (n *kindDelayNet) Register(id transport.NodeID, h transport.Handler) { n.handlers[id] = h }
+
+func (n *kindDelayNet) Send(from, to transport.NodeID, m msg.Message) {
+	n.observer.OnSend(from, to, m)
+	n.sched.After(n.delay(m.Kind()), func() {
+		n.observer.OnDeliver(from, to, m)
+		n.handlers[to].HandleMessage(from, m)
+	})
+}
+
 // buildPair returns two manually driven processes on the given
 // transport.
 func buildPair(t *testing.T, net transport.Transport) (*core.Process, *core.Process) {
@@ -39,14 +61,18 @@ func TestProbeOvertakingRequestMissesDeadlock(t *testing.T) {
 	// probe initiated right after the request overtakes it, violating
 	// P1.
 	sched := sim.New(1)
-	net := transport.NewFaultyNet(sched, func(k msg.Kind) sim.Duration {
-		if k == msg.KindProbe {
-			return sim.Microsecond
-		}
-		return 10 * sim.Millisecond
-	})
 	checker := trace.NewFIFOChecker(nil)
-	net.Observe(checker)
+	net := &kindDelayNet{
+		sched: sched,
+		delay: func(k msg.Kind) sim.Duration {
+			if k == msg.KindProbe {
+				return sim.Microsecond
+			}
+			return 10 * sim.Millisecond
+		},
+		handlers: map[transport.NodeID]transport.Handler{},
+		observer: checker,
+	}
 	p0, p1 := buildPair(t, net)
 
 	// Form the 2-cycle and fire exactly one computation from each side.

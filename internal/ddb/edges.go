@@ -22,9 +22,9 @@ func (c *Controller) intraSuccessorsStep(txn id.Txn) []id.Txn {
 		return nil
 	}
 	var out []id.Txn
-	for _, h := range c.locks.holdersOf(a.waiting) {
-		if _, present := c.agents[h]; present {
-			out = append(out, h)
+	for _, h := range c.locks.holders(a.waiting) {
+		if _, present := c.agents[h.key]; present {
+			out = append(out, h.key)
 		}
 	}
 	return out
@@ -52,12 +52,12 @@ func (c *Controller) interEdgesStep(txn id.Txn) []id.AgentEdge {
 		}
 	}
 	if a.hasWaiting && !c.cfg.PaperEdgesOnly {
-		for _, h := range c.locks.holdersOf(a.waiting) {
-			holder, present := c.agents[h]
+		for _, h := range c.locks.holders(a.waiting) {
+			holder, present := c.agents[h.key]
 			if !present || holder.home == c.cfg.Site {
 				continue
 			}
-			out = append(out, id.AgentEdge{From: self, To: id.Agent{Txn: h, Site: holder.home}})
+			out = append(out, id.AgentEdge{From: self, To: id.Agent{Txn: h.key, Site: holder.home}})
 		}
 	}
 	return out
@@ -72,7 +72,8 @@ func (c *Controller) interEdgesStep(txn id.Txn) []id.AgentEdge {
 // BFS every time: the declaration condition of steps A0/A1 is about
 // reachability over the edges as they stand at this atomic step, not
 // about the accumulated label set. The visited set and the queue are the
-// controller's scratch, reused by every walk.
+// controller's scratch, reused by every walk, and each resource's
+// holders are read from the lock table without a copy.
 func (c *Controller) labelReachableStep(comp *probeComp, start, watch id.Txn, watchStart bool) (newly []id.Txn, watchReached bool) {
 	if _, present := c.agents[start]; !present {
 		return nil, false
@@ -87,7 +88,17 @@ func (c *Controller) labelReachableStep(comp *probeComp, start, watch id.Txn, wa
 		newly = append(newly, start)
 	}
 	for i := 0; i < len(queue); i++ {
-		for _, succ := range c.intraSuccessorsStep(queue[i]) {
+		// Every queued agent is present. Its successors are the present
+		// holders of the resource it waits on, read in place.
+		a := c.agents[queue[i]]
+		if !a.hasWaiting {
+			continue
+		}
+		for _, h := range c.locks.holders(a.waiting) {
+			succ := h.key
+			if _, present := c.agents[succ]; !present {
+				continue
+			}
 			if succ == watch {
 				watchReached = true
 			}

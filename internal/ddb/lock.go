@@ -129,7 +129,17 @@ func (t *lockTable) release(r id.Resource, txn id.Txn) []waitEntry {
 	return granted
 }
 
-// holdersOf returns the current holders of r, sorted.
+// holders returns r's own holder list, sorted by transaction. The
+// probe walk reads it in place: it must not be changed or kept past
+// the step.
+func (t *lockTable) holders(r id.Resource) assoc[id.Txn, msg.LockMode] {
+	if ls, ok := t.locks[r]; ok {
+		return ls.holders
+	}
+	return nil
+}
+
+// holdersOf returns a copy of the current holders of r, sorted.
 func (t *lockTable) holdersOf(r id.Resource) []id.Txn {
 	ls, ok := t.locks[r]
 	if !ok {
