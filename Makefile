@@ -36,9 +36,13 @@ race:
 # The allocation and live-heap gates, ten times each and WITHOUT the race
 # detector: under -race the instrumented runtime shrinks the heap gate's
 # readings several-fold, so the race-only test job can never see it
-# fail (CI runs this as the gates job).
+# fail (CI runs this as the gates job). TestTxnAllocGates runs the local,
+# remote and callbacks rigs (the last sets every callback the benchmark
+# does); TestPooledFramesUnderLoad holds the pooled frames' ownership
+# rule over 20 000 cross-shard transactions, so a frame recycled twice
+# fails this job as well as the race-detector one.
 gates:
-	$(GO) test -count=10 -run 'TestTxnAllocGates|TestHeapFlatInCommitCount|TestTimerArmSteadyStateAllocs|TestProbeStepAllocGate' ./internal/ddb ./internal/engine
+	$(GO) test -count=10 -run 'TestTxnAllocGates|TestHeapFlatInCommitCount|TestTimerArmSteadyStateAllocs|TestProbeStepAllocGate|TestPooledFramesUnderLoad' ./internal/ddb ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

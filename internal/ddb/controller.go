@@ -285,8 +285,34 @@ func NewController(cfg Config) (*Controller, error) {
 		walkSeen: make(map[id.Txn]bool),
 	}
 	c.fx.Settle = c.drainReadyStep
+	c.fx.Callback = c.callback
 	cfg.Transport.Register(node, c)
 	return c, nil
+}
+
+// The per-transaction callbacks a step defers with fx.Call, as data:
+// which one, and for which transaction. Deferring one builds nothing.
+const (
+	callCommit uint64 = iota + 1
+	callAbort
+	callWaitStart
+	callWaitEnd
+)
+
+// callback is fx's Callback: it runs the Config callback op names for
+// txn.
+func (c *Controller) callback(op, txn uint64) {
+	t := id.Txn(txn)
+	switch op {
+	case callCommit:
+		c.cfg.OnCommit(t)
+	case callAbort:
+		c.cfg.OnAbort(t)
+	case callWaitStart:
+		c.cfg.OnWaitStart(id.Agent{Txn: t, Site: c.cfg.Site})
+	case callWaitEnd:
+		c.cfg.OnWaitEnd(id.Agent{Txn: t, Site: c.cfg.Site})
+	}
 }
 
 // Site returns the controller's site identity.
@@ -303,14 +329,16 @@ func (c *Controller) Site() id.Site { return c.cfg.Site }
 // InitiateManual, Submit waits for its step on a Host too (see
 // InitiateManual).
 func (c *Controller) Submit(txn id.Txn, inc uint32, steps []LockStep) error {
-	var err error
-	step := func() { err = c.submitStep(txn, inc, steps) }
-	if c.cfg.Mode == InitiateManual {
-		c.fx.Exec(c.run, step)
-	} else if c.fx.Post(c.run, step) {
-		// The step runs on the shard later and err is not read here.
-		return nil
+	if c.cfg.Mode != InitiateManual {
+		cmd := c.newCommand(opSubmit, txn)
+		cmd.inc, cmd.steps = inc, steps
+		if c.fx.Post(c.run, cmd) {
+			return nil
+		}
+		cmd.free()
 	}
+	var err error
+	c.fx.Exec(c.run, func() { err = c.submitStep(txn, inc, steps) })
 	return err
 }
 
@@ -379,17 +407,15 @@ func (c *Controller) immediate(d int64) bool {
 	return d <= 0 && c.cfg.Mode != InitiateManual
 }
 
-// afterDelay continues a running transaction with next after d
-// nanoseconds, unless it was aborted (and perhaps resubmitted under a
-// new incarnation) in the meantime.
-func (c *Controller) afterDelay(ts *txnState, d int64, next func(*txnState)) {
+// afterDelay continues a running transaction after d nanoseconds with
+// op (opAdvance or opCommit), unless it was aborted (and perhaps
+// resubmitted under a new incarnation) in the meantime.
+func (c *Controller) afterDelay(ts *txnState, d int64, op commandOp) {
 	txn, inc := ts.txn, ts.inc
 	c.cfg.Timers.After(d, func() {
-		c.fx.Post(c.run, func() {
-			if cur, ok := c.txns[txn]; ok && cur.inc == inc && cur.status == TxnRunning {
-				next(cur)
-			}
-		})
+		cmd := c.newCommand(op, txn)
+		cmd.inc = inc
+		c.post(cmd)
 	})
 }
 
@@ -403,7 +429,7 @@ func (c *Controller) advanceStep(ts *txnState) {
 		if c.immediate(ts.holdTime) {
 			c.commitStep(ts)
 		} else {
-			c.afterDelay(ts, ts.holdTime, c.commitStep)
+			c.afterDelay(ts, ts.holdTime, opCommit)
 		}
 		return
 	}
@@ -417,7 +443,7 @@ func (c *Controller) advanceStep(ts *txnState) {
 	// Remote resource: create the grey inter-controller edge (G3 of the
 	// DDB axioms) by sending the acquisition to the managing site.
 	ts.pendingRemote.put(step.Resource, home)
-	c.send(home, msg.CtrlAcquire{Txn: ts.txn, Resource: step.Resource, Mode: step.Mode, Inc: ts.inc})
+	c.send(home, msg.NewCtrlAcquire(msg.CtrlAcquire{Txn: ts.txn, Resource: step.Resource, Mode: step.Mode, Inc: ts.inc}))
 	c.waitStartStep(c.agents[ts.txn])
 }
 
@@ -447,7 +473,7 @@ func (c *Controller) scheduleNextStepStep(ts *txnState) {
 	if c.immediate(c.cfg.StepDelay) {
 		c.ready = append(c.ready, ts)
 	} else {
-		c.afterDelay(ts, c.cfg.StepDelay, c.advanceStep)
+		c.afterDelay(ts, c.cfg.StepDelay, opAdvance)
 	}
 }
 
@@ -457,9 +483,8 @@ func (c *Controller) commitStep(ts *txnState) {
 	ts.status = TxnCommitted
 	c.commits++
 	c.releaseAllStep(ts)
-	if cb := c.cfg.OnCommit; cb != nil {
-		txn := ts.txn
-		c.fx.Defer(func() { cb(txn) })
+	if c.cfg.OnCommit != nil {
+		c.fx.Call(callCommit, uint64(ts.txn))
 	}
 }
 
@@ -467,11 +492,7 @@ func (c *Controller) commitStep(ts *txnState) {
 // decision). It is a no-op if the transaction is not running. On a Host
 // it is posted to the controller's shard, like Submit.
 func (c *Controller) AbortLocal(txn id.Txn) {
-	c.fx.Post(c.run, func() {
-		if ts, ok := c.txns[txn]; ok && ts.status == TxnRunning {
-			c.abortStep(ts)
-		}
-	})
+	c.post(c.newCommand(opAbortLocal, txn))
 }
 
 // abortStep cancels waits, releases holds and marks the transaction
@@ -480,9 +501,8 @@ func (c *Controller) abortStep(ts *txnState) {
 	ts.status = TxnAborted
 	c.aborts++
 	c.releaseAllStep(ts)
-	if cb := c.cfg.OnAbort; cb != nil {
-		txn := ts.txn
-		c.fx.Defer(func() { cb(txn) })
+	if c.cfg.OnAbort != nil {
+		c.fx.Call(callAbort, uint64(ts.txn))
 	}
 }
 
@@ -506,10 +526,10 @@ func (c *Controller) releaseAllStep(ts *txnState) {
 		c.dropAgentStep(a)
 	}
 	for _, p := range ts.pendingRemote {
-		c.send(p.val, msg.CtrlRelease{Txn: ts.txn, Resource: p.key, Inc: ts.inc})
+		c.send(p.val, msg.NewCtrlRelease(msg.CtrlRelease{Txn: ts.txn, Resource: p.key, Inc: ts.inc}))
 	}
 	for _, h := range ts.heldRemote {
-		c.send(h.val, msg.CtrlRelease{Txn: ts.txn, Resource: h.key, Inc: ts.inc})
+		c.send(h.val, msg.NewCtrlRelease(msg.CtrlRelease{Txn: ts.txn, Resource: h.key, Inc: ts.inc}))
 	}
 	delete(c.txns, ts.txn)
 	c.freeTxns = append(c.freeTxns, ts)
@@ -546,7 +566,7 @@ func (c *Controller) grantCascadeStep(r id.Resource, granted []waitEntry) {
 		if a.hasPendingAck && a.pendingAck == r {
 			// Remote agent: tell home the resource is acquired.
 			a.hasPendingAck = false
-			c.send(a.home, msg.CtrlGranted{Txn: a.txn, Resource: r, Inc: a.inc})
+			c.send(a.home, msg.NewCtrlGranted(msg.CtrlGranted{Txn: a.txn, Resource: r, Inc: a.inc}))
 			continue
 		}
 		if ts, home := c.txns[a.txn]; home && ts.status == TxnRunning {
@@ -562,9 +582,8 @@ func (c *Controller) waitStartStep(a *agentState) {
 	if a == nil {
 		return
 	}
-	if cb := c.cfg.OnWaitStart; cb != nil {
-		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
-		c.fx.Defer(func() { cb(ag) })
+	if c.cfg.OnWaitStart != nil {
+		c.fx.Call(callWaitStart, uint64(a.txn))
 	}
 	if c.cfg.Mode == InitiateOnWaitDelay {
 		c.armDetectionStep(a)
@@ -589,7 +608,9 @@ func (c *Controller) armDetectionStep(a *agentState) {
 	}
 	txn, wait := a.txn, a.wait
 	c.cfg.Timers.After(c.cfg.Delay, func() {
-		c.fx.Post(c.run, func() { c.detectStep(txn, wait) })
+		cmd := c.newCommand(opDetect, txn)
+		cmd.wait = wait
+		c.post(cmd)
 	})
 }
 
@@ -614,14 +635,15 @@ func (c *Controller) waitEndStep(a *agentState) {
 		return
 	}
 	a.wait = 0
-	if cb := c.cfg.OnWaitEnd; cb != nil {
-		ag := id.Agent{Txn: a.txn, Site: c.cfg.Site}
-		c.fx.Defer(func() { cb(ag) })
+	if c.cfg.OnWaitEnd != nil {
+		c.fx.Call(callWaitEnd, uint64(a.txn))
 	}
 }
 
-// send hands a message to another controller; transports never call
-// back synchronously, so no step cycle is possible.
+// send hands a frame to another controller; transports never call back
+// synchronously, so no step cycle is possible. Every frame is a pooled
+// pointer from msg.NewCtrl*, and the transport owns it from here on: the
+// caller must not read it after send (msg/pool.go).
 func (c *Controller) send(to id.Site, m msg.Message) {
 	c.cfg.Transport.Send(transport.NodeID(c.cfg.Site), transport.NodeID(to), m)
 }
@@ -686,8 +708,8 @@ func (c *Controller) step(sender id.Site, m msg.Message) {
 }
 
 // handleAbortStep processes an abort verdict for one of this site's
-// transactions. It takes the frame by value: a forward must re-send a
-// fresh copy, never the (possibly pooled) frame that was delivered.
+// transactions. It takes the frame by value: a forward sends a fresh
+// pooled copy, never the frame that was delivered.
 func (c *Controller) handleAbortStep(m msg.CtrlAbort) {
 	if ts, ok := c.txns[m.Txn]; ok {
 		if ts.status == TxnRunning {
@@ -697,7 +719,7 @@ func (c *Controller) handleAbortStep(m msg.CtrlAbort) {
 		// A declaring controller may only know the site a victim's
 		// agent lives on, not its home; one forward resolves it
 		// (a.home is authoritative, so this cannot loop).
-		c.send(a.home, m)
+		c.send(a.home, msg.NewCtrlAbort(m))
 	}
 }
 
@@ -743,7 +765,7 @@ func (c *Controller) handleAcquireStep(from id.Site, m msg.CtrlAcquire) {
 	}
 	if granted {
 		a.held.put(m.Resource, m.Mode)
-		c.send(from, msg.CtrlGranted{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
+		c.send(from, msg.NewCtrlGranted(msg.CtrlGranted{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc}))
 		return
 	}
 	a.pendingAck = m.Resource
@@ -761,12 +783,12 @@ func (c *Controller) handleGrantedStep(from id.Site, m msg.CtrlGranted) {
 	if !ok || ts.inc != m.Inc || ts.status != TxnRunning {
 		// Stale grant for an aborted incarnation: hand the resource
 		// straight back.
-		c.send(from, msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
+		c.send(from, msg.NewCtrlRelease(msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc}))
 		return
 	}
 	site, pending := ts.pendingRemote.get(m.Resource)
 	if !pending || site != from {
-		c.send(from, msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc})
+		c.send(from, msg.NewCtrlRelease(msg.CtrlRelease{Txn: m.Txn, Resource: m.Resource, Inc: m.Inc}))
 		return
 	}
 	ts.pendingRemote.del(m.Resource)
@@ -819,15 +841,18 @@ func (c *Controller) HomeOf(txn id.Txn) (id.Site, bool) {
 // home site, otherwise by message to its home controller. On a Host it
 // is posted to the controller's shard, like Submit.
 func (c *Controller) Abort(txn id.Txn) {
-	c.fx.Post(c.run, func() {
-		if ts, home := c.txns[txn]; home {
-			if ts.status == TxnRunning {
-				c.abortStep(ts)
-			}
-		} else if a, ok := c.agents[txn]; ok {
-			c.send(a.home, msg.CtrlAbort{Txn: txn})
+	c.post(c.newCommand(opAbort, txn))
+}
+
+// abortAnyStep is Abort's step.
+func (c *Controller) abortAnyStep(txn id.Txn) {
+	if ts, home := c.txns[txn]; home {
+		if ts.status == TxnRunning {
+			c.abortStep(ts)
 		}
-	})
+	} else if a, ok := c.agents[txn]; ok {
+		c.send(a.home, msg.NewCtrlAbort(msg.CtrlAbort{Txn: txn}))
+	}
 }
 
 // Stats reports this controller's counters.

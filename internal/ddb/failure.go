@@ -35,7 +35,9 @@ import (
 // sites the controller never interacted with; idempotent for repeats.
 // On a Host it is posted to the controller's shard, like Submit.
 func (c *Controller) PeerDown(dead id.Site) {
-	c.fx.Post(c.run, func() { c.peerDownStep(dead) })
+	cmd := c.newCommand(opPeerDown, 0)
+	cmd.site = dead
+	c.post(cmd)
 }
 
 // StepPeerDown implements engine.RecoveryLogic: the Host invokes it on

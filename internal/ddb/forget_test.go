@@ -93,13 +93,13 @@ type sentFrame struct {
 	m  msg.Message
 }
 
-// recTransport records what a lone controller sends; the test plays the
-// peer by calling HandleMessage.
+// recTransport records what a lone controller sends, in value form; the
+// test plays the peer by calling HandleMessage.
 type recTransport struct{ sent []sentFrame }
 
 func (r *recTransport) Register(transport.NodeID, transport.Handler) {}
 func (r *recTransport) Send(_, to transport.NodeID, m msg.Message) {
-	r.sent = append(r.sent, sentFrame{to: to, m: m})
+	r.sent = append(r.sent, sentFrame{to: to, m: msg.Deref(m)})
 }
 
 // TestLateFramesAfterForget: T5 (home S0, incarnation 2) asked S1 for r1

@@ -6,6 +6,7 @@ package ddb
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -192,5 +193,100 @@ func TestConcurrentCommandsOnHost(t *testing.T) {
 	t.Logf("%d transactions finished, %d aborted, %d deadlocks declared", finished, aborts, declared)
 	if finished != clients*perClient || protoErrs != 0 {
 		t.Fatalf("%d of %d transactions finished, %d protocol errors", finished, clients*perClient, protoErrs)
+	}
+}
+
+// TestPooledFramesUnderLoad holds the ownership rule of pooled frames
+// (msg/pool.go) under load: eight controllers on a four-shard Host run
+// 20 000 transactions of three locks each, at sites on other shards, so
+// that every frame is taken from a pool on one shard and recycled on
+// another. Locks are taken in ascending resource order, so there is no
+// deadlock and every transaction must commit. A frame recycled twice, or
+// read after its send, is handed to two senders at once: a grant then
+// reaches an agent that does not exist (a panic), a frame is rejected as
+// a protocol error, a wait never ends or a transaction never commits.
+func TestPooledFramesUnderLoad(t *testing.T) {
+	const sites, shards, perClient, keys = 8, 4, 2500, 96
+	host := engine.NewHost(engine.Options{Shards: shards})
+	defer host.Close()
+	done := make([]chan id.Txn, sites)
+	for i := range done {
+		done[i] = make(chan id.Txn, 1)
+	}
+	var waits waitCount
+	var ctrls [sites]*Controller
+	for i := range ctrls {
+		home := i
+		c, err := NewController(Config{
+			Site:         id.Site(i),
+			Transport:    host,
+			Timers:       realTimers{},
+			ResourceHome: func(r id.Resource) id.Site { return id.Site(int(r) % sites) },
+			OnCommit:     func(txn id.Txn) { done[home] <- txn },
+			OnAbort:      func(txn id.Txn) { t.Errorf("%v aborted", txn) },
+			OnDeadlock:   func(a id.Agent, _ id.CtrlTag) { t.Errorf("%v declared deadlocked without a cycle", a) },
+			OnWaitStart:  func(id.Agent) { waits.starts.Add(1) },
+			OnWaitEnd:    func(id.Agent) { waits.ends.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrls[i] = c
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < sites; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perClient; i++ {
+				// Three keys at sites on the other shards, ascending.
+				var ks []int
+				for len(ks) < 3 {
+					k := rng.Intn(keys)
+					if k%shards != g%shards && !slices.Contains(ks, k) {
+						ks = append(ks, k)
+					}
+				}
+				slices.Sort(ks)
+				steps := make([]LockStep, len(ks))
+				for j, k := range ks {
+					steps[j] = LockStep{id.Resource(k), msg.LockRead}
+					if rng.Intn(2) == 0 {
+						steps[j].Mode = msg.LockWrite
+					}
+				}
+				txn := id.Txn(g*perClient + i + 1)
+				if err := ctrls[g].Submit(txn, 0, steps); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case got := <-done[g]:
+					if got != txn {
+						t.Errorf("site %d: %v committed while waiting for %v", g, got, txn)
+						return
+					}
+				case <-time.After(10 * time.Second):
+					t.Errorf("site %d: %v never committed", g, txn)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var commits, protoErrs uint64
+	for _, c := range ctrls {
+		drainUntilEmpty(t, host, c)
+		st := c.Stats()
+		commits += st.Commits
+		protoErrs += st.ProtocolErrors
+	}
+	if commits != sites*perClient || protoErrs != 0 {
+		t.Fatalf("%d of %d transactions committed, %d protocol errors", commits, sites*perClient, protoErrs)
+	}
+	if starts, ends := waits.starts.Load(), waits.ends.Load(); starts != ends || starts < 3*sites*perClient {
+		t.Fatalf("%d wait starts and %d wait ends, want equal and at least one per remote lock (%d)",
+			starts, ends, 3*sites*perClient)
 	}
 }

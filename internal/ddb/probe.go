@@ -193,7 +193,7 @@ func (c *Controller) sendProbesStep(comp *probeComp, newly []id.Txn) {
 			}
 			comp.markProbed(e)
 			c.probesSent++
-			c.send(e.To.Site, msg.CtrlProbe{Tag: comp.tag, Edge: e})
+			c.send(e.To.Site, msg.NewCtrlProbe(msg.CtrlProbe{Tag: comp.tag, Edge: e}))
 		}
 	}
 }
@@ -388,7 +388,7 @@ func (c *Controller) abortVictim(victim id.Agent) {
 		c.Abort(victim.Txn)
 		return
 	}
-	c.send(victim.Site, msg.CtrlAbort{Txn: victim.Txn})
+	c.send(victim.Site, msg.NewCtrlAbort(msg.CtrlAbort{Txn: victim.Txn}))
 }
 
 // victimCoin is VictimRandom's unbiased coin: a splitmix64-style hash

@@ -224,7 +224,7 @@ func (h *Host) checkpointGated() error {
 	var entered sync.WaitGroup
 	for _, s := range h.shards {
 		entered.Add(1)
-		if !s.enqueue(event{fn: func() { entered.Done(); <-release }}) {
+		if !s.enqueue(event{cmd: stepFunc(func() { entered.Done(); <-release })}) {
 			entered.Done() // shard already closed: nothing left to park
 		}
 	}
@@ -421,6 +421,6 @@ func (h *Host) FinishRestore() error {
 func (h *Host) Reannounce(peer transport.NodeID) {
 	for _, p := range h.procsWhere(func(p *proc) bool { return p.ann != nil }) {
 		ann := p.ann
-		p.sh.enqueue(event{fn: func() { ann.StepReannounce(peer) }})
+		p.sh.enqueue(event{cmd: stepFunc(func() { ann.StepReannounce(peer) })})
 	}
 }

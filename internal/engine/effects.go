@@ -1,25 +1,45 @@
 package engine
 
 // Effects is one process's deferred-callback buffer (see the package
-// doc): a step calls Defer, and the entry that started the step runs
-// what it deferred, in order, once the step is over. A nested step (a
-// callback re-entering the process) defers past the outer step's mark
-// in the same array and dispatches and truncates back to it before it
-// returns. Only the process's serialized steps touch the buffer.
+// doc): a step calls Call or Defer, and the entry that started the step
+// runs what it deferred, in order, once the step is over. A nested step
+// (a callback re-entering the process) defers past the outer step's
+// mark in the same array and dispatches and truncates back to it before
+// it returns. Only the process's serialized steps touch the buffer.
+//
+// An entry Call queues is data: the two words Callback is to be called
+// with, which the process interprets (ddb: which of its user callbacks,
+// for which transaction). So a step that defers one builds no closure.
+// Defer carries a closure for the rare callback that needs more.
 type Effects struct {
-	fns []func()
+	fns []effect
 	// Settle, when set, runs at the end of every step, before the step's
 	// callbacks (ddb drains its ready list here).
 	Settle func()
+	// Callback runs the entries Call queued; a process that calls Call
+	// sets it once, when it is built.
+	Callback func(op, arg uint64)
+}
+
+// effect is one deferred callback: thunk when Defer queued it,
+// Callback(op, arg) when Call did.
+type effect struct {
+	thunk   func()
+	op, arg uint64
+}
+
+// Call queues Callback(op, arg) to run after the current step.
+func (e *Effects) Call(op, arg uint64) {
+	e.fns = append(e.fns, effect{op: op, arg: arg})
 }
 
 // Defer queues fn to run after the current step.
-func (e *Effects) Defer(fn func()) { e.fns = append(e.fns, fn) }
+func (e *Effects) Defer(fn func()) { e.fns = append(e.fns, effect{thunk: fn}) }
 
 // Run is the entry for a step the runtime has already serialized.
 func (e *Effects) Run(step func()) {
 	mark := e.step(step)
-	dispatch(&e.fns, mark)
+	e.dispatch(&e.fns, mark)
 	e.truncate(mark)
 }
 
@@ -27,28 +47,33 @@ func (e *Effects) Run(step func()) {
 // through r and the step's callbacks on this goroutine once r has let
 // go.
 func (e *Effects) Exec(r Runner, step func()) {
-	var out []func()
+	var out []effect
 	r.Exec(func() {
 		mark := e.step(step)
 		out = append(out, e.fns[mark:]...)
 		e.truncate(mark)
 	})
-	dispatch(&out, 0)
+	e.dispatch(&out, 0)
 }
 
-// Post is the entry for a command whose caller reads nothing back from
-// the step. When r can post (a Host shard's runner), it queues the step
-// on r and returns at once: the step and then its callbacks run on the
-// shard's loop goroutine, as a delivered step's do. Otherwise (the
-// inline runner, or a shard already closed) it is Exec. It reports
-// whether the step was queued, so a caller can tell whether the step
-// has run by the time Post returns.
-func (e *Effects) Post(r Runner, step func()) bool {
-	if p, ok := r.(poster); ok && p.Post(func() { e.Run(step) }) {
-		return true
-	}
-	e.Exec(r, step)
-	return false
+// Command is a step posted as data rather than as a closure: the value
+// carries the words its step needs, and Step interprets them. A process
+// that posts the same few commands over and over pools their values, so
+// posting one allocates nothing.
+type Command interface {
+	Step()
+}
+
+// Post is the entry for a command whose caller reads nothing back. When
+// r can post (a Host shard's runner), it queues cmd on r and returns
+// true at once: cmd.Step and then its callbacks run on the shard's loop
+// goroutine through Run, as a delivered step's do. Otherwise (the inline
+// runner, or a shard already closed) it queues nothing, runs nothing and
+// returns false, and the caller runs the step another way — through
+// Exec, typically.
+func (e *Effects) Post(r Runner, cmd Command) bool {
+	p, ok := r.(poster)
+	return ok && p.Post(e, cmd)
 }
 
 // step runs step and Settle, returning the mark its callbacks start at.
@@ -69,8 +94,12 @@ func (e *Effects) truncate(mark int) {
 
 // dispatch runs (*fns)[from:] in order, re-reading the slice each time
 // round: a nested step appends past the end and truncates back itself.
-func dispatch(fns *[]func(), from int) {
+func (e *Effects) dispatch(fns *[]effect, from int) {
 	for i := from; i < len(*fns); i++ {
-		(*fns)[i]()
+		if f := (*fns)[i]; f.thunk != nil {
+			f.thunk()
+		} else {
+			e.Callback(f.op, f.arg)
+		}
 	}
 }

@@ -22,15 +22,17 @@ func TestEffectsDispatchInOrder(t *testing.T) {
 		got = append(got, "settle")
 		fx.Defer(note("settled"))
 	}
+	fx.Callback = func(op, arg uint64) { got = append(got, fmt.Sprintf("call %d %d", op, arg)) }
 	fx.Run(func() {
 		fx.Defer(note("a"))
+		fx.Call(1, 2)
 		fx.Defer(note("b"))
 		fx.Defer(note("c"))
 		if len(got) != 0 {
 			t.Fatalf("callbacks ran inside the step: %v", got)
 		}
 	})
-	if want := []string{"settle", "a", "b", "c", "settled"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"settle", "a", "call 1 2", "b", "c", "settled"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Run dispatched %v, want %v", got, want)
 	}
 	got = nil
@@ -116,17 +118,20 @@ func TestEffectsExecRunsAfterRelease(t *testing.T) {
 }
 
 // TestEffectsRunDoesNotAllocate: the runtime-serialized entry reuses the
-// buffer's array, so a steady stream of steps that defer costs nothing.
+// buffer's array, and Call's words ride the entry, so a steady stream
+// of steps that defer costs nothing.
 func TestEffectsRunDoesNotAllocate(t *testing.T) {
 	var fx Effects
-	n := 0
+	n := uint64(0)
 	cb := func() { n++ }
-	step := func() { fx.Defer(cb); fx.Defer(cb) }
+	fx.Callback = func(_, arg uint64) { n += arg }
+	i := uint64(0)
+	step := func() { i++; fx.Defer(cb); fx.Call(0, i) }
 	if a := testing.AllocsPerRun(1000, func() { fx.Run(step) }); a != 0 {
 		t.Fatalf("%v allocs per Run, want 0", a)
 	}
-	if n != 2002 {
-		t.Fatalf("%d callbacks ran, want 2002", n)
+	if want := 1001 + 1001*1002/2; n != uint64(want) {
+		t.Fatalf("callbacks summed to %d, want %d", n, want)
 	}
 }
 
@@ -154,7 +159,7 @@ func TestEffectsGoroutinePerEntry(t *testing.T) {
 	if got, want := <-l.gid, h.shards[0].gid.Load(); got != want {
 		t.Fatalf("Step's callback ran on goroutine %d, want the shard's %d", got, want)
 	}
-	if !l.fx.Post(h.Runner(1), func() { l.fx.Defer(func() { l.gid <- curGID() }) }) {
+	if !l.fx.Post(h.Runner(1), stepFunc(func() { l.fx.Defer(func() { l.gid <- curGID() }) })) {
 		t.Fatal("Post on an open Host did not queue its step")
 	}
 	if got, want := <-l.gid, h.shards[0].gid.Load(); got != want {
@@ -167,26 +172,64 @@ func TestEffectsGoroutinePerEntry(t *testing.T) {
 	}
 }
 
-// TestEffectsPostFallsBackToExec: where nothing can take a queued step —
-// the inline runner, or a Host that is closed — Post runs the step and
-// its callbacks once before it returns, and says it queued nothing.
-func TestEffectsPostFallsBackToExec(t *testing.T) {
+// TestEffectsPostRefusedRunsNothing: where nothing can take a queued
+// step — the inline runner, or a Host that is closed — Post runs
+// nothing and says it queued nothing, so the caller can run the step
+// through Exec instead.
+func TestEffectsPostRefusedRunsNothing(t *testing.T) {
 	closed := NewHost(Options{Shards: 1})
 	closed.Close()
-	if closed.Runner(1).(poster).Post(func() { t.Error("a closed shard ran a posted step") }) {
-		t.Fatal("a closed shard took a posted step")
-	}
 	for name, r := range map[string]Runner{"inline": NewInlineRunner(), "closed host": closed.Runner(1)} {
 		t.Run(name, func(t *testing.T) {
 			var fx Effects
-			steps, callbacks := 0, 0
-			if fx.Post(r, func() { steps++; fx.Defer(func() { callbacks++ }) }) {
+			steps := 0
+			if fx.Post(r, stepFunc(func() { steps++ })) {
 				t.Fatal("Post reported the step queued")
 			}
-			if steps != 1 || callbacks != 1 {
-				t.Fatalf("step ran %d times and its callback %d, want once each", steps, callbacks)
+			closed.Drain()
+			if steps != 0 {
+				t.Fatalf("a refused Post ran its step %d times", steps)
 			}
 		})
+	}
+}
+
+// countCmd is a reusable Command whose step defers a Call.
+type countCmd struct {
+	fx     *Effects
+	steps  int
+	called uint64
+}
+
+func (c *countCmd) Step() {
+	c.steps++
+	c.fx.Call(0, uint64(c.steps))
+}
+
+// TestPostedCommandAllocatesNothing: a posted command rides the shard
+// queue as the value it is, and its step and callback run through the
+// posting process's Effects, so a steady stream of posts to an idle
+// shard allocates nothing.
+func TestPostedCommandAllocatesNothing(t *testing.T) {
+	h := NewHost(Options{Shards: 1})
+	defer h.Close()
+	r := h.Runner(1)
+	var fx Effects
+	cmd := &countCmd{fx: &fx}
+	fx.Callback = func(_, arg uint64) { cmd.called = arg }
+	post := func() {
+		if !fx.Post(r, cmd) {
+			t.Fatal("Post on an open Host did not queue its command")
+		}
+		h.Drain()
+	}
+	post() // grow the queue's double buffer and the effect buffer once
+	post()
+	if got := testing.AllocsPerRun(200, post); got != 0 {
+		t.Fatalf("%v allocs per posted command, want 0", got)
+	}
+	if cmd.steps != 203 || cmd.called != 203 {
+		t.Fatalf("%d steps ran and the last callback saw %d, want 203 and 203", cmd.steps, cmd.called)
 	}
 }
 
@@ -210,7 +253,7 @@ func (l *postLogic) Step(_ transport.NodeID, m msg.Message) {
 		l.fx.Defer(func() {
 			l.log = append(l.log, "m1 callback")
 			for _, p := range []string{"p1", "p2"} {
-				l.fx.Post(l.run, func() { l.log = append(l.log, p) })
+				l.fx.Post(l.run, stepFunc(func() { l.log = append(l.log, p) }))
 			}
 		})
 	})
@@ -228,7 +271,7 @@ func TestPostFromShardCallback(t *testing.T) {
 	// Hold the shard in one batch while m1 and m2 queue behind it, so the
 	// two are the next batch together.
 	hold := make(chan struct{})
-	h.Runner(1).(poster).Post(func() { <-hold })
+	h.Runner(1).(poster).Post(nil, stepFunc(func() { <-hold }))
 	h.Send(2, 1, msg.Probe{Tag: id.Tag{N: 1}})
 	h.Send(2, 1, msg.Probe{Tag: id.Tag{N: 2}})
 	close(hold)

@@ -25,10 +25,12 @@
 //     Effects.Exec (a call that waits for its step: queries,
 //     stand-alone HandleMessage) runs them on the caller's goroutine,
 //     after the Runner lets go. Effects.Post (a command whose caller
-//     reads nothing back) queues the step on a Host shard and returns,
-//     so they run on the shard's goroutine; on a Runner that cannot
-//     post it is Exec. A re-entering callback's own step's callbacks
-//     run before the outer step's remaining ones.
+//     reads nothing back) queues a Command — a step as data — on a
+//     Host shard and returns, so they run on the shard's goroutine; a
+//     Runner that cannot post queues nothing, and the caller uses Exec.
+//     A re-entering callback's own step's callbacks run before the
+//     outer step's remaining ones. Entries are data where it counts:
+//     Effects.Call queues two words the process interprets.
 //
 //   - Host (host.go) owns N shards, each a single goroutine draining a
 //     batch queue. Processes are pinned to shards by id, messages

@@ -389,7 +389,7 @@ func (h *Host) Send(from, to transport.NodeID, m msg.Message) {
 // handlers do not implement RecoveryLogic are skipped.
 func (h *Host) PeerDown(peer transport.NodeID) {
 	h.eachRecovery(func(p *proc) {
-		p.sh.enqueue(event{fn: func() { p.rec.StepPeerDown(peer) }})
+		p.sh.enqueue(event{cmd: stepFunc(func() { p.rec.StepPeerDown(peer) })})
 	})
 }
 
@@ -400,12 +400,12 @@ func (h *Host) PeerDown(peer transport.NodeID) {
 func (h *Host) PeerUp(peer transport.NodeID, reannounce bool) {
 	h.eachRecovery(func(p *proc) {
 		ann := p.ann
-		p.sh.enqueue(event{fn: func() {
+		p.sh.enqueue(event{cmd: stepFunc(func() {
 			p.rec.StepPeerUp(peer)
 			if reannounce && ann != nil {
 				ann.StepReannounce(peer)
 			}
-		}})
+		})})
 	})
 }
 
@@ -532,17 +532,41 @@ func (h *Host) Close() {
 }
 
 // event is one unit of shard work: a message delivery (p/from/m) or a
-// function step (fn, with done closed on completion when non-nil).
-// seqd marks a delivery that arrived through the transport's
-// resequencer — journaled by the WAL when one is attached — so deliver
-// can count its step for the checkpoint cut.
+// command step (cmd). A command posted through Effects.Post carries the
+// posting process's fx and runs through fx.Run, its callbacks after it;
+// any other (a query's rendezvous, a recovery verdict) runs bare. seqd
+// marks a delivery that arrived through the transport's resequencer —
+// journaled by the WAL when one is attached — so deliver can count its
+// step for the checkpoint cut. The fields are ordered so the event
+// stays seven words.
 type event struct {
 	p    *proc
-	from transport.NodeID
+	fx   *Effects
 	m    msg.Message
+	cmd  Command
+	from transport.NodeID
+	seqd bool
+}
+
+// stepFunc is a function step as a Command. A func value is one pointer,
+// so boxing it allocates nothing beyond the closure itself.
+type stepFunc func()
+
+func (f stepFunc) Step() { f() }
+
+// rendezvous is Exec's command: the step, and the channel its caller
+// waits on. The channel has room for the one signal Step sends, so the
+// loop never blocks on it and a rendezvous is pooled with its channel.
+type rendezvous struct {
 	fn   func()
 	done chan struct{}
-	seqd bool
+}
+
+var rendezvousPool = sync.Pool{New: func() any { return &rendezvous{done: make(chan struct{}, 1)} }}
+
+func (r *rendezvous) Step() {
+	r.fn()
+	r.done <- struct{}{}
 }
 
 // shard is one single-writer event loop. All state of every process
@@ -649,10 +673,11 @@ func (s *shard) loop() {
 		for i := range batch {
 			ev := batch[i]
 			batch[i] = event{} // release refs promptly
-			if ev.fn != nil {
-				ev.fn()
-				if ev.done != nil {
-					close(ev.done)
+			if ev.cmd != nil {
+				if ev.fx != nil {
+					ev.fx.Run(ev.cmd.Step)
+				} else {
+					ev.cmd.Step()
 				}
 				continue
 			}
@@ -750,21 +775,23 @@ func (s *shard) close() {
 }
 
 // shardRunner serializes public API calls of a process through its
-// owning shard. Post queues a function step and returns; the engines
+// owning shard. Post queues a command step and returns; the engines
 // use it (through Effects.Post) for commands, whose callers read
 // nothing back. Exec is the rendezvous queries need: a call made from
 // the shard's own loop goroutine (an engine callback re-entering the
-// API) runs inline; any other caller enqueues a function step and
-// waits for the loop to execute it.
+// API) runs inline; any other caller enqueues a command step and waits
+// for the loop to execute it.
 type shardRunner struct {
 	s *shard
 }
 
-// Post enqueues fn as a function step without waiting for it. A Post
-// from the shard's own loop goroutine joins the queue like any other,
-// so it runs after the current batch. It reports false, queuing
+// Post enqueues cmd as a step of fx's process without waiting for it. A
+// Post from the shard's own loop goroutine joins the queue like any
+// other, so it runs after the current batch. It reports false, queuing
 // nothing, once the shard is closed.
-func (r shardRunner) Post(fn func()) bool { return r.s.enqueue(event{fn: fn}) }
+func (r shardRunner) Post(fx *Effects, cmd Command) bool {
+	return r.s.enqueue(event{fx: fx, cmd: cmd})
+}
 
 // Exec tells the two apart by goroutine id, but parses it (curGID walks
 // the stack) only when the shard is mid-batch. That is sound: a nested
@@ -776,14 +803,19 @@ func (r shardRunner) Exec(fn func()) {
 		fn()
 		return
 	}
-	done := make(chan struct{})
-	if !r.s.enqueue(event{fn: fn, done: done}) {
+	rv := rendezvousPool.Get().(*rendezvous)
+	rv.fn = fn
+	queued := r.s.enqueue(event{cmd: rv})
+	if queued {
+		<-rv.done
+	}
+	rv.fn = nil
+	rendezvousPool.Put(rv)
+	if !queued {
 		// Shard closed: the loop is gone, so serialize stragglers
 		// against each other.
 		r.s.straggler.Lock()
 		defer r.s.straggler.Unlock()
 		fn()
-		return
 	}
-	<-done
 }

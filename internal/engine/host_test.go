@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/id"
 	"repro/internal/metrics"
@@ -295,5 +296,13 @@ func TestRunnerForFallback(t *testing.T) {
 	r := RunnerFor(transport.NewSimNet(sim.New(1), nil), 1)
 	if _, ok := r.(*inlineRunner); !ok {
 		t.Fatalf("RunnerFor(simnet) = %T, want *inlineRunner", r)
+	}
+}
+
+// TestShardEventSize: the shard queue's element stays seven words; a
+// command step, posted or a rendezvous, is one interface field.
+func TestShardEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 56 {
+		t.Fatalf("shard event is %d bytes, want at most 56", got)
 	}
 }

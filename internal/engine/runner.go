@@ -19,19 +19,19 @@ import (
 // public method of a process on that shard (GrantAll from OnRequest is
 // the canonical case) issues a nested Exec, which must run inline
 // rather than deadlock. The inline runner never sees a nested Exec:
-// off a Host every entry is Effects.Exec (or Post, which falls back to
-// it), and that entry runs the step's callbacks only after the runner
-// has let go.
+// off a Host every entry is Effects.Exec (Post queues nothing there),
+// and that entry runs the step's callbacks only after the runner has
+// let go.
 type Runner interface {
 	Exec(fn func())
 }
 
 // poster is implemented by Runners that can queue a step without
-// waiting for it (the Host's shardRunner). Post reports false, having
-// queued nothing, when it cannot take fn; Effects.Post then falls back
-// to Exec.
+// waiting for it (the Host's shardRunner): Post queues cmd to run as a
+// step of the process whose Effects fx is (Effects.Post). It reports
+// false, having queued nothing, when it cannot take cmd.
 type poster interface {
-	Post(fn func()) bool
+	Post(fx *Effects, cmd Command) bool
 }
 
 // RunnerProvider is implemented by transports that supply their own

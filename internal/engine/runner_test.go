@@ -63,9 +63,9 @@ func TestShardExecNestedUnderForeignLoad(t *testing.T) {
 	}
 }
 
-// TestShardExecIdleAllocs: a foreign Exec on an idle shard allocates its
-// done channel and nothing else — in particular it does not parse the
-// goroutine id, whose stack-header buffer escapes.
+// TestShardExecIdleAllocs: a foreign Exec on an idle shard allocates at
+// most a rendezvous, when its pool is empty — in particular it does not
+// parse the goroutine id, whose stack-header buffer escapes.
 func TestShardExecIdleAllocs(t *testing.T) {
 	h := NewHost(Options{Shards: 1})
 	defer h.Close()
@@ -77,7 +77,7 @@ func TestShardExecIdleAllocs(t *testing.T) {
 		h.Drain() // idle: the loop has left the batch and lowered the flag
 		r.Exec(noop)
 	}); got > 1 {
-		t.Fatalf("foreign Exec on an idle shard: %v allocs, want at most 1 (the done channel)", got)
+		t.Fatalf("foreign Exec on an idle shard: %v allocs, want at most 1 (a rendezvous)", got)
 	}
 }
 

@@ -199,6 +199,7 @@ func (n *ChoiceNet) Snapshot() string {
 	for _, l := range live {
 		fmt.Fprintf(&b, "%d>%d:[", l.From, l.To)
 		for _, m := range n.queues[l] {
+			m = msg.Deref(m) // a pooled frame renders as its value
 			fmt.Fprintf(&b, "%T%+v;", m, m)
 		}
 		b.WriteString("]")

@@ -1,24 +1,34 @@
 package msg
 
-// Decode-side message pooling — the last allocation on the wire hot
-// path. Encoding a steady-state frame has been allocation-free since
-// the binary codec landed (DESIGN.md §9), but decoding still paid one
-// heap allocation per data frame: boxing the freshly built value
-// (Probe, CtrlProbe, ...) into the Message interface. Boxing a *value*
-// type always allocates; boxing a *pointer* never does. So a pooled
-// decoder materialises the hot fixed-size message types behind
-// sync.Pool-recycled pointers instead: Decode hands the handler a
-// *Probe whose pointer word rides the interface for free, and the
-// consumer returns it with Recycle once the protocol step that used it
-// has run.
+// Message pooling — the boxing allocation on both ends of a frame's
+// life. Boxing a *value* type into the Message interface always
+// allocates; boxing a *pointer* never does. So the hot fixed-size
+// message types travel behind sync.Pool-recycled pointers: a pooled
+// decoder materialises them on the receive side (Decode hands the
+// handler a *Probe whose pointer word rides the interface for free),
+// and a sender that takes one from NewCtrlAcquire and friends sends
+// one, so neither end boxes a value.
 //
 // Ownership rule: a pooled message belongs to exactly one delivery.
-// The component that invokes the consuming step calls Recycle
-// afterwards (the TCP inbox's socket reader for synchronous
-// handlers, the engine Host's shard loop for asynchronous shard
-// ingress); nothing may retain the pointer past that step. Recycle
-// zeroes the struct before returning it to the pool so a stale read
-// after recycling yields zero values, never another frame's payload.
+//
+//   - A sender gives the pointer up at Send and never touches it again.
+//   - The component that invokes the consuming step calls Recycle
+//     afterwards: the TCP inbox's socket reader for synchronous
+//     handlers, the engine Host's shard loop for every frame it steps
+//     (intra-host sends included).
+//   - A transport that keeps a sent frame keeps it until it is done
+//     with it and then drops it: TCP holds it in the link queue and the
+//     replay buffer until the peer acknowledges it and leaves it to the
+//     GC; the simulated nets (SimNet, faultinject's Net, explore's
+//     ChoiceNet) never recycle, and never deliver one pointer twice —
+//     an injected wire duplicate is filtered before any handler sees it.
+//   - A step that forwards a frame sends a fresh pooled copy, never the
+//     frame it was delivered.
+//
+// Nothing may retain the pointer past its step; Deref makes the value
+// copy a recorder or a parked migration keeps. Recycle zeroes the
+// struct before returning it to the pool so a stale read after
+// recycling yields zero values, never another frame's payload.
 //
 // Only the fixed-size types of the steady-state protocol are pooled.
 // Request/Reply/CommWork decode to shared immutable singletons (no
@@ -40,8 +50,23 @@ var (
 	commReplyPool   = sync.Pool{New: func() any { return new(CommReply) }}
 )
 
-// Recycle returns a pooled message obtained from a pooled Decoder to
-// its pool, zeroing it first so the slot cannot leak one frame's
+// NewCtrlAcquire and the four below return a pooled copy of v for a
+// sender to hand to Send, which takes ownership of it (see the rule
+// above).
+func NewCtrlAcquire(v CtrlAcquire) *CtrlAcquire { return pooled(&ctrlAcquirePool, v) }
+func NewCtrlGranted(v CtrlGranted) *CtrlGranted { return pooled(&ctrlGrantedPool, v) }
+func NewCtrlRelease(v CtrlRelease) *CtrlRelease { return pooled(&ctrlReleasePool, v) }
+func NewCtrlProbe(v CtrlProbe) *CtrlProbe       { return pooled(&ctrlProbePool, v) }
+func NewCtrlAbort(v CtrlAbort) *CtrlAbort       { return pooled(&ctrlAbortPool, v) }
+
+func pooled[T any](pool *sync.Pool, v T) *T {
+	p := pool.Get().(*T)
+	*p = v
+	return p
+}
+
+// Recycle returns a pooled message — from a pooled Decoder or a New
+// function above — to its pool, zeroing it first so the slot cannot leak one frame's
 // payload into the next. It is a no-op for every non-pooled form —
 // value-typed messages, the shared singletons, slice-carrying types and
 // nil — so delivery paths may call it unconditionally on whatever they

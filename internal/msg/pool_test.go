@@ -236,3 +236,29 @@ func TestPooledDecodeZeroAllocs(t *testing.T) {
 		t.Fatalf("pooled decode allocated %.1f times per frame, want 0", allocs)
 	}
 }
+
+// TestSendSidePoolRoundTrip: each send-side constructor returns a pooled
+// pointer holding its value, and a frame recycled by its consumer is
+// taken again by the next send without an allocation.
+func TestSendSidePoolRoundTrip(t *testing.T) {
+	edge := id.AgentEdge{From: id.Agent{Txn: 1, Site: 2}, To: id.Agent{Txn: 3, Site: 4}}
+	for _, c := range []struct {
+		want Message
+		make func() Message
+	}{
+		{CtrlAcquire{Txn: 4, Resource: 5, Mode: LockWrite, Inc: 2}, func() Message { return NewCtrlAcquire(CtrlAcquire{Txn: 4, Resource: 5, Mode: LockWrite, Inc: 2}) }},
+		{CtrlGranted{Txn: 4, Resource: 5, Inc: 2}, func() Message { return NewCtrlGranted(CtrlGranted{Txn: 4, Resource: 5, Inc: 2}) }},
+		{CtrlRelease{Txn: 4, Resource: 5, Inc: 2}, func() Message { return NewCtrlRelease(CtrlRelease{Txn: 4, Resource: 5, Inc: 2}) }},
+		{CtrlProbe{Tag: id.CtrlTag{Initiator: 2, N: 11}, Edge: edge}, func() Message { return NewCtrlProbe(CtrlProbe{Tag: id.CtrlTag{Initiator: 2, N: 11}, Edge: edge}) }},
+		{CtrlAbort{Txn: 9}, func() Message { return NewCtrlAbort(CtrlAbort{Txn: 9}) }},
+	} {
+		m := c.make()
+		if got := Deref(m); got != c.want || m == c.want {
+			t.Fatalf("%T holds %+v, want a pointer to %+v", m, got, c.want)
+		}
+		Recycle(m)
+		if a := testing.AllocsPerRun(100, func() { Recycle(c.make()) }); a != 0 {
+			t.Errorf("%T: %v allocs per send and recycle, want 0", c.want, a)
+		}
+	}
+}
