@@ -108,9 +108,18 @@ crash-smoke:
 
 # Host-scale smoke: 8192 processes co-hosted on one sharded runtime
 # behind ONE multiplexed listener, full request ring, deadlock detected
-# end-to-end (CI runs this as the host-smoke job).
+# end-to-end. Then the durable pair at the same scale against one fresh
+# directory: the first run wires the ring and writes its checkpoint, the
+# second restores the ring from it (resumed=true) and detects the cycle
+# it inherited (CI runs this as the host-smoke job).
 host-smoke:
 	$(GO) run ./cmd/cmhnode -procs 8192 -shards 8 -initiate -timeout 60s
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/cmhnode" ./cmd/cmhnode; \
+	"$$d/cmhnode" -procs 8192 -shards 8 -wal-dir "$$d/wal" -fsync interval > "$$d/first"; \
+	grep 'final checkpoint written' "$$d/first"; \
+	"$$d/cmhnode" -procs 8192 -shards 8 -wal-dir "$$d/wal" -fsync interval -initiate -timeout 60s > "$$d/second"; \
+	cat "$$d/second"; grep -q 'resumed=true' "$$d/second"; grep -q 'DEADLOCK detected' "$$d/second"
 
 # Open-loop workload smoke: the seeded generator over both runtimes
 # with the oracle attached and no victim aborts — zero protocol errors,
@@ -124,9 +133,10 @@ load-smoke:
 # cluster package (gossip membership, placement ring, wire codec,
 # live-migration FIFO), the ≥8-seed RunCluster conformance sweep
 # (verdicts byte-identical to the sim across placements and a mid-run
-# migration), and the cmhnode -seed/-join CLI demo with its
-# leave-before-checkpoint ordering (CI runs this as the cluster-smoke
-# job).
+# migration), and the cmhnode -seed/-join CLI demo: detection across
+# hosts, the leave-before-checkpoint ordering, and a lease verdict on a
+# dead host aborting the waits on its processes (CI runs this as the
+# cluster-smoke job).
 cluster-smoke:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'TestClusterConformance' ./internal/conformance/

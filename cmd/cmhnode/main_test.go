@@ -10,6 +10,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/transport"
 )
 
 // syncBuffer lets the test poll a node's output while run() is still
@@ -364,5 +367,84 @@ func TestClusterModeLeavesBeforeCheckpoint(t *testing.T) {
 	}
 	if left > ckpt {
 		t.Fatalf("final checkpoint written before the leave tombstone (leave@%d, ckpt@%d):\n%s", left, ckpt, s)
+	}
+}
+
+// TestRunRejectsMisplacedRoleFlags pins that a flag describing another
+// placement's topology is an error naming it, not silently ignored.
+func TestRunRejectsMisplacedRoleFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-peer", []string{"-procs", "4", "-peer", "1=127.0.0.1:1"}},
+		{"-request", []string{"-procs", "4", "-request", "1"}},
+		{"-peer", []string{"-seed", "-peer", "1=127.0.0.1:1"}},
+		{"-request", []string{"-join", "1=127.0.0.1:1", "-request", "2"}},
+		{"-cluster-size", []string{"-cluster-size", "2"}},
+		{"-gossip-interval", []string{"-procs", "4", "-gossip-interval", "10ms"}},
+	} {
+		var out bytes.Buffer
+		err := run(append(tc.args, "-settle", "1ms", "-timeout", "1ms"), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" applies to") {
+			t.Errorf("run %v = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// TestClusterModeLeaseAbortsWaitOnDeadHost runs two cluster hosts with
+// the failure detector armed. The ring places processes on both, so
+// some of the seed's processes wait on processes of the joiner. The
+// joiner exits at its short timeout without leaving — from the seed's
+// side a crash — and the seed's lease verdict on its host must abort
+// those waits well within the seed's own timeout.
+func TestClusterModeLeaseAbortsWaitOnDeadHost(t *testing.T) {
+	common := []string{
+		"-procs", "8", "-shards", "2", "-cluster-size", "2",
+		"-gossip-interval", "10ms", "-settle", "100ms",
+		"-lease-interval", "50ms", "-lease-misses", "3",
+	}
+	var seedOut, joinOut syncBuffer
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[0] = run(append([]string{"-id", "0", "-seed", "-timeout", "3s"}, common...), &seedOut)
+	}()
+	waitFor(t, &seedOut, "listening on", 5*time.Second)
+	seedAddr := regexp.MustCompile(`listening on (\S+)`).FindStringSubmatch(seedOut.String())[1]
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[1] = run(append([]string{"-id", "1", "-join", "1=" + seedAddr, "-timeout", "500ms"}, common...), &joinOut)
+	}()
+	waitFor(t, &seedOut, "ABORTED (peer presumed down)", 5*time.Second)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("host %d: %v", i, err)
+		}
+	}
+	// The seed's waits that cross to the joiner: process n waits on
+	// n%8+1, and the ring over hosts 1 and 2 places both. Every one of
+	// them must be aborted, and none other.
+	ring := cluster.BuildRing([]transport.NodeID{1, 2})
+	crossing := 0
+	for n := transport.NodeID(1); n <= 8; n++ {
+		from, _ := ring.Lookup(n)
+		to, _ := ring.Lookup(n%8 + 1)
+		if from == 1 && to == 2 {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatalf("the ring puts no wait of the seed on the joiner:\n%s", seedOut.String())
+	}
+	if got := strings.Count(seedOut.String(), "ABORTED (peer presumed down)"); got != crossing {
+		t.Fatalf("seed aborted %d waits, want the %d on the dead host:\n%s", got, crossing, seedOut.String())
+	}
+	if strings.Contains(joinOut.String(), "left the member map") {
+		t.Fatalf("joiner left instead of dying:\n%s", joinOut.String())
 	}
 }

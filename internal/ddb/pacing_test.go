@@ -242,8 +242,10 @@ func localTxnRig(tb testing.TB) (*Controller, func(i int)) {
 // remoteTxnRig is the cluster-uniform shape without the wire: two
 // controllers on one Host, every transaction homed at site 0 and taking
 // three locks at site 1 — an acquire, a grant and a release frame each.
-// The returned function runs transaction i from Submit to its commit.
-// With waits non-nil the controllers also set OnDeadlock, OnWaitStart
+// The returned function runs transaction i from Submit to its commit,
+// failing the test if the commit does not come within txnDeadline: one
+// timer per rig, reset for each transaction, so the wait allocates
+// nothing. With waits non-nil the controllers also set OnDeadlock, OnWaitStart
 // and OnWaitEnd, as the benchmark's do, and the wait callbacks count
 // into waits: each remote lock is a wait at the home site.
 func remoteTxnRig(tb testing.TB, waits *waitCount) func(i int) {
@@ -263,15 +265,28 @@ func remoteTxnRig(tb testing.TB, waits *waitCount) func(i int) {
 		k := id.Resource(6*i + 1) // odd: managed by site 1
 		steps[i] = []LockStep{{k, msg.LockRead}, {k + 2, msg.LockWrite}, {k + 4, msg.LockRead}}
 	}
+	deadline := time.NewTimer(txnDeadline)
+	deadline.Stop()
 	return func(i int) {
 		if err := ctrls[0].Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
 			tb.Fatal(err)
 		}
-		if got := <-done; got != id.Txn(i+1) {
-			tb.Fatalf("%v committed while waiting for transaction %d", got, i+1)
+		deadline.Reset(txnDeadline)
+		select {
+		case got := <-done:
+			deadline.Stop()
+			if got != id.Txn(i+1) {
+				tb.Fatalf("%v committed while waiting for transaction %d", got, i+1)
+			}
+		case <-deadline.C:
+			tb.Fatalf("transaction %d did not commit within %v", i+1, txnDeadline)
 		}
 	}
 }
+
+// txnDeadline bounds one rig transaction, which commits in microseconds:
+// a lost frame fails the test instead of hanging it.
+const txnDeadline = 10 * time.Second
 
 // waitCount counts wait callbacks, which run on two shard goroutines.
 type waitCount struct{ starts, ends atomic.Int64 }
@@ -310,27 +325,27 @@ func benchTxns(b *testing.B, runTxn func(i int)) {
 // Submit, and the nine frames of a remote one) adds a quarter to the
 // bound; make gates runs without it.
 func TestTxnAllocGates(t *testing.T) {
-	_, local := localTxnRig(t)
 	var waits waitCount
 	for _, g := range []struct {
 		name   string
-		runTxn func(int)
+		rig    func(t *testing.T) func(int)
 		pooled int
 	}{
-		{"local", local, 1},
-		{"remote", remoteTxnRig(t, nil), 10},
-		{"callbacks", remoteTxnRig(t, &waits), 10},
+		{"local", func(t *testing.T) func(int) { _, run := localTxnRig(t); return run }, 1},
+		{"remote", func(t *testing.T) func(int) { return remoteTxnRig(t, nil) }, 10},
+		{"callbacks", func(t *testing.T) func(int) { return remoteTxnRig(t, &waits) }, 10},
 	} {
 		max := 1.0
 		if raceBuild {
 			max += float64(g.pooled) / 4
 		}
 		t.Run(g.name, func(t *testing.T) {
+			runTxn := g.rig(t) // built on the subtest, so a transaction that hangs fails it
 			i := 0
 			for ; i < 2000; i++ { // fill the free lists and the shard queues
-				g.runTxn(i)
+				runTxn(i)
 			}
-			got := testing.AllocsPerRun(2000, func() { g.runTxn(i); i++ })
+			got := testing.AllocsPerRun(2000, func() { runTxn(i); i++ })
 			t.Logf("%v allocs per %s transaction", got, g.name)
 			if got > max {
 				t.Fatalf("%v allocs per %s transaction, want at most %v", got, g.name, max)

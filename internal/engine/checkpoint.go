@@ -230,13 +230,11 @@ func (h *Host) checkpointGated() error {
 	}
 	entered.Wait()
 
-	snap := h.procsA.Load()
+	snap := h.procSnapshot()
 	var nodes []transport.NodeID
-	if snap != nil {
-		for node, p := range *snap {
-			if p.snap != nil {
-				nodes = append(nodes, node)
-			}
+	for node, p := range snap {
+		if p.snap != nil {
+			nodes = append(nodes, node)
 		}
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
@@ -253,7 +251,7 @@ func (h *Host) checkpointGated() error {
 	sw.Len(len(nodes))
 	for _, node := range nodes {
 		sw.I32(int32(node))
-		sw.Blob((*snap)[node].snap.MarshalState())
+		sw.Blob(snap[node].snap.MarshalState())
 	}
 	close(release)
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,11 +91,14 @@ type Host struct {
 	migForwarded atomic.Uint64
 	migReplayed  atomic.Uint64
 
-	// procsA is the lock-free read side of procs: a copy-on-write
-	// snapshot republished by Register, so Send resolves a destination
-	// with one atomic load instead of an RLock per message.
-	procsA  atomic.Pointer[map[transport.NodeID]*proc]
-	closedA atomic.Bool
+	// procsA is the lock-free read side of procs: a snapshot Send
+	// resolves a destination from with atomic loads instead of an RLock
+	// per message. Register only marks it stale (procsStale), so
+	// registering n processes costs O(n) rather than a copy each; the
+	// first reader that sees the mark republishes it under mu.
+	procsA     atomic.Pointer[map[transport.NodeID]*proc]
+	procsStale atomic.Bool
+	closedA    atomic.Bool
 
 	// observers is read once per send/delivery on the hot path, so it
 	// is published with an atomic pointer instead of taking h.mu.
@@ -230,11 +234,27 @@ func NewHost(opts Options) *Host {
 	return h
 }
 
-// proc resolves a hosted destination through the copy-on-write
-// snapshot — one atomic load, no lock.
+// proc resolves a hosted destination through the snapshot — atomic
+// loads, no lock once the snapshot is current.
 func (h *Host) proc(node transport.NodeID) *proc {
+	return h.procSnapshot()[node]
+}
+
+// procSnapshot returns the current snapshot of procs, republishing it
+// first if a Register since the last one left it stale. It takes mu
+// then, so no caller may hold mu.
+func (h *Host) procSnapshot() map[transport.NodeID]*proc {
+	if h.procsStale.Load() {
+		h.mu.Lock()
+		if h.procsStale.Load() {
+			snap := maps.Clone(h.procs)
+			h.procsA.Store(&snap)
+			h.procsStale.Store(false)
+		}
+		h.mu.Unlock()
+	}
 	if mp := h.procsA.Load(); mp != nil {
-		return (*mp)[node]
+		return *mp
 	}
 	return nil
 }
@@ -305,11 +325,7 @@ func (h *Host) Register(node transport.NodeID, handler transport.Handler) {
 		delete(h.pendingPark, node)
 	}
 	h.procs[node] = p
-	snap := make(map[transport.NodeID]*proc, len(h.procs))
-	for k, v := range h.procs {
-		snap[k] = v
-	}
-	h.procsA.Store(&snap)
+	h.procsStale.Store(true)
 	h.mu.Unlock()
 	if h.under != nil {
 		h.under.Register(node, inboundShim{h: h, p: p})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -63,12 +64,19 @@ type TCP struct {
 	closed    bool
 
 	// handlers is the node directory the host inboxes demultiplex into,
-	// and observers the attached observers. Both are copy-on-write
-	// snapshots that Register and Observe republish under mu, so a
-	// delivery resolves its handler and observers with atomic loads and
-	// never takes mu, which Send takes on every frame.
-	handlers  atomic.Pointer[map[NodeID]Handler]
-	observers atomic.Pointer[[]Observer]
+	// and observers the attached observers: snapshots a delivery reads
+	// with atomic loads, never taking mu, which Send takes on every
+	// frame. Observe republishes observers under mu. Register only
+	// writes handlerMap and marks handlers stale, so registering n nodes
+	// costs O(n) rather than a directory copy each; the first delivery
+	// that sees the mark republishes the snapshot under handlerMu. Lock
+	// order: mu or an inbox's mu, then handlerMu, which is held across
+	// no other lock.
+	handlerMu     sync.Mutex
+	handlerMap    map[NodeID]Handler
+	handlersStale atomic.Bool
+	handlers      atomic.Pointer[map[NodeID]Handler]
+	observers     atomic.Pointer[[]Observer]
 
 	// resolver, when set, answers every placement question: node→host
 	// from a routing directory, host→addr from a member map.
@@ -169,12 +177,13 @@ func NewTCP() *TCP { return NewTCPWithOptions(TCPOptions{}) }
 // failure-handling options.
 func NewTCPWithOptions(o TCPOptions) *TCP {
 	return &TCP{
-		opts:      o.withDefaults(),
-		listeners: make(map[NodeID]net.Listener),
-		addrs:     make(map[NodeID]string),
-		inboxes:   make(map[NodeID]*inbox),
-		links:     make(map[link]*outLink),
-		done:      make(chan struct{}),
+		opts:       o.withDefaults(),
+		listeners:  make(map[NodeID]net.Listener),
+		addrs:      make(map[NodeID]string),
+		inboxes:    make(map[NodeID]*inbox),
+		links:      make(map[link]*outLink),
+		handlerMap: make(map[NodeID]Handler),
+		done:       make(chan struct{}),
 	}
 }
 
@@ -201,21 +210,27 @@ func (t *TCP) observerList() []Observer {
 	return nil
 }
 
-// setHandlerLocked (t.mu held) republishes the handler directory with
-// node's handler added.
+// setHandlerLocked (t.mu held) adds node's handler to the directory
+// and marks the delivery snapshot stale.
 func (t *TCP) setHandlerLocked(node NodeID, h Handler) {
-	next := make(map[NodeID]Handler)
-	if cur := t.handlers.Load(); cur != nil {
-		for k, v := range *cur {
-			next[k] = v
-		}
-	}
-	next[node] = h
-	t.handlers.Store(&next)
+	t.handlerMu.Lock()
+	t.handlerMap[node] = h
+	t.handlersStale.Store(true)
+	t.handlerMu.Unlock()
 }
 
-// handler resolves node's handler from the directory snapshot.
+// handler resolves node's handler from the directory snapshot,
+// republishing the snapshot first if a registration left it stale.
 func (t *TCP) handler(node NodeID) Handler {
+	if t.handlersStale.Load() {
+		t.handlerMu.Lock()
+		if t.handlersStale.Load() {
+			next := maps.Clone(t.handlerMap)
+			t.handlers.Store(&next)
+			t.handlersStale.Store(false)
+		}
+		t.handlerMu.Unlock()
+	}
 	if cur := t.handlers.Load(); cur != nil {
 		return (*cur)[node]
 	}
