@@ -206,18 +206,19 @@ func TestContinuationRunsAfterGrantCascade(t *testing.T) {
 
 // localTxnRig is the ddb rung of the cost ladder: one hosted controller
 // and a three-lock all-local script with no pacing delays. The returned
-// function runs transaction i from Submit to its commit callback, which
-// is back by the time the shard next parks.
+// function runs transaction i from Submit to its commit callback
+// (awaitCommits), so a stalled shard fails the test instead of hanging
+// it.
 func localTxnRig(tb testing.TB) (*Controller, func(i int)) {
 	host := engine.NewHost(engine.Options{Shards: 1})
 	tb.Cleanup(host.Close)
-	commits := 0
+	done := make(chan id.Txn, 1)
 	c, err := NewController(Config{
 		Site:         0,
 		Transport:    host,
 		Timers:       &countingTimers{},
 		ResourceHome: func(id.Resource) id.Site { return 0 },
-		OnCommit:     func(id.Txn) { commits++ },
+		OnCommit:     func(txn id.Txn) { done <- txn },
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -227,25 +228,16 @@ func localTxnRig(tb testing.TB) (*Controller, func(i int)) {
 		k := id.Resource(3 * i)
 		steps[i] = []LockStep{{k, msg.LockRead}, {k + 1, msg.LockWrite}, {k + 2, msg.LockRead}}
 	}
-	return c, func(i int) {
-		before := commits
-		if err := c.Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
-			tb.Fatal(err)
-		}
-		host.Drain()
-		if commits != before+1 {
-			tb.Fatalf("transaction %d had not committed when the shard parked", i)
-		}
-	}
+	return c, awaitCommits(tb, done, func(i int) error {
+		return c.Submit(id.Txn(i+1), 0, steps[i%len(steps)])
+	})
 }
 
 // remoteTxnRig is the cluster-uniform shape without the wire: two
 // controllers on one Host, every transaction homed at site 0 and taking
 // three locks at site 1 — an acquire, a grant and a release frame each.
-// The returned function runs transaction i from Submit to its commit,
-// failing the test if the commit does not come within txnDeadline: one
-// timer per rig, reset for each transaction, so the wait allocates
-// nothing. With waits non-nil the controllers also set OnDeadlock, OnWaitStart
+// The returned function runs transaction i from Submit to its commit
+// (awaitCommits). With waits non-nil the controllers also set OnDeadlock, OnWaitStart
 // and OnWaitEnd, as the benchmark's do, and the wait callbacks count
 // into waits: each remote lock is a wait at the home site.
 func remoteTxnRig(tb testing.TB, waits *waitCount) func(i int) {
@@ -265,10 +257,20 @@ func remoteTxnRig(tb testing.TB, waits *waitCount) func(i int) {
 		k := id.Resource(6*i + 1) // odd: managed by site 1
 		steps[i] = []LockStep{{k, msg.LockRead}, {k + 2, msg.LockWrite}, {k + 4, msg.LockRead}}
 	}
+	return awaitCommits(tb, done, func(i int) error {
+		return ctrls[0].Submit(id.Txn(i+1), 0, steps[i%len(steps)])
+	})
+}
+
+// awaitCommits returns a rig's transaction runner: submit transaction
+// i, then wait for its commit on done, failing the test if it does not
+// come within txnDeadline. One timer serves the rig, reset for each
+// transaction, so the wait allocates nothing.
+func awaitCommits(tb testing.TB, done <-chan id.Txn, submit func(i int) error) func(i int) {
 	deadline := time.NewTimer(txnDeadline)
 	deadline.Stop()
 	return func(i int) {
-		if err := ctrls[0].Submit(id.Txn(i+1), 0, steps[i%len(steps)]); err != nil {
+		if err := submit(i); err != nil {
 			tb.Fatal(err)
 		}
 		deadline.Reset(txnDeadline)

@@ -399,11 +399,15 @@ func (t *TCP) acceptLoop(ln net.Listener, ib *inbox) {
 // readLoop decodes envelopes from one connection into the host's
 // resequencer and writes acknowledgements back on the same connection
 // (the return path of the sender's stream — its watch goroutine
-// consumes them). A decode failure (peer crash, TCP reset, corrupt
-// frame) closes only this connection and is surfaced through OnError —
-// the link's sender will replay anything the failure swallowed on its
-// next connection, so co-hosted nodes and other links keep running. A
-// failed ack write is ignored: the connection is already dying and the
+// consumes them). A read failure closes only this connection and is
+// counted and published as a ConnReadError — the link's sender will
+// replay anything the failure swallowed on its next connection, so
+// co-hosted nodes and other links keep running. A stream that stops
+// inside a frame (peer crash, orderly close mid-write, TCP reset) is
+// the network's doing and ends there; bytes that do not decode (bad
+// version, length, tag or ctl, an oversize frame) are also surfaced
+// through OnError, since they mean a peer that speaks another protocol.
+// A failed ack write is ignored: the connection is already dying and the
 // sender re-solicits acknowledgement with its next ping.
 //
 // With a group-capable delivery log attached, receive journals and
@@ -425,7 +429,9 @@ func (t *TCP) readLoop(conn net.Conn, ib *inbox) {
 				t.stats.readErrors.Add(1)
 				t.event(ConnEvent{Kind: ConnReadError, To: ib.host,
 					Addr: conn.RemoteAddr().String(), Err: err.Error()})
-				t.report(fmt.Errorf("tcp: read for node %d from %s: %w", ib.host, conn.RemoteAddr(), err))
+				if !errors.Is(err, msg.ErrTruncatedFrame) {
+					t.report(fmt.Errorf("tcp: read for node %d from %s: %w", ib.host, conn.RemoteAddr(), err))
+				}
 			}
 			conn.Close()
 			return

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"sync"
@@ -264,6 +265,66 @@ func TestTCPReadErrorIsSurfacedNotFatal(t *testing.T) {
 	}
 	if st := net_.Stats(); st.ReadErrors == 0 {
 		t.Fatalf("read error not counted, stats %+v", st)
+	}
+}
+
+// TestTCPTruncatedStreamIsNotReported: a peer that closes its
+// connection halfway through a frame — a crash or an orderly close
+// mid-write — ends that connection as a read error (counted, and
+// published as a ConnReadError) but is no protocol fault, so OnError
+// stays silent, and the node keeps receiving.
+func TestTCPTruncatedStreamIsNotReported(t *testing.T) {
+	var errs errList
+	var mu sync.Mutex
+	var events []transport.ConnEvent
+	opts := fastRetry(&errs)
+	opts.OnConnEvent = func(ev transport.ConnEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}
+	net_ := transport.NewTCPWithOptions(opts)
+	defer net_.Close()
+
+	col := newCollector(1)
+	net_.Register(9, col)
+	net_.Register(1, transport.HandlerFunc(func(transport.NodeID, msg.Message) {}))
+
+	var frame bytes.Buffer
+	if err := msg.NewEncoder(&frame).Encode(msg.Envelope{From: 1, To: 9, SrcHost: 1, Seq: 1, Epoch: 1, Msg: probeSeq(1)}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", net_.HostAddr(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(frame.Bytes()[:frame.Len()/2]); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+
+	waitFor(t, 10*time.Second, func() bool { return net_.Stats().ReadErrors > 0 })
+	if n := errs.len(); n != 0 {
+		t.Fatalf("a truncated stream was reported through OnError: %v", errs.errs)
+	}
+	mu.Lock()
+	sawReadError := false
+	for _, ev := range events {
+		sawReadError = sawReadError || ev.Kind == transport.ConnReadError
+	}
+	mu.Unlock()
+	if !sawReadError {
+		t.Fatal("no ConnReadError event for the truncated stream")
+	}
+
+	net_.Send(1, 9, probeSeq(1))
+	select {
+	case <-col.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node stopped receiving after a truncated stream")
+	}
+	if n := errs.len(); n != 0 {
+		t.Fatalf("OnError reports after the truncated stream: %v", errs.errs)
 	}
 }
 

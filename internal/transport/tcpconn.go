@@ -165,6 +165,10 @@ func (l *outLink) run() {
 	var (
 		segs [][]byte    // per-frame encode buffers, reused across flushes
 		vec  net.Buffers // gather list rebuilt per flush from segs
+		// out is the slice header WriteTo consumes: on a *net.TCPConn it
+		// advances its receiver past every buffer written, so writing
+		// through vec itself would hand it back with no capacity.
+		out net.Buffers
 	)
 	for {
 		l.mu.Lock()
@@ -248,7 +252,8 @@ func (l *outLink) run() {
 			}
 		}
 		if err == nil && len(vec) > 0 {
-			_, err = vec.WriteTo(conn)
+			out = vec
+			_, err = out.WriteTo(conn)
 		}
 
 		l.mu.Lock()

@@ -83,7 +83,7 @@ func (w *Log) WriteCheckpoint(payload []byte) (uint64, error) {
 		os.Remove(tmp)
 		return 0, err
 	}
-	if err := syncDir(w.opts.Dir); err != nil {
+	if err := w.syncDir(w.opts.Dir); err != nil {
 		return 0, err
 	}
 	w.ckptSeq = seq
@@ -136,7 +136,7 @@ func parseCheckpoint(data []byte) ([]byte, bool) {
 	return payload, true
 }
 
-func syncDir(dir string) error {
+func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -32,6 +32,7 @@ func TestGenCorpus(t *testing.T) {
 		[]byte("CMHWAL"),
 		append([]byte(nil), segMagic...),
 	}
+	segment = append(segment, segmentEndSeeds(good)...)
 	for name, seeds := range map[string][][]byte{"FuzzWALRecord": record, "FuzzWALSegment": segment} {
 		dir := filepath.Join("testdata", "fuzz", name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {

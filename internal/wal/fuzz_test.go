@@ -60,6 +60,9 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add(good[:len(good)-2])
 	f.Add([]byte("CMHWAL"))
 	f.Add(append([]byte(nil), segMagic...))
+	for _, s := range segmentEndSeeds(good) {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keep, records, ok := verifySegment(data)
@@ -81,16 +84,25 @@ func FuzzWALSegment(f *testing.F) {
 
 // FuzzWALGroupCut commits groups of deferred records, each group in one
 // write(2), then cuts the segment at an arbitrary byte — a crash inside
-// some group's write — and reopens. Whatever the sizes, payloads and
-// cut, reopening must not panic and must keep exactly the records that
-// ended at or before the cut, in order.
+// some group's write — and reopens. The cut may be followed by hole zero
+// bytes, the preallocated tail a crash leaves behind, and with stale set
+// also by a copy of the log's last record: a stale record behind a hole.
+// Whatever the sizes, payloads, cut and tail, reopening must not panic
+// and must keep exactly the records the image holds whole, in order.
 func FuzzWALGroupCut(f *testing.F) {
-	f.Add([]byte{3}, []byte("payload"), uint32(40))
-	f.Add([]byte{1, 4, 2}, []byte{0, 7, 31}, uint32(5))
-	f.Add([]byte{8, 8}, []byte("x"), uint32(1<<20))
-	f.Add([]byte{}, []byte{}, uint32(0))
+	f.Add([]byte{3}, []byte("payload"), uint32(40), uint16(0), false)
+	f.Add([]byte{1, 4, 2}, []byte{0, 7, 31}, uint32(5), uint16(0), false)
+	f.Add([]byte{8, 8}, []byte("x"), uint32(1<<20), uint16(0), false)
+	f.Add([]byte{}, []byte{}, uint32(0), uint16(0), false)
+	// Zero tails: after a whole group, inside a record, and inside the header.
+	f.Add([]byte{1, 4, 2}, []byte{0, 7, 31}, uint32(1<<20), uint16(4096), false)
+	f.Add([]byte{3}, []byte("payload"), uint32(40), uint16(300), false)
+	f.Add([]byte{2}, []byte("h"), uint32(3), uint16(64), false)
+	// Holes before a stale record: at the end of the log and after a cut.
+	f.Add([]byte{2, 3}, []byte("stale"), uint32(1<<20), uint16(1), true)
+	f.Add([]byte{2, 3}, []byte("stale"), uint32(61), uint16(512), true)
 
-	f.Fuzz(func(t *testing.T, groups, seed []byte, cut uint32) {
+	f.Fuzz(func(t *testing.T, groups, seed []byte, cut uint32, hole uint16, stale bool) {
 		if len(groups) > 8 {
 			groups = groups[:8]
 		}
@@ -130,14 +142,36 @@ func FuzzWALGroupCut(f *testing.F) {
 			t.Fatalf("segment is %d bytes, want %d", len(data), ends[len(ends)-1])
 		}
 		at := int(cut % uint32(len(data)+1))
-		if err := os.WriteFile(seg, data[:at], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		whole := 0
-		for _, end := range ends[1:] {
-			if end <= at {
-				whole++
+		// A record survives when the image holds all of its bytes, the
+		// header's included. Without a tail that means it ended at or
+		// before the cut; with a zero tail, a record cut inside a run of
+		// zeros is whole again, since the zeros the crash left are the
+		// bytes it was missing.
+		wholeIn := func(image []byte) int {
+			whole := 0
+			for k, end := range ends {
+				start := 0
+				if k > 0 {
+					start = ends[k-1]
+				}
+				if end > len(image) || !bytes.Equal(image[start:end], data[start:end]) {
+					break
+				}
+				whole = k
 			}
+			return whole
+		}
+		image := append(append([]byte(nil), data[:at]...), make([]byte, hole)...)
+		whole := wholeIn(image)
+		// The stale record goes behind the hole only while some of the
+		// hole is left over; a hole that the last whole record absorbed
+		// is no hole.
+		if stale && hole > 0 && len(ends) > 1 && ends[whole] < len(image) {
+			image = append(image, data[ends[len(ends)-2]:]...)
+			whole = wholeIn(image)
+		}
+		if err := os.WriteFile(seg, image, 0o644); err != nil {
+			t.Fatal(err)
 		}
 
 		w2, err := Open(Options{Dir: dir, Sync: SyncNever})
@@ -160,4 +194,33 @@ func FuzzWALGroupCut(f *testing.F) {
 			t.Fatalf("cut at %d: scanned %d of %d records: %v", at, i, whole, err)
 		}
 	})
+}
+
+// segmentEndSeeds are FuzzWALSegment's segment-end shapes built on good,
+// a valid image: a zero tail, a torn record before zeros, a hole before
+// a stale record, and a header followed only by zeros.
+func segmentEndSeeds(good []byte) [][]byte {
+	zeros := func(n int) []byte { return make([]byte, n) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	rec := appendRecord(nil, KindEnvelope, 7, []byte("three"))
+	return [][]byte{
+		cat(good, zeros(64)),
+		cat(good, rec[:len(rec)/2], zeros(32)),
+		cat(good, zeros(16), rec, zeros(8)),
+		cat(segMagic, zeros(40)),
+	}
+}
+
+// verifySegment applies the segment-end rule to one segment image and
+// reports how many of its bytes recovery keeps, the valid record count,
+// and whether the segment is intact. An intact segment — valid records,
+// then nothing or zeros — keeps every byte; a torn one keeps the bytes up
+// to its last valid record's end.
+func verifySegment(data []byte) (keep int, records uint64, ok bool) {
+	s := segWindow{r: bytes.NewReader(data), size: int64(len(data))}
+	end, records, torn, _ := s.walk(nil)
+	if torn {
+		return int(end), records, false
+	}
+	return len(data), records, true
 }

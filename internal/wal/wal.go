@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,18 +21,19 @@ const (
 	groupBufMax    = 64 << 10 // AppendDeferred writes the group buffer past this
 )
 
-// SyncPolicy selects when appended records are fsynced to disk.
+// SyncPolicy selects when appended records are flushed to disk.
 type SyncPolicy int
 
 const (
-	// SyncAlways makes Commit a durability barrier: it fsyncs, so every
-	// record appended before a Commit that returned nil is on disk.
-	// Append commits each record by itself; AppendDeferred followed by
-	// one Commit pays one fsync for the whole group. Combined with the
-	// transport's commit-before-deliver, commit-before-ack ordering this
-	// is the lossless configuration (DESIGN.md §11).
+	// SyncAlways makes Commit a durability barrier: it flushes the
+	// segment, so every record appended before a Commit that returned nil
+	// is on disk. Append commits each record by itself; AppendDeferred
+	// followed by one Commit pays one flush for the whole group.
+	// Combined with the transport's commit-before-deliver,
+	// commit-before-ack ordering this is the lossless configuration
+	// (DESIGN.md §11).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker (Options.SyncEvery):
+	// SyncInterval flushes on a background ticker (Options.SyncEvery):
 	// bounded loss window, near-SyncNever append cost.
 	SyncInterval
 	// SyncNever leaves flushing to the OS; rotation and Close still
@@ -70,9 +72,10 @@ type Options struct {
 	// checkpoints for one host share it; two hosts must not.
 	Dir string
 	// SegmentBytes rotates the active segment once it reaches this
-	// size (default 8 MiB).
+	// size (default 8 MiB). A new segment is preallocated to this size
+	// where the filesystem allows it.
 	SegmentBytes int64
-	// Sync is the fsync policy for appends.
+	// Sync is the flush policy for appends.
 	Sync SyncPolicy
 	// SyncEvery is the SyncInterval ticker period (default 50ms).
 	SyncEvery time.Duration
@@ -87,9 +90,9 @@ type Stats struct {
 	RecordsAppended uint64
 	// TornRecordsDropped counts corrupt or torn regions truncated at
 	// Open — one per contiguous region, since record boundaries inside
-	// a torn region are unknowable.
+	// a torn region are unknowable. A segment's zero tail is not torn.
 	TornRecordsDropped uint64
-	// Syncs counts explicit fsyncs of the active segment.
+	// Syncs counts flushes of the active segment.
 	Syncs uint64
 	// Writes counts the write(2) calls that carried records: one per group.
 	Writes uint64
@@ -111,22 +114,32 @@ type Log struct {
 	f        *os.File
 	segIdx   uint64
 	segIdxs  []uint64 // live segment indices, ascending
-	segOff   int64    // bytes of the active segment in the kernel
+	segEnds  []int64  // each live segment's logical end; the active one's is segOff
+	segOff   int64    // logical bytes of the active segment in the kernel
 	count    uint64   // committed records (LSN of the last record)
 	appended uint64
 	torn     uint64
 	syncs    uint64
 	writes   uint64
 	dirty    bool
-	buf      []byte // the group buffer: records not yet written
-	pending  uint64 // records in buf
-	// err latches the first write or fsync failure. After a failed
-	// fsync the kernel may drop the dirty pages and report the next
-	// fsync clean, so a retry would declare records durable that are
-	// not: every later Append, Commit and Sync returns err instead.
+	// dirPending marks a directory change not yet synced: a segment
+	// created, truncated or removed. The next barrier that flushes the
+	// segment syncs the directory too, so the segment's entry is as
+	// durable as its records.
+	dirPending bool
+	buf        []byte // the group buffer: records not yet written
+	pending    uint64 // records in buf
+	// err latches the first write, flush or directory-sync failure.
+	// After a failed flush the kernel may drop the dirty pages and
+	// report the next flush clean, so a retry would declare records
+	// durable that are not: every later Append, Commit and Sync returns
+	// err instead.
 	err error
-	// syncFile is (*os.File).Sync, a field so tests can fail it.
+	// syncFile flushes a segment (syncData: fdatasync on Linux) and
+	// syncDir a directory (fsyncDir); fields so tests can count and
+	// fail them.
 	syncFile func(*os.File) error
+	syncDir  func(string) error
 	ckpts    uint64
 	ckptSeq  uint64
 	closed   bool
@@ -136,9 +149,10 @@ type Log struct {
 }
 
 // Open opens (or creates) the log in opts.Dir, verifying every segment
-// record by record. The first torn or corrupt record ends the
-// committed log: the file is truncated back to it and any later
-// segments are deleted, so replay never sees an uncommitted suffix.
+// record by record under the segment-end rule (segment.go). The first
+// torn or corrupt record ends the committed log: the file is truncated
+// back to it and any later segments are deleted, so replay never sees an
+// uncommitted suffix.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: Options.Dir is required")
@@ -152,7 +166,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Log{opts: opts, syncFile: (*os.File).Sync}
+	w := &Log{opts: opts, syncFile: syncData, syncDir: fsyncDir}
 	if err := w.recover(); err != nil {
 		return nil, err
 	}
@@ -172,7 +186,8 @@ func Open(opts Options) (*Log, error) {
 func segName(idx uint64) string { return fmt.Sprintf("wal-%08d.seg", idx) }
 
 // recover scans the directory, truncates the torn tail, and positions
-// the log for appending.
+// the log for appending at the active segment's logical end, which it
+// preallocates again if it is short (a trimmed or truncated segment).
 func (w *Log) recover() error {
 	ents, err := os.ReadDir(w.opts.Dir)
 	if err != nil {
@@ -190,20 +205,25 @@ func (w *Log) recover() error {
 	if len(idxs) == 0 {
 		return w.startSegment(1)
 	}
+	var scratch []byte
 	for at, idx := range idxs {
 		path := filepath.Join(w.opts.Dir, segName(idx))
-		data, err := os.ReadFile(path)
+		fi, err := os.Stat(path)
 		if err != nil {
 			return err
 		}
-		keep, recs, ok := verifySegment(data)
+		end, recs, torn, err := walkFile(path, fi.Size(), &scratch, nil)
+		if err != nil {
+			return err
+		}
 		w.count += recs
-		if !ok || int64(keep) < int64(len(data)) {
+		w.segEnds = append(w.segEnds, end)
+		if torn {
 			// Torn or corrupt suffix: truncate here, drop later
 			// segments entirely — their records follow the tear and
 			// are not part of the committed log.
 			w.torn++
-			if err := os.Truncate(path, int64(keep)); err != nil {
+			if err := os.Truncate(path, end); err != nil {
 				return err
 			}
 			for _, later := range idxs[at+1:] {
@@ -213,6 +233,7 @@ func (w *Log) recover() error {
 				w.torn++
 			}
 			idxs = idxs[:at+1]
+			w.dirty, w.dirPending = true, true
 			break
 		}
 	}
@@ -222,11 +243,7 @@ func (w *Log) recover() error {
 	if err != nil {
 		return err
 	}
-	off, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return err
-	}
+	off := w.segEnds[len(w.segEnds)-1]
 	if off < segMagicLen {
 		// Header itself was torn; rewrite it.
 		if _, err := f.WriteAt(segMagic, 0); err != nil {
@@ -239,30 +256,36 @@ func (w *Log) recover() error {
 			return err
 		}
 	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		f.Close()
+		return err
+	}
+	if fi, err := f.Stat(); err == nil && fi.Size() < w.opts.SegmentBytes {
+		_ = preallocate(f, w.opts.SegmentBytes) // best effort, as in startSegment
+	}
 	w.f, w.segIdx, w.segOff = f, last, off
 	return nil
 }
 
-// verifySegment walks one segment's bytes and reports the byte offset
-// of the last committed record's end, the committed record count, and
-// whether the segment is fully intact (header valid and no trailing
-// garbage).
-func verifySegment(data []byte) (keep int, records uint64, ok bool) {
-	if len(data) < segMagicLen || string(data[:segMagicLen]) != string(segMagic) {
-		return 0, 0, false
+// walkFile applies the segment-end rule (segWindow.walk) to the first
+// size bytes of the segment file at path, reading through *scratch a
+// chunk at a time.
+func walkFile(path string, size int64, scratch *[]byte, fn func(kind byte, gen uint64, payload []byte) error) (end int64, records uint64, torn bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, false, err
 	}
-	off := segMagicLen
-	for off < len(data) {
-		_, _, _, n, err := parseRecord(data[off:])
-		if err != nil {
-			return off, records, false
-		}
-		off += n
-		records++
-	}
-	return off, records, true
+	defer f.Close()
+	s := segWindow{r: f, size: size, buf: *scratch}
+	end, records, torn, err = s.walk(fn)
+	*scratch = s.buf
+	return end, records, torn, err
 }
 
+// startSegment creates segment idx, writes its header and preallocates
+// it to SegmentBytes. Preallocation is best effort: where the
+// filesystem refuses, the segment grows by appends instead. Either way
+// the records are written the same, and the segment-end rule reads both.
 func (w *Log) startSegment(idx uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.opts.Dir, segName(idx)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -272,8 +295,11 @@ func (w *Log) startSegment(idx uint64) error {
 		f.Close()
 		return err
 	}
+	_ = preallocate(f, w.opts.SegmentBytes)
 	w.f, w.segIdx, w.segOff = f, idx, segMagicLen
 	w.segIdxs = append(w.segIdxs, idx)
+	w.segEnds = append(w.segEnds, segMagicLen)
+	w.dirPending = true
 	return nil
 }
 
@@ -297,7 +323,7 @@ func (w *Log) Append(kind byte, gen uint64, payload []byte) (uint64, error) {
 // LSN without making it durable under any policy: the record is in the
 // log (Scan sees it, NextLSN counts it) until the buffer is written. A
 // group of deferred appends followed by one Commit is the group-commit
-// path: one write(2), and under SyncAlways one fsync, for the group.
+// path: one write(2), and under SyncAlways one flush, for the group.
 func (w *Log) AppendDeferred(kind byte, gen uint64, payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -305,9 +331,9 @@ func (w *Log) AppendDeferred(kind byte, gen uint64, payload []byte) (uint64, err
 }
 
 // Commit is the policy's durability barrier over every record appended
-// so far: it writes the group buffer, then fsyncs under SyncAlways (not
-// when nothing is unsynced); under SyncInterval and SyncNever the
-// ticker or the OS bounds the loss window instead.
+// so far: it writes the group buffer, then flushes the segment under
+// SyncAlways (not when nothing is unsynced); under SyncInterval and
+// SyncNever the ticker or the OS bounds the loss window instead.
 func (w *Log) Commit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -372,14 +398,26 @@ func (w *Log) commitLocked() error {
 	return w.err
 }
 
+// rotateLocked seals the active segment: it flushes it, trims it to its
+// logical end and starts the next one.
 func (w *Log) rotateLocked() error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
+	w.trimLocked()
 	if err := w.f.Close(); err != nil {
 		return err
 	}
+	w.segEnds[len(w.segEnds)-1] = w.segOff
 	return w.startSegment(w.segIdx + 1)
+}
+
+// trimLocked cuts the active segment's preallocated tail off at its
+// logical end. It is housekeeping, not durability: the trim is not
+// synced, and a crash before it lands leaves a zero tail that the
+// segment-end rule reads as the segment's end. So a failure is ignored.
+func (w *Log) trimLocked() {
+	_ = w.f.Truncate(w.segOff)
 }
 
 func (w *Log) syncLocked() error {
@@ -393,15 +431,22 @@ func (w *Log) syncLocked() error {
 		return nil
 	}
 	if err := w.syncFile(w.f); err != nil {
-		w.err = fmt.Errorf("wal: fsync segment %d: %w", w.segIdx, err)
+		w.err = fmt.Errorf("wal: sync segment %d: %w", w.segIdx, err)
 		return w.err
 	}
 	w.dirty = false
 	w.syncs++
+	if w.dirPending {
+		if err := w.syncDir(w.opts.Dir); err != nil {
+			w.err = fmt.Errorf("wal: sync directory %s: %w", w.opts.Dir, err)
+			return w.err
+		}
+		w.dirPending = false
+	}
 	return nil
 }
 
-// Sync writes the group buffer and fsyncs any unsynced appends.
+// Sync writes the group buffer and flushes any unsynced appends.
 func (w *Log) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -437,32 +482,34 @@ func (w *Log) NextLSN() uint64 {
 // Scan replays every committed record in log order. The payload slice
 // is only valid during the callback. Scanning writes the group buffer
 // and reads the segments back from the filesystem, so it observes
-// appends made by this process whether or not they have been fsynced.
+// appends made by this process whether or not they have been flushed.
+// It reads each segment up to its logical end and no further, a chunk
+// at a time: never a preallocated tail.
 func (w *Log) Scan(fn func(lsn uint64, kind byte, gen uint64, payload []byte) error) error {
 	w.mu.Lock()
 	err := w.writeLocked()
 	idxs := append([]uint64(nil), w.segIdxs...)
+	ends := append([]int64(nil), w.segEnds...)
+	ends[len(ends)-1] = w.segOff
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	var lsn uint64
-	for _, idx := range idxs {
-		data, err := os.ReadFile(filepath.Join(w.opts.Dir, segName(idx)))
+	var (
+		lsn     uint64
+		scratch []byte
+	)
+	each := func(kind byte, gen uint64, payload []byte) error {
+		lsn++
+		return fn(lsn, kind, gen, payload)
+	}
+	for i, idx := range idxs {
+		end, _, torn, err := walkFile(filepath.Join(w.opts.Dir, segName(idx)), ends[i], &scratch, each)
 		if err != nil {
 			return err
 		}
-		off := segMagicLen
-		for off < len(data) {
-			kind, gen, payload, n, err := parseRecord(data[off:])
-			if err != nil {
-				return fmt.Errorf("wal: segment %d offset %d: %w", idx, off, err)
-			}
-			lsn++
-			if err := fn(lsn, kind, gen, payload); err != nil {
-				return err
-			}
-			off += n
+		if torn || end != ends[i] {
+			return fmt.Errorf("wal: segment %d offset %d: %w", idx, end, ErrBadRecord)
 		}
 	}
 	return nil
@@ -484,7 +531,8 @@ func (w *Log) Stats() Stats {
 	}
 }
 
-// Close syncs and closes the active segment. Further appends fail.
+// Close flushes the active segment, trims it to its logical end and
+// closes it. Further appends fail.
 func (w *Log) Close() error {
 	if w.stopSync != nil {
 		close(w.stopSync)
@@ -498,6 +546,7 @@ func (w *Log) Close() error {
 	}
 	w.closed = true
 	err := w.syncLocked()
+	w.trimLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
